@@ -14,16 +14,10 @@
 //!   runs on the build container put their worst spread at 1.16×, and
 //!   the wider bound absorbs shared-runner noise on top of that.
 //!
-//! The remaining end-to-end benches (partitioned search, bench-serve
+//! The remaining end-to-end benches (long searches, bench-serve
 //! latencies) are reported for the trajectory but never gated: their
 //! runtime depends on thread scheduling and socket timing, so any
 //! tolerance tight enough to matter would make the lane flaky.
-//!
-//! The parallel-speedup assertion (`chain8_molesp/par2` must not trail
-//! `seq` by more than 25%) only runs when the host has 2+ cores — on a
-//! single core the partitioned engine pays its coordination overhead
-//! with no parallelism to show for it, and ~1.5× slower than
-//! sequential is the expected, uninteresting outcome.
 
 use cs_bench::report::BenchRecord;
 use std::collections::HashMap;
@@ -36,9 +30,6 @@ const STABLE_PREFIXES: &[(&str, f64)] = &[
     ("history_insert_lookup/", 1.30),
     ("eql_", 1.60),
 ];
-
-/// Maximum tolerated `par2 / seq` ratio on multicore hosts.
-const PAR_TOLERANCE: f64 = 1.25;
 
 fn parse_report(text: &str) -> HashMap<String, u64> {
     text.lines()
@@ -80,28 +71,6 @@ fn gate_stable(new: &HashMap<String, u64>, baseline: &HashMap<String, u64>) -> V
     failures
 }
 
-/// Checks the parallel-speedup assertion on `new`, or explains why it
-/// was skipped. `cores` is the host's available parallelism.
-fn gate_parallel(new: &HashMap<String, u64>, cores: usize) -> Vec<String> {
-    if cores < 2 {
-        println!("  parallel-speedup assertions skipped: {cores} core(s) available");
-        return Vec::new();
-    }
-    let (Some(&seq), Some(&par2)) = (new.get("chain8_molesp/seq"), new.get("chain8_molesp/par2"))
-    else {
-        return vec!["chain8_molesp/{seq,par2} missing from new report on a multicore host".into()];
-    };
-    let ratio = par2 as f64 / (seq as f64).max(1.0);
-    println!("  chain8_molesp par2/seq: {ratio:.2}x (limit {PAR_TOLERANCE:.2}x, {cores} cores)");
-    if ratio > PAR_TOLERANCE {
-        vec![format!(
-            "chain8_molesp/par2 trails seq by {ratio:.2}x on a {cores}-core host (limit {PAR_TOLERANCE:.2}x)"
-        )]
-    } else {
-        Vec::new()
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (Some(new_path), Some(base_path)) = (args.first(), args.get(1)) else {
@@ -129,9 +98,7 @@ fn main() -> ExitCode {
     };
 
     println!("bench gate: {new_path} vs baseline {base_path}");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut failures = gate_stable(&new, &baseline);
-    failures.extend(gate_parallel(&new, cores));
+    let failures = gate_stable(&new, &baseline);
 
     if failures.is_empty() {
         println!("bench gate green ({} benches in new report)", new.len());
@@ -206,20 +173,6 @@ mod tests {
     fn empty_gate_set_fails() {
         let base = report(&[("something_else", 1)]);
         assert!(!gate_stable(&base.clone(), &base).is_empty());
-    }
-
-    #[test]
-    fn parallel_gate_skips_on_one_core() {
-        let new = report(&[("chain8_molesp/seq", 100), ("chain8_molesp/par2", 1000)]);
-        assert!(gate_parallel(&new, 1).is_empty());
-    }
-
-    #[test]
-    fn parallel_gate_enforces_on_multicore() {
-        let new = report(&[("chain8_molesp/seq", 100), ("chain8_molesp/par2", 150)]);
-        assert_eq!(gate_parallel(&new, 4).len(), 1);
-        let ok = report(&[("chain8_molesp/seq", 100), ("chain8_molesp/par2", 110)]);
-        assert!(gate_parallel(&ok, 4).is_empty());
     }
 
     #[test]

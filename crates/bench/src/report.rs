@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn bench_record_json_roundtrip() {
         let r = BenchRecord {
-            name: "gam_parallel/chain8/4-workers".into(),
+            name: "ctp_algorithms/chain8/molesp".into(),
             mean_ns: 123_456,
             iters: 42,
         };

@@ -116,65 +116,32 @@ impl PartialOrd for QEntry {
     }
 }
 
-/// Single or per-`sat`-mask balanced queues (§4.9), generic over the
-/// entry type: the sequential engine queues arena-indexed [`QEntry`]s,
-/// the partitioned parallel engine ([`crate::algo::partition`]) queues
-/// self-contained (and therefore stealable) entries.
-pub(crate) struct Queues<E: Ord> {
+/// Single or per-`sat`-mask balanced queues (§4.9).
+struct Queues {
     policy: QueuePolicy,
-    single: BinaryHeap<E>,
-    per: FxHashMap<SeedMask, BinaryHeap<E>>,
-    len: usize,
+    single: BinaryHeap<QEntry>,
+    per: FxHashMap<SeedMask, BinaryHeap<QEntry>>,
 }
 
-impl<E: Ord> Queues<E> {
-    pub(crate) fn new(policy: QueuePolicy) -> Self {
+impl Queues {
+    fn new(policy: QueuePolicy) -> Self {
         Queues {
             policy,
             single: BinaryHeap::new(),
             per: FxHashMap::default(),
-            len: 0,
         }
     }
 
-    /// Number of queued entries across all per-mask queues.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    pub(crate) fn push(&mut self, mask: SeedMask, e: E) {
-        self.len += 1;
+    fn push(&mut self, mask: SeedMask, e: QEntry) {
         match self.policy {
             QueuePolicy::Single => self.single.push(e),
             QueuePolicy::Balanced => self.per.entry(mask).or_default().push(e),
         }
     }
 
-    /// Pops up to half the queued entries (at least one, when any are
-    /// queued) — the batch a work-stealing thief takes, so thieves
-    /// re-balance in one locked operation instead of coming back for
-    /// every task.
-    pub(crate) fn steal_half(&mut self) -> Vec<E> {
-        let take = self.len.div_ceil(2);
-        let mut out = Vec::with_capacity(take);
-        for _ in 0..take {
-            match self.pop() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<E> {
+    fn pop(&mut self) -> Option<QEntry> {
         match self.policy {
-            QueuePolicy::Single => {
-                let e = self.single.pop();
-                if e.is_some() {
-                    self.len -= 1;
-                }
-                e
-            }
+            QueuePolicy::Single => self.single.pop(),
             QueuePolicy::Balanced => {
                 // Grow from the queue currently holding the fewest
                 // pairs, so small seed sets' neighbourhoods expand
@@ -185,11 +152,7 @@ impl<E: Ord> Queues<E> {
                     .filter(|(_, q)| !q.is_empty())
                     .min_by_key(|(_, q)| q.len())
                     .map(|(&k, _)| k)?;
-                let e = self.per.get_mut(&key).and_then(BinaryHeap::pop);
-                if e.is_some() {
-                    self.len -= 1;
-                }
-                e
+                self.per.get_mut(&key).and_then(BinaryHeap::pop)
             }
         }
     }
@@ -206,7 +169,7 @@ pub struct GamEngine<'g> {
     label_filter: Option<FxHashSet<LabelId>>,
     order: QueueOrder,
     store: TreeStore,
-    queue: Queues<QEntry>,
+    queue: Queues,
     seq: u64,
     /// Edge set → roots for which a tree over it has been built.
     /// Implements both GAM's rooted-tree dedup and ESP's edge-set
@@ -885,6 +848,26 @@ mod tests {
         );
         assert!(out.stats.budget_exhausted);
         assert!(out.stats.provenances <= 50);
+    }
+
+    #[test]
+    fn pre_raised_cancel_stops_sequential_search() {
+        let w = chain(10);
+        let seeds = SeedSets::from_sets(w.seeds.clone()).unwrap();
+        let flag = crate::CancelFlag::new();
+        flag.cancel();
+        let out = run_gam_family(
+            &w.graph,
+            &seeds,
+            GamConfig::GAM,
+            Filters::none().with_cancel(flag),
+            QueueOrder::SmallestFirst,
+        );
+        assert!(out.stats.cancelled);
+        assert!(!out.stats.timed_out, "cancellation is not a timeout");
+        // A full chain(10) run yields 1024 results; a cancel observed on
+        // the first 64-tick check leaves the search far from complete.
+        assert!(out.results.len() < 1024);
     }
 
     #[test]

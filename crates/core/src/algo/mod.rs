@@ -2,11 +2,9 @@
 
 pub mod bft;
 pub mod gam;
-pub mod partition;
 
 pub use bft::{minimize, run_bft, BftMerge};
 pub use gam::{run_gam_family, CtpStream, GamConfig, GamEngine};
-pub use partition::run_partitioned;
 
 use crate::config::{Filters, QueueOrder, QueuePolicy};
 use crate::result::SearchOutcome;
@@ -128,33 +126,6 @@ pub fn evaluate_ctp(
     order: QueueOrder,
 ) -> SearchOutcome {
     evaluate_ctp_with_policy(g, seeds, algo, filters, order, QueuePolicy::Single)
-}
-
-/// [`evaluate_ctp_with_policy`] with intra-search parallelism (§6):
-/// GAM-family searches with `workers > 1` run on the partitioned-
-/// history engine ([`partition::run_partitioned`]) — the edge-set
-/// history sharded by edge set, per-worker Grow queues with
-/// work-stealing, results in canonical (worker-count-independent)
-/// order. `workers == 0` uses the available parallelism; `workers <= 1`
-/// and the BFT reference algorithms evaluate sequentially, preserving
-/// their discovery order.
-pub fn evaluate_ctp_partitioned(
-    g: &Graph,
-    seeds: &SeedSets,
-    algo: Algorithm,
-    filters: Filters,
-    order: QueueOrder,
-    policy: QueuePolicy,
-    workers: usize,
-) -> SearchOutcome {
-    match algo {
-        Algorithm::Bft | Algorithm::BftM | Algorithm::BftAm => {
-            evaluate_ctp_with_policy(g, seeds, algo, filters, order, policy)
-        }
-        _ => {
-            partition::run_partitioned(g, seeds, gam_config(algo), filters, order, policy, workers)
-        }
-    }
 }
 
 /// [`evaluate_ctp`] with an explicit queue policy (§4.9; the GAM family

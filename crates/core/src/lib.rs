@@ -35,14 +35,13 @@ mod seeds;
 pub mod tree;
 
 pub use algo::{
-    evaluate_ctp, evaluate_ctp_partitioned, evaluate_ctp_streaming, evaluate_ctp_with_policy,
-    run_partitioned, stream_ctp, Algorithm, CtpStream, GamConfig,
+    evaluate_ctp, evaluate_ctp_streaming, evaluate_ctp_with_policy, stream_ctp, Algorithm,
+    CtpStream, GamConfig,
 };
 pub use config::{CancelFlag, Filters, PriorityFn, QueueOrder, QueuePolicy};
 pub use delta::{probe_delta, ProbeOutcome, DEFAULT_PROBE_BUDGET};
 pub use result::{
     check_result_minimal, sat_of_nodes, ResultSet, ResultTree, SearchOutcome, SearchStats,
-    WorkerStats,
 };
 pub use seedmask::{SeedMask, MAX_SEED_SETS};
 pub use seeds::{SeedError, SeedSets, SeedSpec};

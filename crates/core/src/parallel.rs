@@ -1,24 +1,13 @@
-//! Parallel CTP evaluation: the two-level scheduler (§6).
+//! Parallel CTP evaluation across independent searches.
 //!
 //! The paper notes (§6) that a multi-threaded C++ version of GAM gains
-//! up to 100×. This module schedules both parallelism tiers under a
-//! **single thread budget**:
-//!
-//! * **per CTP (outer tier)** — independent CTP jobs (a multi-CTP
-//!   query, a cross-query batch, a benchmark workload) are distributed
-//!   over a [`std::thread::scope`] with an atomic cursor;
-//! * **intra-search (inner tier)** — each job may itself run on the
-//!   partitioned-history engine ([`crate::algo::partition`]), splitting
-//!   one connection search over several workers.
-//!
-//! [`evaluate_ctps_parallel_budgeted`] divides a total budget of
-//! `threads` between the tiers: enough outer workers to cover the jobs,
-//! and the leftover capacity as intra-search workers per job (or an
-//! explicit `search_threads` override). With one enormous search the
-//! whole budget goes intra-search; with many small jobs it goes to job
-//! throughput — `threads` stays the single global knob.
+//! up to 100×. Here parallelism is **per CTP**: independent CTP jobs
+//! (a multi-CTP query, a cross-query batch, a benchmark workload) are
+//! distributed over a [`std::thread::scope`] with an atomic cursor.
+//! Each job runs on the sequential GAM-family engine, so jobs share
+//! the graph and nothing else — no history, no queue.
 
-use crate::algo::{evaluate_ctp_partitioned, evaluate_ctp_with_policy, Algorithm};
+use crate::algo::{evaluate_ctp_with_policy, Algorithm};
 use crate::config::{Filters, QueueOrder, QueuePolicy};
 use crate::result::SearchOutcome;
 use crate::seeds::SeedSets;
@@ -65,77 +54,32 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Resolves the intra-search worker count of one job under a total
-/// budget of `total` threads shared by `jobs` concurrent jobs:
-/// `search_threads == 0` ("auto") spreads the leftover budget evenly
-/// (`max(1, total / jobs)`), an explicit value is taken as-is.
-pub fn resolve_search_threads(search_threads: usize, total: usize, jobs: usize) -> usize {
-    match search_threads {
-        0 => (total / jobs.max(1)).max(1),
-        n => n,
-    }
-}
-
-/// Evaluates one CTP job with `intra` intra-search workers: the
-/// partitioned engine when `intra > 1`, the sequential engine
-/// otherwise. The single engine-routing point shared by every dispatch
-/// path (pooled or inline).
-pub fn evaluate_job(g: &Graph, job: &CtpJob, intra: usize) -> SearchOutcome {
-    if intra > 1 {
-        evaluate_ctp_partitioned(
-            g,
-            &job.seeds,
-            job.algorithm,
-            job.filters.clone(),
-            job.order.clone(),
-            job.policy,
-            intra,
-        )
-    } else {
-        evaluate_ctp_with_policy(
-            g,
-            &job.seeds,
-            job.algorithm,
-            job.filters.clone(),
-            job.order.clone(),
-            job.policy,
-        )
-    }
+/// Evaluates one CTP job on the sequential engine — the single
+/// engine-routing point shared by every dispatch path (pooled or
+/// inline).
+pub fn evaluate_job(g: &Graph, job: &CtpJob) -> SearchOutcome {
+    evaluate_ctp_with_policy(
+        g,
+        &job.seeds,
+        job.algorithm,
+        job.filters.clone(),
+        job.order.clone(),
+        job.policy,
+    )
 }
 
 /// Evaluates independent CTP jobs over one shared graph on up to
 /// `threads` worker threads (0 = available parallelism). Outcomes are
 /// returned in job order, each in the sequential engine's discovery
-/// order — this is [`evaluate_ctps_parallel_budgeted`] with the inner
-/// tier pinned to one worker per search.
+/// order.
 pub fn evaluate_ctps_parallel(g: &Graph, jobs: &[CtpJob], threads: usize) -> Vec<SearchOutcome> {
-    evaluate_ctps_parallel_budgeted(g, jobs, threads, 1)
-}
-
-/// The two-level scheduler: distributes the jobs over an outer pool of
-/// `min(threads, jobs)` workers, and runs each job's search with
-/// `search_threads` intra-search workers (`0` = divide the leftover
-/// `threads` budget evenly across the outer workers; `1` = sequential
-/// engine). `threads` is the single global budget — the outer and
-/// inner tiers never multiply beyond `threads × explicit
-/// search_threads`, and with the auto setting never beyond `threads`.
-/// Outcomes are returned in job order.
-pub fn evaluate_ctps_parallel_budgeted(
-    g: &Graph,
-    jobs: &[CtpJob],
-    threads: usize,
-    search_threads: usize,
-) -> Vec<SearchOutcome> {
-    let total = resolve_threads(threads);
-    let outer = total.min(jobs.len().max(1));
-    let intra = resolve_search_threads(search_threads, total, outer);
-
+    let workers = resolve_threads(threads).min(jobs.len().max(1));
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<SearchOutcome>>> =
         (0..jobs.len()).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for _ in 0..outer {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 // ORDERING: ticket dispenser; the atomic RMW alone
                 // guarantees each job index is claimed exactly once,
@@ -146,7 +90,7 @@ pub fn evaluate_ctps_parallel_budgeted(
                 }
                 // cs-lint: allow(L002): one writer per slot, so the
                 // lock is never poisoned; a panic here aborts the run.
-                *slots[i].lock().unwrap() = Some(evaluate_job(g, &jobs[i], intra));
+                *slots[i].lock().unwrap() = Some(evaluate_job(g, &jobs[i]));
             });
         }
     });
@@ -219,52 +163,5 @@ mod tests {
         let w = line(2, 1);
         let outs = evaluate_ctps_parallel(&w.graph, &[], 4);
         assert!(outs.is_empty());
-    }
-
-    #[test]
-    fn budgeted_two_level_matches_sequential() {
-        let w = chain(6);
-        let jobs: Vec<CtpJob> = (0..3)
-            .map(|i| {
-                CtpJob::molesp(
-                    SeedSets::from_sets(w.seeds.clone()).unwrap(),
-                    Filters::none().with_max_edges(4 + i),
-                )
-            })
-            .collect();
-        // 2 outer workers × 2 intra-search workers under a budget of 4.
-        let outs = evaluate_ctps_parallel_budgeted(&w.graph, &jobs, 4, 2);
-        assert_eq!(outs.len(), 3);
-        for (job, out) in jobs.iter().zip(&outs) {
-            let seq = evaluate_ctp(
-                &w.graph,
-                &job.seeds,
-                job.algorithm,
-                job.filters.clone(),
-                QueueOrder::SmallestFirst,
-            );
-            assert_eq!(out.results.canonical(), seq.results.canonical());
-            // Intra-search tier really ran: per-worker stats present.
-            assert_eq!(out.stats.workers.len(), 2);
-        }
-    }
-
-    #[test]
-    fn auto_search_threads_divide_the_budget() {
-        // One job, threads = 4, search_threads = 0: the whole budget
-        // goes intra-search.
-        let w = chain(5);
-        let jobs = vec![CtpJob::molesp(
-            SeedSets::from_sets(w.seeds.clone()).unwrap(),
-            Filters::none(),
-        )];
-        let outs = evaluate_ctps_parallel_budgeted(&w.graph, &jobs, 4, 0);
-        assert_eq!(outs[0].results.len(), 32);
-        assert_eq!(outs[0].stats.workers.len(), 4);
-        // search_threads resolution: explicit wins, auto divides.
-        assert_eq!(resolve_search_threads(3, 8, 2), 3);
-        assert_eq!(resolve_search_threads(0, 8, 2), 4);
-        assert_eq!(resolve_search_threads(0, 3, 8), 1);
-        assert_eq!(resolve_search_threads(0, 4, 0), 4);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::seedmask::SeedMask;
 use crate::seeds::{SeedSets, SeedSpec};
-use cs_graph::fxhash::FxHashMap;
+use cs_graph::fxhash::FxHashSet;
 use cs_graph::{EdgeId, Graph, NodeId};
 use std::time::Duration;
 
@@ -60,9 +60,8 @@ impl ResultTree {
 
     /// The canonical total order over result trees: edge set, then
     /// nodes, then the bound seed tuple. This single definition backs
-    /// [`ResultSet::sort_canonical`] and the EQL layer's materialised
-    /// ordering, so "canonical order" cannot silently diverge between
-    /// the engine and the executor.
+    /// the EQL layer's materialised ordering and its `SCORE` tie-break,
+    /// so "canonical order" cannot silently diverge between them.
     pub fn canonical_cmp(&self, other: &ResultTree) -> std::cmp::Ordering {
         self.edges
             .cmp(&other.edges)
@@ -88,8 +87,8 @@ impl ResultTree {
 #[derive(Debug, Default)]
 pub struct ResultSet {
     trees: Vec<ResultTree>,
-    /// Dedup index: (edge set, anchor node) → position in `trees`.
-    seen: FxHashMap<(Box<[EdgeId]>, NodeId), u32>,
+    /// Dedup index: (edge set, anchor node) of every kept tree.
+    seen: FxHashSet<(Box<[EdgeId]>, NodeId)>,
 }
 
 impl ResultSet {
@@ -124,59 +123,17 @@ impl ResultSet {
     /// contract.
     pub fn insert(&mut self, r: ResultTree) -> bool {
         let anchor = r.nodes.first().copied().unwrap_or(NodeId(0));
-        match self.seen.entry((r.edges.clone(), anchor)) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(self.trees.len() as u32);
-                self.trees.push(r);
-                true
-            }
+        if !self.seen.insert((r.edges.clone(), anchor)) {
+            return false;
         }
-    }
-
-    /// Like [`ResultSet::insert`], but a duplicate *replaces* the kept
-    /// tree when it is canonically smaller ([`ResultTree::canonical_cmp`]).
-    /// Duplicates differ only in their bound seed tuple — possible with
-    /// an `N` seed set, where the reported binding is the discovering
-    /// tree's root — so under concurrent discovery this keeps the
-    /// race-independent minimal binding. Returns true if the result was
-    /// new (not a replacement).
-    pub fn insert_min(&mut self, r: ResultTree) -> bool {
-        let anchor = r.nodes.first().copied().unwrap_or(NodeId(0));
-        match self.seen.entry((r.edges.clone(), anchor)) {
-            std::collections::hash_map::Entry::Occupied(o) => {
-                let kept = &mut self.trees[*o.get() as usize];
-                if r.canonical_cmp(kept) == std::cmp::Ordering::Less {
-                    *kept = r;
-                }
-                false
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(self.trees.len() as u32);
-                self.trees.push(r);
-                true
-            }
-        }
+        self.trees.push(r);
+        true
     }
 
     /// True if an identical result is present.
     pub fn contains(&self, edges: &[EdgeId], anchor: NodeId) -> bool {
         self.seen
-            .contains_key(&(edges.to_vec().into_boxed_slice(), anchor))
-    }
-
-    /// Sorts the results into canonical order
-    /// ([`ResultTree::canonical_cmp`]) in place, rebuilding the dedup
-    /// index positions. The partitioned parallel engine uses this to
-    /// make its outcome independent of worker count and scheduling.
-    pub fn sort_canonical(&mut self) {
-        self.trees.sort_by(ResultTree::canonical_cmp);
-        for (i, t) in self.trees.iter().enumerate() {
-            let anchor = t.nodes.first().copied().unwrap_or(NodeId(0));
-            if let Some(idx) = self.seen.get_mut(&(t.edges.clone(), anchor)) {
-                *idx = i as u32;
-            }
-        }
+            .contains(&(edges.to_vec().into_boxed_slice(), anchor))
     }
 
     /// Rebuilds a result set from trees (e.g. replayed from a result
@@ -216,9 +173,6 @@ pub struct SearchStats {
     pub pruned: u64,
     /// (tree, edge) pairs pushed to the queue.
     pub queue_pushes: u64,
-    /// Grow tasks stolen between intra-search workers (always 0 for
-    /// the sequential engine).
-    pub stolen: u64,
     /// True if the wall-clock timeout fired.
     pub timed_out: bool,
     /// True if the provenance budget was exhausted.
@@ -226,55 +180,6 @@ pub struct SearchStats {
     /// True if the search stopped because its
     /// [`CancelFlag`](crate::CancelFlag) was raised.
     pub cancelled: bool,
-    /// Per-worker breakdown when the search ran on the partitioned
-    /// parallel engine ([`crate::algo::partition`]); empty for
-    /// sequential searches. The aggregate counters above are the sums
-    /// of the corresponding per-worker counters.
-    pub workers: Vec<WorkerStats>,
-}
-
-/// Counters of one intra-search worker of the partitioned parallel
-/// engine (§6): what it produced, what its history shard pruned, and
-/// how many Grow tasks it stole from its siblings' queues.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Provenances this worker admitted past the history check
-    /// (Init + Grow + Merge + Mo) — sums to [`SearchStats::provenances`].
-    pub produced: u64,
-    /// Candidates this worker's history checks discarded — sums to
-    /// [`SearchStats::pruned`].
-    pub pruned: u64,
-    /// Grow tasks this worker stole from another worker's queue —
-    /// sums to [`SearchStats::stolen`].
-    pub stolen: u64,
-}
-
-impl SearchStats {
-    /// Folds a set of per-worker partial statistics into one aggregate
-    /// [`SearchStats`]: every counter is the sum over the workers, and
-    /// the per-worker `produced`/`pruned`/`stolen` triples are kept in
-    /// [`SearchStats::workers`] (in worker-id order).
-    pub fn merge_workers(parts: Vec<SearchStats>) -> SearchStats {
-        let mut total = SearchStats::default();
-        for p in parts {
-            total.provenances += p.provenances;
-            total.grows += p.grows;
-            total.merges += p.merges;
-            total.mo_copies += p.mo_copies;
-            total.pruned += p.pruned;
-            total.queue_pushes += p.queue_pushes;
-            total.stolen += p.stolen;
-            total.timed_out |= p.timed_out;
-            total.budget_exhausted |= p.budget_exhausted;
-            total.cancelled |= p.cancelled;
-            total.workers.push(WorkerStats {
-                produced: p.provenances,
-                pruned: p.pruned,
-                stolen: p.stolen,
-            });
-        }
-        total
-    }
 }
 
 /// A search's outcome: results, statistics, duration.
@@ -388,52 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_min_keeps_canonically_smallest_duplicate() {
-        let (_, ns, es) = path_graph();
-        let mk = |s: NodeId| ResultTree {
-            edges: es.clone().into_boxed_slice(),
-            nodes: ns.clone().into_boxed_slice(),
-            seeds: vec![s].into_boxed_slice(),
-        };
-        let mut rs = ResultSet::new();
-        assert!(rs.insert_min(mk(ns[3])));
-        // A canonically smaller duplicate replaces the kept tree…
-        assert!(!rs.insert_min(mk(ns[0])));
-        assert_eq!(rs.trees()[0].seeds.as_ref(), &[ns[0]]);
-        // …a larger one does not.
-        assert!(!rs.insert_min(mk(ns[2])));
-        assert_eq!(rs.trees()[0].seeds.as_ref(), &[ns[0]]);
-        assert_eq!(rs.len(), 1);
-    }
-
-    #[test]
-    fn sort_canonical_keeps_index_consistent() {
-        let (_, ns, es) = path_graph();
-        let mut rs = ResultSet::new();
-        rs.insert(ResultTree {
-            edges: vec![es[1]].into_boxed_slice(),
-            nodes: vec![ns[1], ns[2]].into_boxed_slice(),
-            seeds: vec![ns[1]].into_boxed_slice(),
-        });
-        rs.insert(ResultTree {
-            edges: vec![es[0]].into_boxed_slice(),
-            nodes: vec![ns[0], ns[1]].into_boxed_slice(),
-            seeds: vec![ns[0]].into_boxed_slice(),
-        });
-        rs.sort_canonical();
-        assert_eq!(rs.trees()[0].edges.as_ref(), &[es[0]]);
-        // The dedup index still rejects duplicates and insert_min still
-        // finds the (moved) kept tree.
-        assert!(rs.contains(&[es[1]], ns[1]));
-        assert!(!rs.insert_min(ResultTree {
-            edges: vec![es[1]].into_boxed_slice(),
-            nodes: vec![ns[1], ns[2]].into_boxed_slice(),
-            seeds: vec![ns[0]].into_boxed_slice(), // smaller → replaces
-        }));
-        assert_eq!(rs.trees()[1].seeds.as_ref(), &[ns[0]]);
-    }
-
-    #[test]
     fn from_trees_restores_dedup_index() {
         let (_, ns, es) = path_graph();
         let r = ResultTree {
@@ -501,53 +360,6 @@ mod tests {
         let seeds = SeedSets::from_sets(vec![vec![ns[0]], vec![ns[3]]]).unwrap();
         assert_eq!(sat_of_nodes(&[ns[0], ns[1]], &seeds), SeedMask::single(0));
         assert_eq!(sat_of_nodes(&ns, &seeds), SeedMask::full(2));
-    }
-
-    #[test]
-    fn worker_stats_merge_sums() {
-        let mk = |p, g, m, pr, st| SearchStats {
-            provenances: p,
-            grows: g,
-            merges: m,
-            mo_copies: 1,
-            pruned: pr,
-            queue_pushes: 10,
-            stolen: st,
-            ..SearchStats::default()
-        };
-        let merged = SearchStats::merge_workers(vec![
-            mk(5, 3, 2, 7, 1),
-            mk(11, 4, 0, 2, 0),
-            SearchStats {
-                timed_out: true,
-                ..mk(1, 1, 1, 1, 4)
-            },
-        ]);
-        assert_eq!(merged.provenances, 17);
-        assert_eq!(merged.grows, 8);
-        assert_eq!(merged.merges, 3);
-        assert_eq!(merged.mo_copies, 3);
-        assert_eq!(merged.pruned, 10);
-        assert_eq!(merged.queue_pushes, 30);
-        assert_eq!(merged.stolen, 5);
-        assert!(merged.timed_out);
-        assert!(!merged.budget_exhausted);
-        // The per-worker breakdown is kept, and its sums match the
-        // aggregate counters.
-        assert_eq!(merged.workers.len(), 3);
-        assert_eq!(
-            merged.workers.iter().map(|w| w.produced).sum::<u64>(),
-            merged.provenances
-        );
-        assert_eq!(
-            merged.workers.iter().map(|w| w.pruned).sum::<u64>(),
-            merged.pruned
-        );
-        assert_eq!(
-            merged.workers.iter().map(|w| w.stolen).sum::<u64>(),
-            merged.stolen
-        );
-        assert_eq!(merged.workers[2].stolen, 4);
     }
 
     #[test]

@@ -21,12 +21,6 @@ impl TreeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Sentinel id used where no arena exists — the partitioned
-    /// parallel engine ([`crate::algo::partition`]) keeps trees in
-    /// reference-counted cells instead of a [`TreeStore`], so its
-    /// provenance links carry this placeholder.
-    pub const NONE: TreeId = TreeId(u32::MAX);
 }
 
 /// How a tree was built (Def. 4.1, extended with the MoESP `Mo` form).
@@ -115,7 +109,16 @@ impl TreeStore {
 
     /// Builds the `Init(n)` tree for a seed `n`.
     pub fn make_init(&self, n: NodeId, seeds: &SeedSets) -> TreeData {
-        init_tree(n, seeds)
+        let membership = seeds.membership(n);
+        TreeData {
+            root: n,
+            edges: Box::new([]),
+            nodes: Box::new([n]),
+            sat: membership,
+            is_mo: false,
+            path_from: membership,
+            provenance: Provenance::Init(n),
+        }
     }
 
     /// Builds `Grow(t, e)`: `e` goes between `t.root` and `new_root`
@@ -132,7 +135,25 @@ impl TreeStore {
         new_root: NodeId,
         seeds: &SeedSets,
     ) -> TreeData {
-        grow_tree(t_id, t, e, new_root, seeds)
+        debug_assert!(!t.contains_node(new_root), "Grow1 violated");
+        let membership = seeds.membership(new_root);
+        debug_assert!(membership.disjoint(t.sat), "Grow2 violated");
+        debug_assert!(!t.is_mo, "Grow is disabled on Mo trees");
+        TreeData {
+            root: new_root,
+            edges: sorted_insert(&t.edges, e),
+            nodes: sorted_insert(&t.nodes, new_root),
+            sat: t.sat.union(membership),
+            is_mo: false,
+            // Still an (n, s)-rooted path iff the parent was one and the
+            // new root is not itself a seed.
+            path_from: if membership.is_empty() {
+                t.path_from
+            } else {
+                SeedMask::EMPTY
+            },
+            provenance: Provenance::Grow(t_id, e),
+        }
     }
 
     /// Builds `Merge(t1, t2)` if the Merge pre-conditions hold:
@@ -156,112 +177,40 @@ impl TreeStore {
         t2: &TreeData,
         seeds: &SeedSets,
     ) -> Option<TreeData> {
-        merge_trees(t1_id, t1, t2_id, t2, seeds)
+        if t1.root != t2.root {
+            return None;
+        }
+        let overlap = t1.sat.intersect(t2.sat);
+        if !seeds.membership(t1.root).superset_of(overlap) {
+            return None;
+        }
+        if !nodes_intersect_only_at(&t1.nodes, &t2.nodes, t1.root) {
+            return None;
+        }
+        Some(TreeData {
+            root: t1.root,
+            edges: sorted_union(&t1.edges, &t2.edges),
+            nodes: sorted_union(&t1.nodes, &t2.nodes),
+            sat: t1.sat.union(t2.sat),
+            is_mo: t1.is_mo || t2.is_mo,
+            path_from: SeedMask::EMPTY,
+            provenance: Provenance::Merge(t1_id, t2_id),
+        })
     }
 
     /// Builds `Mo(t, r)`: the same edge/node sets re-rooted at seed `r`.
     pub fn make_mo(&self, t_id: TreeId, t: &TreeData, r: NodeId) -> TreeData {
-        mo_tree(t_id, t, r)
-    }
-}
-
-/// Builds the `Init(n)` tree for a seed `n` — the arena-free
-/// constructor behind [`TreeStore::make_init`].
-pub fn init_tree(n: NodeId, seeds: &SeedSets) -> TreeData {
-    let membership = seeds.membership(n);
-    TreeData {
-        root: n,
-        edges: Box::new([]),
-        nodes: Box::new([n]),
-        sat: membership,
-        is_mo: false,
-        path_from: membership,
-        provenance: Provenance::Init(n),
-    }
-}
-
-/// Builds `Grow(t, e)` — the arena-free constructor behind
-/// [`TreeStore::make_grow`]. `e` goes between `t.root` and `new_root`
-/// (either direction); the result is rooted at `new_root`. The caller
-/// must have verified Grow1 (`new_root ∉ t`) and Grow2 (`new_root` is
-/// no seed of a set in `sat(t)`); debug assertions re-check them.
-/// Engines without a [`TreeStore`] pass [`TreeId::NONE`] for `t_id`.
-pub fn grow_tree(
-    t_id: TreeId,
-    t: &TreeData,
-    e: EdgeId,
-    new_root: NodeId,
-    seeds: &SeedSets,
-) -> TreeData {
-    debug_assert!(!t.contains_node(new_root), "Grow1 violated");
-    let membership = seeds.membership(new_root);
-    debug_assert!(membership.disjoint(t.sat), "Grow2 violated");
-    debug_assert!(!t.is_mo, "Grow is disabled on Mo trees");
-    TreeData {
-        root: new_root,
-        edges: sorted_insert(&t.edges, e),
-        nodes: sorted_insert(&t.nodes, new_root),
-        sat: t.sat.union(membership),
-        is_mo: false,
-        // Still an (n, s)-rooted path iff the parent was one and the
-        // new root is not itself a seed.
-        path_from: if membership.is_empty() {
-            t.path_from
-        } else {
-            SeedMask::EMPTY
-        },
-        provenance: Provenance::Grow(t_id, e),
-    }
-}
-
-/// Builds `Merge(t1, t2)` if the Merge pre-conditions hold — the
-/// arena-free constructor behind [`TreeStore::make_merge`]: Merge1 —
-/// same root and no other common node; Merge2 — no seed set covered by
-/// both trees, *except* through the shared root itself (see
-/// [`TreeStore::make_merge`] for why the exception is required).
-/// Engines without a [`TreeStore`] pass [`TreeId::NONE`] for the ids.
-pub fn merge_trees(
-    t1_id: TreeId,
-    t1: &TreeData,
-    t2_id: TreeId,
-    t2: &TreeData,
-    seeds: &SeedSets,
-) -> Option<TreeData> {
-    if t1.root != t2.root {
-        return None;
-    }
-    let overlap = t1.sat.intersect(t2.sat);
-    if !seeds.membership(t1.root).superset_of(overlap) {
-        return None;
-    }
-    if !nodes_intersect_only_at(&t1.nodes, &t2.nodes, t1.root) {
-        return None;
-    }
-    Some(TreeData {
-        root: t1.root,
-        edges: sorted_union(&t1.edges, &t2.edges),
-        nodes: sorted_union(&t1.nodes, &t2.nodes),
-        sat: t1.sat.union(t2.sat),
-        is_mo: t1.is_mo || t2.is_mo,
-        path_from: SeedMask::EMPTY,
-        provenance: Provenance::Merge(t1_id, t2_id),
-    })
-}
-
-/// Builds `Mo(t, r)` — the arena-free constructor behind
-/// [`TreeStore::make_mo`]: the same edge/node sets re-rooted at seed
-/// `r`.
-pub fn mo_tree(t_id: TreeId, t: &TreeData, r: NodeId) -> TreeData {
-    debug_assert!(t.contains_node(r), "Mo root must be in the tree");
-    debug_assert_ne!(t.root, r, "Mo root must differ from the tree root");
-    TreeData {
-        root: r,
-        edges: t.edges.clone(),
-        nodes: t.nodes.clone(),
-        sat: t.sat,
-        is_mo: true,
-        path_from: SeedMask::EMPTY,
-        provenance: Provenance::Mo(t_id, r),
+        debug_assert!(t.contains_node(r), "Mo root must be in the tree");
+        debug_assert_ne!(t.root, r, "Mo root must differ from the tree root");
+        TreeData {
+            root: r,
+            edges: t.edges.clone(),
+            nodes: t.nodes.clone(),
+            sat: t.sat,
+            is_mo: true,
+            path_from: SeedMask::EMPTY,
+            provenance: Provenance::Mo(t_id, r),
+        }
     }
 }
 

@@ -11,9 +11,7 @@ use crate::ast::{CtpAst, QueryAst, QueryForm, TermAst};
 use crate::parser::ParseError;
 use crate::result_cache::ResultCacheMode;
 use crate::session::Session;
-use cs_core::parallel::{
-    evaluate_ctps_parallel_budgeted, evaluate_job, resolve_search_threads, resolve_threads, CtpJob,
-};
+use cs_core::parallel::{evaluate_ctps_parallel, evaluate_job, resolve_threads, CtpJob};
 use cs_core::score::by_name;
 use cs_core::{
     Algorithm, Filters, QueueOrder, QueuePolicy, ResultTree, SearchOutcome, SearchStats, SeedError,
@@ -87,21 +85,11 @@ pub struct ExecOptions {
     /// or when an `N` seed set is present.
     pub balance_ratio: usize,
     /// Worker-thread budget for step (B): independent CTPs are
-    /// collected into [`CtpJob`]s and evaluated through the §6
-    /// two-level scheduler
-    /// ([`cs_core::parallel::evaluate_ctps_parallel_budgeted`]). This
-    /// is the single global knob: the per-CTP (outer) tier and the
-    /// intra-search (inner) tier share this budget. `1` (the default)
-    /// evaluates in-line on the calling thread; `0` uses the available
-    /// parallelism.
+    /// collected into [`CtpJob`]s and evaluated concurrently
+    /// ([`cs_core::parallel::evaluate_ctps_parallel`]), each on the
+    /// sequential engine. `1` (the default) evaluates in-line on the
+    /// calling thread; `0` uses the available parallelism.
     pub threads: usize,
-    /// Intra-search workers per CTP: `> 1` runs each GAM-family search
-    /// on the partitioned-history engine
-    /// ([`cs_core::algo::partition`]), splitting a *single* connection
-    /// search over that many workers. `1` (the default) keeps every
-    /// search sequential; `0` divides the `threads` budget evenly over
-    /// the concurrently running CTP jobs.
-    pub search_threads: usize,
     /// Capacity of the per-[`Session`] BGP plan cache (plans keyed by
     /// pattern shape, the Fig. 13 per-label plan-cache idea). `0`
     /// disables caching.
@@ -137,7 +125,6 @@ impl Default for ExecOptions {
             default_timeout: None,
             balance_ratio: 64,
             threads: 1,
-            search_threads: 1,
             plan_cache_capacity: 128,
             deadline: None,
             cancel: None,
@@ -266,24 +253,6 @@ impl QueryResult {
     }
 }
 
-/// Parses and executes an EQL query with default options.
-#[deprecated(note = "create a `Session` and use `Session::run`, which also caches plans")]
-pub fn run_query(g: &Graph, text: &str) -> Result<QueryResult, EqlError> {
-    Session::new(g).run(text)
-}
-
-/// Parses and executes an EQL query.
-#[deprecated(note = "create a `Session` with `Session::with_options` and use `Session::run`")]
-pub fn run_query_with(g: &Graph, text: &str, opts: &ExecOptions) -> Result<QueryResult, EqlError> {
-    Session::with_options(g, opts.clone()).run(text)
-}
-
-/// Parses and executes an `ASK` query, returning its boolean answer.
-#[deprecated(note = "create a `Session` and use `Session::ask`")]
-pub fn run_ask(g: &Graph, text: &str) -> Result<bool, EqlError> {
-    Session::new(g).ask(text)
-}
-
 /// First result cap for variable-sharing ASK CTPs; grown by
 /// [`ASK_LIMIT_GROWTH`] each deepening round while the join probe stays
 /// empty and a search was truncated by its cap.
@@ -307,9 +276,8 @@ pub fn execute(g: &Graph, q: &QueryAst, opts: &ExecOptions) -> Result<QueryResul
 /// The control is threaded two ways: [`QueryControl::check`] fails
 /// fast *between* execution steps, and [`QueryControl::arm`] pushes
 /// the flag/deadline *into* each search's [`Filters`] so the engines'
-/// cooperative checks (every 64 Grow steps, in the sequential `step`
-/// loop and the partitioned workers alike) stop a running search
-/// mid-flight. [`QueryControl::classify`] then turns the stop reason
+/// cooperative checks (every 64 Grow steps of the `step` loop) stop a
+/// running search mid-flight. [`QueryControl::classify`] then turns the stop reason
 /// into the typed [`EqlError::Cancelled`] /
 /// [`EqlError::DeadlineExceeded`] errors.
 pub(crate) struct QueryControl {
@@ -607,27 +575,16 @@ pub(crate) fn enforce_exclusions(outcomes: &mut [SearchOutcome], exclusions: &[V
     }
 }
 
-/// Evaluates a slice of CTP jobs through the two-level scheduler:
-/// in-line on the calling thread when a single outer worker suffices
-/// (`threads == 0` resolves to the available parallelism first, so
-/// single-CPU hosts don't pay for a useless worker thread), through
-/// [`evaluate_ctps_parallel_budgeted`] otherwise. Each search runs on
-/// `search_threads` intra-search workers (`0` = divide the `threads`
-/// budget over the concurrent jobs, `1` = sequential engine).
-pub(crate) fn dispatch_jobs(
-    g: &Graph,
-    jobs: &[CtpJob],
-    threads: usize,
-    search_threads: usize,
-) -> Vec<SearchOutcome> {
+/// Evaluates a slice of CTP jobs: in-line on the calling thread when a
+/// single worker suffices (`threads == 0` resolves to the available
+/// parallelism first, so single-CPU hosts don't pay for a useless
+/// worker thread), through [`evaluate_ctps_parallel`] otherwise.
+pub(crate) fn dispatch_jobs(g: &Graph, jobs: &[CtpJob], threads: usize) -> Vec<SearchOutcome> {
     let threads = resolve_threads(threads);
     if threads == 1 || jobs.len() <= 1 {
-        // One outer worker: the whole budget (or the explicit
-        // `search_threads`) goes intra-search.
-        let intra = resolve_search_threads(search_threads, threads, 1);
-        jobs.iter().map(|j| evaluate_job(g, j, intra)).collect()
+        jobs.iter().map(|j| evaluate_job(g, j)).collect()
     } else {
-        evaluate_ctps_parallel_budgeted(g, jobs, threads, search_threads)
+        evaluate_ctps_parallel(g, jobs, threads)
     }
 }
 
@@ -686,14 +643,12 @@ pub(crate) fn materialise_ctps(
         let mut result_trees = outcome.results.into_trees();
 
         // Canonical materialised order (`ResultTree::canonical_cmp`):
-        // the sequential engine yields discovery order, the
-        // partitioned engine a scheduling-independent canonical order —
-        // normalising here makes materialised answers (row order, tree
-        // indices, TOP-k tie-breaks) identical across `threads` /
-        // `search_threads` settings (LIMIT-truncated searches keep a
-        // valid but possibly different subset — early termination is
-        // the one scheduling-dependent surface). Streaming execution
-        // keeps discovery order; it never passes through this function.
+        // the engine yields discovery order — normalising here makes
+        // materialised answers (row order, tree indices, TOP-k
+        // tie-breaks) independent of it, so a result replayed from the
+        // cache or found under another queue order or `threads`
+        // setting renders identically. Streaming execution keeps
+        // discovery order; it never passes through this function.
         result_trees.sort_by(ResultTree::canonical_cmp);
 
         // SCORE σ [TOP k] (§4.8): score each result; optionally keep

@@ -52,8 +52,6 @@ pub use ast::{CtpAst, CtpFiltersAst, EdgePatternAst, QueryAst, QueryForm, TermAs
 pub use exec::{
     execute, explain_plan, EqlError, ExecOptions, ExecStats, QueryResult, SeedNarrowing,
 };
-#[allow(deprecated)]
-pub use exec::{run_ask, run_query, run_query_with};
 pub use parser::{parse, ParseError};
 pub use result_cache::{
     CacheCounters, CtpSignature, GraphToken, ResultCache, ResultCacheMode, SharedResultCache,

@@ -575,7 +575,7 @@ mod tests {
     }
 
     fn run(g: &Graph, j: &CtpJob) -> SearchOutcome {
-        evaluate_job(g, j, 1)
+        evaluate_job(g, j)
     }
 
     /// `a – x – b`, plus a pendant node `p` hanging off `b`.

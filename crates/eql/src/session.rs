@@ -52,7 +52,7 @@ use crate::result_cache::{
     CacheCounters, CacheLookup, CtpSignature, GraphToken, ResultCache, ResultCacheMode,
     SharedResultCache,
 };
-use cs_core::parallel::{resolve_search_threads, resolve_threads, CtpJob};
+use cs_core::parallel::CtpJob;
 use cs_core::{
     evaluate_ctp_streaming, stream_ctp, Algorithm, CtpStream, QueueOrder, QueuePolicy, ResultTree,
     SearchOutcome, SearchStats, SeedSets,
@@ -345,7 +345,7 @@ impl<'g> Session<'g> {
     fn dispatch_cached(&self, jobs: &[CtpJob]) -> (Vec<SearchOutcome>, Vec<CacheEvent>) {
         let g = self.graph();
         if matches!(self.results, ResultCacheHandle::Off) {
-            let outs = dispatch_jobs(g, jobs, self.opts.threads, self.opts.search_threads);
+            let outs = dispatch_jobs(g, jobs, self.opts.threads);
             return (outs, vec![CacheEvent::Bypass; jobs.len()]);
         }
         let sigs: Vec<Option<CtpSignature>> = jobs.iter().map(|j| CtpSignature::of(g, j)).collect();
@@ -404,7 +404,7 @@ impl<'g> Session<'g> {
                 .filter(|&i| slots[i].is_none())
                 .collect();
             let miss_jobs: Vec<CtpJob> = miss_idx.iter().map(|&i| jobs[i].clone()).collect();
-            let outs = dispatch_jobs(g, &miss_jobs, self.opts.threads, self.opts.search_threads);
+            let outs = dispatch_jobs(g, &miss_jobs, self.opts.threads);
             self.results.with(|cache| {
                 for (&i, o) in miss_idx.iter().zip(&outs) {
                     if matches!(events[i], CacheEvent::Miss) {
@@ -873,15 +873,6 @@ impl<'g> Session<'g> {
     /// cache) to derive the CTP's seed sets, and the stream yields the
     /// CTP's trees — per-seed bindings travel on each
     /// [`ResultTree::seeds`].
-    ///
-    /// With [`ExecOptions::search_threads`] `> 1` the stream is backed
-    /// by the partitioned parallel engine: the search runs to
-    /// completion across the workers when the stream is opened, and
-    /// the iterator then yields the canonical-ordered results. That
-    /// trades per-result laziness (`take(k)` no longer bounds the
-    /// search) for multi-core latency on the full result set — use
-    /// `search_threads == 1` (the default) when pull-paced early
-    /// termination is what matters.
     pub fn execute_streaming(&self, q: &PreparedQuery) -> Result<ResultStream<'_>, EqlError> {
         let ast = &q.ast;
         if ast.form != QueryForm::Select {
@@ -925,48 +916,20 @@ impl<'g> Session<'g> {
         let policy = pick_policy(&seeds, self.opts.balance_ratio);
         let mut filters = ctp_filters(ctp, &self.opts);
         filters.max_results = ctp.filters.limit;
-        // Armed control: the lazily pulled stream stops early when the
-        // flag is raised or the budget elapses (visible as
-        // `stats().cancelled` / `stats().timed_out`); the eager
-        // partitioned path below reports the typed error directly.
+        // Armed control: the pulled stream stops early when the flag
+        // is raised or the budget elapses (visible as
+        // `stats().cancelled` / `stats().timed_out`).
         control.arm(&mut filters);
 
-        let intra = resolve_search_threads(
-            self.opts.search_threads,
-            resolve_threads(self.opts.threads),
-            1,
-        );
-        let inner = if intra > 1 {
-            // Partitioned engine: evaluate across the workers now,
-            // stream the canonical-ordered outcome.
-            let start = Instant::now();
-            let outcome = cs_core::evaluate_ctp_partitioned(
-                self.graph(),
-                &seeds,
-                algorithm,
-                filters,
-                QueueOrder::SmallestFirst,
-                policy,
-                intra,
-            );
-            control.classify(std::slice::from_ref(&outcome))?;
-            StreamInner::Eager {
-                trees: outcome.results.into_trees().into_iter(),
-                stats: outcome.stats,
-                start,
-            }
-        } else {
-            StreamInner::Lazy(Box::new(stream_ctp(
+        Ok(ResultStream {
+            stream: stream_ctp(
                 self.graph(),
                 seeds,
                 algorithm,
                 filters,
                 QueueOrder::SmallestFirst,
                 policy,
-            )))
-        };
-        Ok(ResultStream {
-            inner,
+            ),
             out_var: ctp.out_var.clone(),
             exec_stats: stats,
         })
@@ -1031,28 +994,14 @@ fn assemble(
     }
 }
 
-/// The two stream backings: the sequential engine pulled lazily, or a
-/// completed partitioned search iterated eagerly.
-enum StreamInner<'g> {
-    Lazy(Box<CtpStream<'g>>),
-    Eager {
-        trees: std::vec::IntoIter<ResultTree>,
-        stats: SearchStats,
-        start: Instant,
-    },
-}
-
 /// A pull-based stream over one query's connecting trees, created by
 /// [`Session::execute_streaming`].
 ///
-/// With the default sequential backing, dropping the stream abandons
-/// the remaining search — consuming `k` trees costs roughly what a
-/// `LIMIT k` execution would, without having to know `k` up front.
-/// With [`ExecOptions::search_threads`] `> 1` the backing search ran
-/// to completion on the partitioned parallel engine when the stream
-/// was opened, and iteration only hands out the buffered results.
+/// Dropping the stream abandons the remaining search — consuming `k`
+/// trees costs roughly what a `LIMIT k` execution would, without
+/// having to know `k` up front.
 pub struct ResultStream<'g> {
-    inner: StreamInner<'g>,
+    stream: CtpStream<'g>,
     out_var: String,
     exec_stats: ExecStats,
 }
@@ -1069,23 +1018,15 @@ impl ResultStream<'_> {
         &self.exec_stats
     }
 
-    /// The search statistics accumulated so far; with the sequential
-    /// backing they keep growing while the stream is pulled, with the
-    /// partitioned backing they are the completed search's totals
-    /// (including the per-worker breakdown).
+    /// The search statistics accumulated so far (they keep growing
+    /// while the stream is pulled).
     pub fn stats(&self) -> &SearchStats {
-        match &self.inner {
-            StreamInner::Lazy(s) => s.stats(),
-            StreamInner::Eager { stats, .. } => stats,
-        }
+        self.stream.stats()
     }
 
     /// Wall-clock time since the stream was opened.
     pub fn elapsed(&self) -> Duration {
-        match &self.inner {
-            StreamInner::Lazy(s) => s.elapsed(),
-            StreamInner::Eager { start, .. } => start.elapsed(),
-        }
+        self.stream.elapsed()
     }
 }
 
@@ -1093,9 +1034,6 @@ impl Iterator for ResultStream<'_> {
     type Item = ResultTree;
 
     fn next(&mut self) -> Option<ResultTree> {
-        match &mut self.inner {
-            StreamInner::Lazy(s) => s.next(),
-            StreamInner::Eager { trees, .. } => trees.next(),
-        }
+        self.stream.next()
     }
 }

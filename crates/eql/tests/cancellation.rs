@@ -55,28 +55,6 @@ fn deadline_exceeded_well_before_untimed_runtime() {
 }
 
 #[test]
-fn deadline_exceeded_on_partitioned_search() {
-    let g = long_graph();
-    let untimed = untimed_runtime(&g);
-    let s = Session::with_options(
-        &g,
-        ExecOptions {
-            deadline: Some(Duration::from_millis(20)),
-            search_threads: 2,
-            ..ExecOptions::default()
-        },
-    );
-    let t = Instant::now();
-    let err = s.run(LONG_QUERY).expect_err("deadline must fail the query");
-    let elapsed = t.elapsed();
-    assert!(matches!(err, EqlError::DeadlineExceeded), "{err}");
-    assert!(
-        elapsed < untimed,
-        "partitioned deadline stop took {elapsed:?}, untimed sequential {untimed:?}"
-    );
-}
-
-#[test]
 fn cancel_mid_search_returns_cancelled() {
     let g = long_graph();
     let untimed = untimed_runtime(&g);

@@ -299,22 +299,6 @@ fn streaming_respects_limit_filter() {
     assert_eq!(streamed.len(), 3);
 }
 
-#[test]
-fn deprecated_shims_agree_with_session() {
-    #![allow(deprecated)]
-    let g = figure1();
-    let q = r#"SELECT w WHERE { CONNECT("Bob", "Carole" -> w) MAX 3 }"#;
-    let via_shim = cs_eql::run_query(&g, q).unwrap();
-    let via_session = Session::new(&g).run(q).unwrap();
-    assert_eq!(canonical(&g, &via_shim), canonical(&g, &via_session));
-    assert_eq!(
-        cs_eql::run_ask(&g, r#"ASK WHERE { CONNECT("Bob", "Elon" -> w) }"#).unwrap(),
-        Session::new(&g)
-            .ask(r#"ASK WHERE { CONNECT("Bob", "Elon" -> w) }"#)
-            .unwrap()
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Owned-graph sessions and the snapshot store.
 

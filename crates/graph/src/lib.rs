@@ -29,6 +29,7 @@ pub mod mutate;
 pub mod ntriples;
 mod predicate;
 pub mod snapshot;
+mod source;
 pub mod stats;
 mod storage;
 pub mod subgraph;
@@ -41,6 +42,7 @@ pub use interner::Interner;
 pub use model::{Adj, EdgeData, Graph, NodeRef};
 pub use mutate::{Applied, Mutation, MutationRecord, DEFAULT_COMPACT_THRESHOLD};
 pub use predicate::{glob_match, matching_nodes, CmpOp, Condition, Predicate, PropRef};
+pub use source::load_graph;
 pub use stats::{Cardinalities, LabelCard};
 pub use subgraph::extract_subgraph;
 pub use value::Value;

@@ -1,16 +1,15 @@
 //! `csqd` — the connection-search query daemon.
 //!
 //! ```text
-//! csqd <graph-source> [--addr HOST:PORT] [--workers N]
-//!      [--threads N] [--search-threads N]
+//! csqd <graph-source> [--addr HOST:PORT] [--workers N] [--threads N]
 //!      [--queue N] [--tenant-inflight N] [--default-deadline-ms N]
 //!      [--result-cache off|on|shared] [--result-cache-capacity N]
 //! ```
 //!
 //! A *graph source* is the same as `csq`'s: `--demo`, a `.csg`
 //! snapshot, a generator spec (`gen:scale_free:nodes=2000,seed=7`), or
-//! a tab-separated triples file. The graph is loaded once and shared
-//! by every connection.
+//! a tab-separated triples file, resolved by [`cs_graph::load_graph`].
+//! The graph is loaded once and shared by every connection.
 //!
 //! The cross-query result cache defaults to one cache shared by every
 //! connection (`Server::bind` upgrades the session-local `on` mode to
@@ -23,8 +22,7 @@
 //! a client sends a `shutdown` frame.
 
 use cs_eql::{ExecOptions, ResultCacheMode};
-use cs_graph::generate::from_spec;
-use cs_graph::{binfmt, figure1, ntriples, snapshot, Graph};
+use cs_graph::load_graph;
 use cs_server::{Server, ServerConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -33,7 +31,7 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: csqd <graph-source|--demo> [--addr HOST:PORT] [--workers N] \
-         [--threads N] [--search-threads N] [--queue N] [--tenant-inflight N] \
+         [--threads N] [--queue N] [--tenant-inflight N] \
          [--default-deadline-ms N] [--result-cache off|on|shared] \
          [--result-cache-capacity N]\n\
          graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file"
@@ -53,34 +51,6 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> 
     };
     raw.parse::<T>()
         .map_err(|_| format!("{flag} expects a number, got {raw:?}"))
-}
-
-/// Builds a graph from a source string — the same resolution order as
-/// `csq`: demo graph, generator spec, `.csg` snapshot, triples file.
-fn load_graph(source: &str) -> Result<Graph, String> {
-    if source == "--demo" {
-        return Ok(figure1());
-    }
-    if let Some(spec) = source.strip_prefix("gen:") {
-        return from_spec(spec).map_err(|e| e.to_string());
-    }
-    if !std::path::Path::new(source).exists() {
-        match from_spec(source) {
-            Ok(g) => return Ok(g),
-            Err(cs_graph::generate::SpecError::UnknownFamily(_)) => {}
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    if source.ends_with(".csg") {
-        return snapshot::load_from(source).map_err(|e| e.to_string());
-    }
-    let raw = std::fs::read(source).map_err(|e| format!("cannot read {source}: {e}"))?;
-    if raw.starts_with(b"CSG1") || raw.starts_with(b"CSG2") {
-        binfmt::decode_graph(&raw).map_err(|e| format!("{source}: {e}"))
-    } else {
-        let text = String::from_utf8(raw).map_err(|_| format!("{source} is not UTF-8"))?;
-        ntriples::parse_triples(&text).map_err(|e| format!("bad triples in {source}: {e}"))
-    }
 }
 
 fn main() -> ExitCode {
@@ -112,13 +82,6 @@ fn main() -> ExitCode {
             "--threads" => {
                 match numeric_flag::<usize>(&args, i, "--threads") {
                     Ok(n) => cfg.exec.threads = n,
-                    Err(e) => return fail(e),
-                }
-                i += 2;
-            }
-            "--search-threads" => {
-                match numeric_flag::<usize>(&args, i, "--search-threads") {
-                    Ok(n) => cfg.exec.search_threads = n,
                     Err(e) => return fail(e),
                 }
                 i += 2;

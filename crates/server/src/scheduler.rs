@@ -1,10 +1,10 @@
 //! Admission-controlled fair-share scheduling.
 //!
-//! The scheduler generalises the engine's `threads` / `search_threads`
-//! knobs (which share one *query's* work) to sharing the *server*
-//! across tenants: a bounded global run queue feeds a fixed pool of
-//! executor workers, and dispatch round-robins over the tenants that
-//! still have headroom under their in-flight cap. Three rules:
+//! The scheduler generalises the engine's `threads` knob (which shares
+//! one *query's* work) to sharing the *server* across tenants: a
+//! bounded global run queue feeds a fixed pool of executor workers, and
+//! dispatch round-robins over the tenants that still have headroom
+//! under their in-flight cap. Three rules:
 //!
 //! 1. **Admission** — a submit beyond [`SchedulerConfig::queue_capacity`]
 //!    queued jobs is rejected with [`AdmitError::QueueFull`] (the

@@ -79,7 +79,7 @@ pub struct ServerConfig {
     /// (`deadline_ms == 0`). `None` = no default deadline.
     pub default_deadline: Option<Duration>,
     /// Base execution options for every connection's session
-    /// (`threads` / `search_threads` budgets, default algorithm, …).
+    /// (`threads` budget, default algorithm, …).
     /// Per-request deadline/cancel are overlaid per job. A
     /// [`ResultCacheMode::On`] here (the default) is upgraded by
     /// [`Server::bind`] to one [`ResultCacheMode::Shared`] cache for

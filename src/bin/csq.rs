@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! csq <graph-source> <query-or-@file> [--algorithm NAME] [--timeout MS]
-//!     [--timeout-ms N] [--threads N] [--search-threads N]
-//!     [--result-cache on|off] [--result-cache-capacity N] [--stats]
-//!     [--explain] [--batch] [--stream]
+//!     [--timeout-ms N] [--threads N] [--result-cache on|off]
+//!     [--result-cache-capacity N] [--stats] [--explain] [--batch] [--stream]
 //! csq --graph <file.csg> <query-or-@file> [...]   # same, source as a flag
 //! csq snapshot save <gen-spec|graph-file> <out.csg> [--no-stats]
 //! csq snapshot inspect <file.csg>
@@ -13,16 +12,17 @@
 //! csq bench-serve <addr> <query-or-@file> [--qps N] [--duration-ms N]
 //!     [--connections K] [--tenant T] [--timeout-ms N] [--label NAME]
 //! csq watch <graph-source> <query-or-@file> [--script FILE] [--stats]
-//!     [--threads N] [--search-threads N] [--result-cache on|off]
+//!     [--threads N] [--result-cache on|off]
 //! ```
 //!
 //! A *graph source* is `--demo` (the Figure 1 graph), a `.csg` binary
 //! snapshot (`cs_graph::snapshot`), a generator spec
 //! (`gen:scale_free:nodes=2000,seed=7`, see
 //! `cs_graph::generate::from_spec`), or a tab-separated triples file
-//! (`cs_graph::ntriples`). Snapshots loaded through `--graph`/a `.csg`
-//! source carry their statistics section, so the BGP planner starts
-//! warm — no first-query stats pass.
+//! (`cs_graph::ntriples`), resolved by `cs_graph::load_graph`.
+//! Snapshots loaded through `--graph`/a `.csg` source carry their
+//! statistics section, so the BGP planner starts warm — no first-query
+//! stats pass.
 //!
 //! The dataset workflow: `csq snapshot save` materialises a generator
 //! spec or parsed graph file as a CSG2 snapshot (statistics sidecar
@@ -31,12 +31,9 @@
 //! file.csg` then serves queries from the pinned dataset.
 //!
 //! `--threads N` sets the worker budget for evaluating independent
-//! CTPs in parallel (0 = available parallelism); `--search-threads N`
-//! additionally splits each *single* connection search over N
-//! intra-search workers on the partitioned-history engine (0 = divide
-//! the `--threads` budget over the concurrent CTPs); `--explain`
-//! prints the access-path plan of each BGP (with plan-cache hits)
-//! before the results; `--batch` treats the query input as several
+//! CTPs in parallel (0 = available parallelism; each search itself
+//! runs sequentially); `--explain` prints the access-path plan of each
+//! BGP (with plan-cache hits) before the results; `--batch` treats the query input as several
 //! `;`-separated queries, executed through one [`Session`] so
 //! structurally identical BGPs share cached plans and all CTP jobs go
 //! through a single parallel dispatch; `--stream` pulls a single-CTP
@@ -89,8 +86,7 @@
 use connection_search::bench::BenchRecord;
 use connection_search::core::Algorithm;
 use connection_search::eql::{EqlError, ExecOptions, QueryResult, ResultCacheMode, WatchSkip};
-use connection_search::graph::generate::from_spec;
-use connection_search::graph::{binfmt, figure1, ntriples, snapshot, Graph, Mutation, NodeId};
+use connection_search::graph::{binfmt, load_graph, snapshot, Graph, Mutation, NodeId};
 use connection_search::server::{Client, ClientError, ErrorCode, LatencyHistogram, RequestHeader};
 use connection_search::Session;
 use std::process::ExitCode;
@@ -100,8 +96,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: csq <graph-source|--demo> <query|@query-file> \
          [--algorithm NAME] [--timeout MS] [--timeout-ms N] [--threads N] \
-         [--search-threads N] [--result-cache on|off] \
-         [--result-cache-capacity N] [--stats] [--explain] [--batch] [--stream]\n       \
+         [--result-cache on|off] [--result-cache-capacity N] [--stats] \
+         [--explain] [--batch] [--stream]\n       \
          csq --graph <file.csg> <query|@query-file> [...]\n       \
          csq snapshot save <gen-spec|graph-file> <out.csg> [--no-stats]\n       \
          csq snapshot inspect <file.csg>\n       \
@@ -111,7 +107,7 @@ fn usage() -> ExitCode {
          [--duration-ms N] [--connections K] [--tenant T] [--timeout-ms N] \
          [--label NAME]\n       \
          csq watch <graph-source> <query|@query-file> [--script FILE] \
-         [--stats] [--threads N] [--search-threads N] [--result-cache on|off]\n       \
+         [--stats] [--threads N] [--result-cache on|off]\n       \
          csq <graph-file> --snapshot <out.csg>   (legacy alias of `snapshot save`)\n\
          graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file"
     );
@@ -153,39 +149,6 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> 
     };
     raw.parse::<T>()
         .map_err(|_| format!("{flag} expects a number, got {raw:?}"))
-}
-
-/// Builds a graph from a source string: `--demo`, a generator spec
-/// (`gen:` prefixed, or a bare spec that names no existing file), a
-/// `.csg` snapshot, or a triples file.
-fn load_graph(source: &str) -> Result<Graph, String> {
-    if source == "--demo" {
-        return Ok(figure1());
-    }
-    if let Some(spec) = source.strip_prefix("gen:") {
-        return from_spec(spec).map_err(|e| e.to_string());
-    }
-    if !std::path::Path::new(source).exists() {
-        // Convenience: a known generator family without the gen:
-        // prefix. Anything the spec parser does not recognise as a
-        // family falls through to the (clearer) file-read error; a
-        // known family with bad arguments reports the spec error.
-        match from_spec(source) {
-            Ok(g) => return Ok(g),
-            Err(connection_search::graph::generate::SpecError::UnknownFamily(_)) => {}
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    if source.ends_with(".csg") {
-        return snapshot::load_from(source).map_err(|e| e.to_string());
-    }
-    let raw = std::fs::read(source).map_err(|e| format!("cannot read {source}: {e}"))?;
-    if raw.starts_with(b"CSG1") || raw.starts_with(b"CSG2") {
-        binfmt::decode_graph(&raw).map_err(|e| format!("{source}: {e}"))
-    } else {
-        let text = String::from_utf8(raw).map_err(|_| format!("{source} is not UTF-8"))?;
-        ntriples::parse_triples(&text).map_err(|e| format!("bad triples in {source}: {e}"))
-    }
 }
 
 /// The `csq snapshot <save|inspect> ...` subcommand.
@@ -314,13 +277,6 @@ fn watch_command(args: &[String]) -> ExitCode {
             "--threads" => {
                 match numeric_flag::<usize>(args, i, "--threads") {
                     Ok(n) => opts.threads = n,
-                    Err(e) => return fail(e),
-                }
-                i += 2;
-            }
-            "--search-threads" => {
-                match numeric_flag::<usize>(args, i, "--search-threads") {
-                    Ok(n) => opts.search_threads = n,
                     Err(e) => return fail(e),
                 }
                 i += 2;
@@ -608,21 +564,14 @@ fn report(graph: &Graph, result: &QueryResult, show_plan: bool, show_stats: bool
         );
         for (var, s, d) in &result.stats.ctp_stats {
             eprintln!(
-                "CTP {var}: {} provenances, {} grows, {} merges, {} pruned, {} stolen, {:?}{}",
+                "CTP {var}: {} provenances, {} grows, {} merges, {} pruned, {:?}{}",
                 s.provenances,
                 s.grows,
                 s.merges,
                 s.pruned,
-                s.stolen,
                 d,
                 if s.timed_out { " (TIMED OUT)" } else { "" }
             );
-            for (wi, ws) in s.workers.iter().enumerate() {
-                eprintln!(
-                    "  worker {wi}: {} produced, {} pruned, {} stolen",
-                    ws.produced, ws.pruned, ws.stolen
-                );
-            }
         }
     }
 }
@@ -698,13 +647,6 @@ fn main() -> ExitCode {
             "--threads" => {
                 match numeric_flag::<usize>(&args, i, "--threads") {
                     Ok(n) => opts.threads = n,
-                    Err(e) => return fail(e),
-                }
-                i += 2;
-            }
-            "--search-threads" => {
-                match numeric_flag::<usize>(&args, i, "--search-threads") {
-                    Ok(n) => opts.search_threads = n,
                     Err(e) => return fail(e),
                 }
                 i += 2;

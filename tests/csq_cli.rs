@@ -116,7 +116,7 @@ const DEMO_CTP: &str = r#"SELECT w WHERE { CONNECT("Bob", "Elon" -> w) MAX 4 }"#
 
 #[test]
 fn numeric_flags_reject_garbage_with_one_line_error() {
-    for flag in ["--threads", "--search-threads", "--timeout", "--timeout-ms"] {
+    for flag in ["--threads", "--timeout", "--timeout-ms"] {
         let out = csq(&["--demo", DEMO_CTP, flag, "abc"]);
         assert!(!out.status.success(), "{flag} abc must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -133,7 +133,7 @@ fn numeric_flags_reject_garbage_with_one_line_error() {
 
 #[test]
 fn numeric_flags_reject_missing_value() {
-    for flag in ["--threads", "--search-threads", "--timeout", "--timeout-ms"] {
+    for flag in ["--threads", "--timeout", "--timeout-ms"] {
         let out = csq(&["--demo", DEMO_CTP, flag]);
         assert!(!out.status.success(), "bare {flag} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -155,7 +155,6 @@ fn usage_lists_every_flag() {
         "--timeout",
         "--timeout-ms",
         "--threads",
-        "--search-threads",
         "--stats",
         "--explain",
         "--batch",
@@ -384,23 +383,11 @@ fn bad_gen_spec_is_one_line_error() {
 }
 
 #[test]
-fn search_threads_runs_partitioned_with_worker_stats() {
-    let out = csq(&["--demo", DEMO_CTP, "--search-threads", "2", "--stats"]);
-    assert!(out.status.success(), "{out:?}");
+fn removed_intra_search_flag_is_a_usage_error() {
+    // Old scripts passing the removed flag fail loudly instead of
+    // silently running the sequential engine.
+    let out = csq(&["--demo", DEMO_CTP, "--search-threads", "2"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("worker 0:"), "{stderr}");
-    assert!(stderr.contains("worker 1:"), "{stderr}");
-    assert!(stderr.contains("stolen"), "{stderr}");
-}
-
-#[test]
-fn search_threads_do_not_change_output() {
-    let seq = csq(&["--demo", DEMO_CTP]);
-    let par = csq(&["--demo", DEMO_CTP, "--search-threads", "4"]);
-    assert!(seq.status.success() && par.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&seq.stdout),
-        String::from_utf8_lossy(&par.stdout),
-        "materialised output must be identical under --search-threads"
-    );
+    assert!(stderr.contains("usage:"), "{stderr}");
 }
