@@ -1,4 +1,5 @@
-//! Compact binary snapshot formats for graphs, built on `bytes`.
+//! The compact binary snapshot format for graphs (CSG2), built on
+//! `bytes`.
 //!
 //! Benchmarks over generated multi-million-edge graphs re-load far
 //! faster from a binary snapshot than by re-generating or re-parsing
@@ -6,72 +7,54 @@
 //! reproducibility. The file-level API (buffered save/load/inspect)
 //! lives in [`crate::snapshot`]; this module owns the wire format.
 //!
-//! Two format versions exist, distinguished by the magic:
-//!
-//! **CSG1** (legacy, read-only): one unframed stream —
-//!
-//! ```text
-//! magic "CSG1" | u32 #strings | (u32 len, bytes)*      — interner
-//! u32 #nodes | per node: u32 label, u16 #types (u32)*,
-//!                        u16 #props (u32 key, value)*
-//! u32 #edges | per edge: u32 src, u32 dst, u32 label,
-//!                        u16 #props (u32 key, value)*
-//! value := u8 tag (0 str, 1 int, 2 float) + payload
-//! ```
-//!
-//! **CSG2** (current, written by [`encode_graph`]): the same payload
-//! encodings, framed into self-describing sections so corruption is
-//! detected before any payload is interpreted and readers can skip
-//! sections they do not know:
+//! A snapshot ([`encode_graph`]) is framed into self-describing
+//! sections, so corruption is detected before any payload is
+//! interpreted and readers can skip sections they do not know:
 //!
 //! ```text
 //! magic "CSG2" | u32 #sections
 //! per section: u32 id | u64 payload_len | u32 crc32(payload) | payload
 //! ```
 //!
-//! Sections: the CSR columns (5) and the interner (1) for the current
-//! layout, or interner (1) / nodes (2) / edges (3) for the legacy
-//! record layout ([`EncodeOptions::legacy_layout`]); both may carry
-//! the sparse property side tables (6) and the optional statistics
-//! sidecar (4) serialising the graph's [`Cardinalities`] so a loaded
-//! graph starts with a *warm* planner: [`decode_graph`] seeds
-//! [`crate::Graph::cardinalities`]'s `OnceLock` from the decoded
-//! section, skipping the first-query full-scan stats pass. Unknown
-//! section ids are checksummed and skipped, so future sections stay
-//! forward-compatible.
+//! Sections: the CSR columns (5, required), the string interner (1,
+//! required), the sparse property side tables (6, only when the graph
+//! has properties) and the statistics sidecar (4) serialising the
+//! graph's [`Cardinalities`] so a loaded graph starts with a *warm*
+//! planner: [`decode_graph`] seeds [`crate::Graph::cardinalities`]'s
+//! `OnceLock` from the decoded section, skipping the first-query
+//! full-scan stats pass. Every snapshot is written with the sidecar,
+//! but a reader treats it as optional — a file without it loads with
+//! a cold planner. Unknown section ids are checksummed and skipped, so
+//! future sections stay forward-compatible; ids 2 and 3 are reserved.
 //!
-//! The CSR section (id 5) is written **first** so its payload starts
-//! at file offset 24 — 8-byte aligned — and is the aligned
-//! little-endian serialisation of exactly the in-memory columns of
-//! [`crate::Graph`] (see `model`'s module docs): a 32-byte header of
-//! eight `u32` words (`layout version, n, m, t, l, 0, 0, 0`) followed
-//! by the fourteen arrays back to back. Every array starts at a
-//! 4-byte-aligned offset, which is what lets
-//! [`crate::snapshot::load_from`] back the columns directly by a
-//! memory-mapped file without copying.
+//! The CSR section is written **first** so its payload starts at file
+//! offset 24 — 8-byte aligned — and is the aligned little-endian
+//! serialisation of exactly the in-memory columns of [`crate::Graph`]
+//! (see `model`'s module docs): a 32-byte header of eight `u32` words
+//! (`layout version, n, m, t, l, 0, 0, 0`) followed by the fourteen
+//! arrays back to back. Every array starts at a 4-byte-aligned offset,
+//! which is what lets [`crate::snapshot::load_from`] back the columns
+//! directly by a memory-mapped file without copying.
 
-use crate::builder::GraphBuilder;
 use crate::ids::LabelId;
 use crate::interner::Interner;
 use crate::model::{Graph, GraphParts, PropTable};
 use crate::stats::{Cardinalities, LabelCard};
-use crate::storage::{MmapFile, Storage};
+#[cfg(all(unix, target_endian = "little"))]
+use crate::storage::MmapFile;
+use crate::storage::Storage;
 use crate::value::Value;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+#[cfg(all(unix, target_endian = "little"))]
 use std::sync::Arc;
 
-const MAGIC_V1: &[u8; 4] = b"CSG1";
-const MAGIC_V2: &[u8; 4] = b"CSG2";
+const MAGIC: &[u8; 4] = b"CSG2";
 
 /// Section id of the string interner (required).
 pub const SECTION_INTERNER: u32 = 1;
-/// Section id of the node table (required).
-pub const SECTION_NODES: u32 = 2;
-/// Section id of the edge table (required).
-pub const SECTION_EDGES: u32 = 3;
 /// Section id of the optional [`Cardinalities`] statistics sidecar.
 pub const SECTION_STATS: u32 = 4;
-/// Section id of the label-partitioned CSR columns (current layout).
+/// Section id of the label-partitioned CSR columns (required).
 pub const SECTION_CSR_GRAPH: u32 = 5;
 /// Section id of the sparse node/edge property side tables.
 pub const SECTION_PROPS: u32 = 6;
@@ -83,8 +66,11 @@ pub const CSR_LAYOUT_VERSION: u32 = 1;
 pub fn section_name(id: u32) -> &'static str {
     match id {
         SECTION_INTERNER => "interner",
-        SECTION_NODES => "nodes",
-        SECTION_EDGES => "edges",
+        // Reserved: the node and edge record tables of an older layout.
+        // No snapshot writes them and the reader skips them; never
+        // reuse these ids for new sections.
+        2 => "nodes",
+        3 => "edges",
         SECTION_STATS => "stats",
         SECTION_CSR_GRAPH => "csr",
         SECTION_PROPS => "props",
@@ -95,7 +81,7 @@ pub fn section_name(id: u32) -> &'static str {
 /// Errors decoding a snapshot.
 #[derive(Debug, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The magic header matched neither CSG1 nor CSG2.
+    /// The magic header is not `CSG2`.
     BadMagic,
     /// The buffer ended prematurely or a length was inconsistent.
     Truncated,
@@ -124,7 +110,7 @@ pub enum DecodeError {
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::BadMagic => write!(f, "not a CSG1/CSG2 snapshot"),
+            DecodeError::BadMagic => write!(f, "not a CSG2 snapshot"),
             DecodeError::Truncated => write!(f, "snapshot truncated"),
             DecodeError::BadUtf8 => write!(f, "invalid UTF-8 in snapshot string"),
             DecodeError::BadReference => write!(f, "snapshot references unknown id"),
@@ -194,20 +180,8 @@ fn wire_u32(n: usize, what: &str) -> u32 {
         .unwrap_or_else(|_| panic!("{what} count {n} exceeds the CSG u32 wire limit"))
 }
 
-/// Narrows a count to the format's `u16` wire width.
-///
-/// # Panics
-/// Panics when `n` does not fit — encoding must never truncate.
-fn wire_u16(n: usize, what: &str) -> u16 {
-    n.try_into()
-        // cs-lint: allow(L002): documented `# Panics` contract — a
-        // count beyond the wire width must fail loudly, not truncate.
-        .unwrap_or_else(|_| panic!("{what} count {n} exceeds the CSG u16 wire limit"))
-}
-
 // ---------------------------------------------------------------------------
-// Payload encoders (shared between CSG1 and CSG2 — the framing differs,
-// the payload encodings do not).
+// Payload encoders.
 
 fn put_value(buf: &mut BytesMut, v: &Value) {
     match v {
@@ -234,43 +208,6 @@ fn encode_interner_payload(g: &Graph) -> Bytes {
     for (_, s) in interner.iter() {
         buf.put_u32_le(wire_u32(s.len(), "interned string byte"));
         buf.put_slice(s.as_bytes());
-    }
-    buf.freeze()
-}
-
-fn encode_nodes_payload(g: &Graph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + g.node_count() * 12);
-    buf.put_u32_le(wire_u32(g.node_count(), "node"));
-    for n in g.node_ids() {
-        let nd = g.node(n);
-        buf.put_u32_le(nd.label.0);
-        buf.put_u16_le(wire_u16(nd.types.len(), "node type"));
-        for t in nd.types.iter() {
-            buf.put_u32_le(t.0);
-        }
-        buf.put_u16_le(wire_u16(nd.props.len(), "node property"));
-        for (k, v) in nd.props.iter() {
-            buf.put_u32_le(k.0);
-            put_value(&mut buf, v);
-        }
-    }
-    buf.freeze()
-}
-
-fn encode_edges_payload(g: &Graph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + g.edge_count() * 16);
-    buf.put_u32_le(wire_u32(g.edge_count(), "edge"));
-    for e in g.edge_ids() {
-        let ed = g.edge(e);
-        let props = g.edge_props(e);
-        buf.put_u32_le(ed.src.0);
-        buf.put_u32_le(ed.dst.0);
-        buf.put_u32_le(ed.label.0);
-        buf.put_u16_le(wire_u16(props.len(), "edge property"));
-        for (k, v) in props.iter() {
-            buf.put_u32_le(k.0);
-            put_value(&mut buf, v);
-        }
     }
     buf.freeze()
 }
@@ -358,63 +295,31 @@ fn encode_stats_payload(c: &Cardinalities) -> Bytes {
     buf.freeze()
 }
 
-/// Options controlling [`encode_graph_with`].
-#[derive(Debug, Clone)]
-pub struct EncodeOptions {
-    /// Embed the statistics sidecar section (computing the graph's
-    /// [`Cardinalities`] if they are not cached yet) so the planner of
-    /// a loaded graph starts warm. Default `true`.
-    pub include_stats: bool,
-    /// Write the legacy record layout (interner/nodes/edges sections)
-    /// instead of the CSR columns. Legacy files decode everywhere but
-    /// cannot be loaded zero-copy. Default `false`.
-    pub legacy_layout: bool,
-}
-
-impl Default for EncodeOptions {
-    fn default() -> Self {
-        EncodeOptions {
-            include_stats: true,
-            legacy_layout: false,
-        }
-    }
-}
-
 /// Encodes the CSG2 sections of `g` in file order, without framing —
 /// the building block [`crate::snapshot::save_to`] streams through a
 /// buffered writer instead of concatenating a whole-file buffer.
 ///
-/// In the default CSR layout the CSR section comes first, so its
-/// payload lands at the 8-aligned file offset 24 and mapped loads
-/// need no re-alignment.
-pub fn encode_sections(g: &Graph, opts: &EncodeOptions) -> Vec<(u32, Bytes)> {
+/// The CSR section comes first, so its payload lands at the 8-aligned
+/// file offset 24 and mapped loads need no re-alignment. The
+/// statistics sidecar (computing the graph's [`Cardinalities`] if they
+/// are not cached yet) comes last.
+pub fn encode_sections(g: &Graph) -> Vec<(u32, Bytes)> {
     if g.has_delta() {
         // Snapshots persist dense base columns only. Fold the mutation
         // overlay into fresh columns on a clone — the caller's graph
         // keeps its overlay and current edge ids untouched.
         let mut dense = g.clone();
         dense.compact();
-        return encode_sections(&dense, opts);
+        return encode_sections(&dense);
     }
-    let mut sections = if opts.legacy_layout {
-        vec![
-            (SECTION_INTERNER, encode_interner_payload(g)),
-            (SECTION_NODES, encode_nodes_payload(g)),
-            (SECTION_EDGES, encode_edges_payload(g)),
-        ]
-    } else {
-        let mut s = vec![
-            (SECTION_CSR_GRAPH, encode_csr_payload(g)),
-            (SECTION_INTERNER, encode_interner_payload(g)),
-        ];
-        if !g.node_prop_table().is_empty() || !g.edge_prop_table().is_empty() {
-            s.push((SECTION_PROPS, encode_props_payload(g)));
-        }
-        s
-    };
-    if opts.include_stats {
-        sections.push((SECTION_STATS, encode_stats_payload(g.cardinalities())));
+    let mut sections = vec![
+        (SECTION_CSR_GRAPH, encode_csr_payload(g)),
+        (SECTION_INTERNER, encode_interner_payload(g)),
+    ];
+    if !g.node_prop_table().is_empty() || !g.edge_prop_table().is_empty() {
+        sections.push((SECTION_PROPS, encode_props_payload(g)));
     }
+    sections.push((SECTION_STATS, encode_stats_payload(g.cardinalities())));
     sections
 }
 
@@ -427,38 +332,17 @@ pub fn section_header(id: u32, payload: &[u8]) -> [u8; 16] {
     h
 }
 
-/// Encodes a graph into the current (CSG2) snapshot format, statistics
-/// sidecar included.
+/// Encodes a graph into a CSG2 snapshot, statistics sidecar included.
 pub fn encode_graph(g: &Graph) -> Bytes {
-    encode_graph_with(g, &EncodeOptions::default())
-}
-
-/// Encodes a graph into the CSG2 format with explicit options.
-pub fn encode_graph_with(g: &Graph, opts: &EncodeOptions) -> Bytes {
-    let sections = encode_sections(g, opts);
+    let sections = encode_sections(g);
     let total: usize = sections.iter().map(|(_, p)| 16 + p.len()).sum();
     let mut buf = BytesMut::with_capacity(8 + total);
-    buf.put_slice(MAGIC_V2);
+    buf.put_slice(MAGIC);
     buf.put_u32_le(wire_u32(sections.len(), "section"));
     for (id, payload) in &sections {
         buf.put_slice(&section_header(*id, payload));
         buf.put_slice(payload);
     }
-    buf.freeze()
-}
-
-/// Encodes a graph into the legacy CSG1 format (no sections, no
-/// checksums, no statistics). Kept for forward-compatibility tests and
-/// interop with CSG1-only readers.
-pub fn encode_graph_v1(g: &Graph) -> Bytes {
-    let interner = encode_interner_payload(g);
-    let nodes = encode_nodes_payload(g);
-    let edges = encode_edges_payload(g);
-    let mut buf = BytesMut::with_capacity(4 + interner.len() + nodes.len() + edges.len());
-    buf.put_slice(MAGIC_V1);
-    buf.put_slice(&interner);
-    buf.put_slice(&nodes);
-    buf.put_slice(&edges);
     buf.freeze()
 }
 
@@ -481,11 +365,6 @@ impl<'a> Reader<'a> {
     fn u8(&mut self) -> Result<u8, DecodeError> {
         self.need(1)?;
         Ok(self.buf.get_u8())
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
@@ -542,94 +421,6 @@ fn decode_strings(r: &mut Reader<'_>) -> Result<Vec<String>, DecodeError> {
     Ok(strings)
 }
 
-/// Pre-interns the wire string table so the decoded graph's [`LabelId`]s
-/// equal the wire ids exactly. Everything keyed by id (the statistics
-/// sidecar, byte-for-byte re-encoding) depends on this; a table whose
-/// entries don't round-trip to their own index (duplicate strings, or a
-/// first entry that is not ε) cannot have come from our encoder and is
-/// rejected.
-fn preintern(b: &mut GraphBuilder, strings: &[String]) -> Result<(), DecodeError> {
-    for (i, s) in strings.iter().enumerate() {
-        if b.intern(s) != LabelId::new(i) {
-            return Err(DecodeError::BadReference);
-        }
-    }
-    Ok(())
-}
-
-/// Resolves a wire string id against the decoded string table.
-fn resolve(strings: &[String], id: u32) -> Result<&str, DecodeError> {
-    strings
-        .get(id as usize)
-        .map(String::as_str)
-        .ok_or(DecodeError::BadReference)
-}
-
-fn decode_nodes(
-    r: &mut Reader<'_>,
-    b: &mut GraphBuilder,
-    strings: &[String],
-) -> Result<usize, DecodeError> {
-    let resolve = |id: u32| resolve(strings, id);
-    let n_nodes = r.u32()? as usize;
-    if n_nodes > r.buf.remaining() / 4 + 1 {
-        return Err(DecodeError::Truncated);
-    }
-    b.reserve(n_nodes, 0);
-    for _ in 0..n_nodes {
-        let label = r.u32()?;
-        let n = b.add_node(resolve(label)?);
-        let n_types = r.u16()?;
-        for _ in 0..n_types {
-            let t = r.u32()?;
-            b.add_type(n, resolve(t)?);
-        }
-        let n_props = r.u16()?;
-        for _ in 0..n_props {
-            let k = r.u32()?;
-            let key = resolve(k)?.to_string();
-            let v = r.value()?;
-            b.set_node_prop(n, &key, v);
-        }
-    }
-    Ok(n_nodes)
-}
-
-fn decode_edges(
-    r: &mut Reader<'_>,
-    b: &mut GraphBuilder,
-    strings: &[String],
-    n_nodes: usize,
-) -> Result<(), DecodeError> {
-    let resolve = |id: u32| resolve(strings, id);
-    let n_edges = r.u32()? as usize;
-    if n_edges > r.buf.remaining() / 12 + 1 {
-        return Err(DecodeError::Truncated);
-    }
-    b.reserve(0, n_edges);
-    for _ in 0..n_edges {
-        let src = r.u32()?;
-        let dst = r.u32()?;
-        let label = r.u32()?;
-        if src as usize >= n_nodes || dst as usize >= n_nodes {
-            return Err(DecodeError::BadReference);
-        }
-        let e = b.add_edge(
-            crate::ids::NodeId(src),
-            resolve(label)?,
-            crate::ids::NodeId(dst),
-        );
-        let n_props = r.u16()?;
-        for _ in 0..n_props {
-            let k = r.u32()?;
-            let key = resolve(k)?.to_string();
-            let v = r.value()?;
-            b.set_edge_prop(e, &key, v);
-        }
-    }
-    Ok(())
-}
-
 fn decode_stats(
     r: &mut Reader<'_>,
     n_strings: usize,
@@ -639,7 +430,7 @@ fn decode_stats(
     let nodes = r.u64()? as usize;
     let edges = r.u64()? as usize;
     // Statistics describing a different graph than the one in the
-    // nodes/edges sections are corruption the checksum cannot see
+    // CSR section are corruption the checksum cannot see
     // (e.g. a stats section spliced in from another snapshot).
     if nodes != n_nodes || edges != n_edges {
         return Err(DecodeError::BadReference);
@@ -692,12 +483,11 @@ pub struct RawSection<'a> {
 }
 
 /// Walks the CSG2 section table, verifying every checksum. Errors on
-/// anything other than a well-formed CSG2 buffer; CSG1 input is
-/// [`DecodeError::BadMagic`] here (use [`decode_graph`] to accept both).
+/// anything other than a well-formed CSG2 buffer.
 pub fn read_sections(bytes: &[u8]) -> Result<Vec<RawSection<'_>>, DecodeError> {
     let mut r = Reader { buf: bytes };
     r.need(4)?;
-    if &r.buf[..4] != MAGIC_V2 {
+    if &r.buf[..4] != MAGIC {
         return Err(DecodeError::BadMagic);
     }
     r.buf.advance(4);
@@ -723,7 +513,9 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<RawSection<'_>>, DecodeError> {
     Ok(sections)
 }
 
-fn section<'a>(sections: &[RawSection<'a>], id: u32) -> Result<&'a [u8], DecodeError> {
+/// The payload of the first section with `id`, or
+/// [`DecodeError::MissingSection`].
+pub(crate) fn section<'a>(sections: &[RawSection<'a>], id: u32) -> Result<&'a [u8], DecodeError> {
     sections
         .iter()
         .find(|s| s.id == id)
@@ -819,8 +611,12 @@ fn csr_array_ranges(
     Ok(ranges)
 }
 
-/// Rebuilds an [`Interner`] whose ids equal the wire string ids —
-/// same round-trip requirement as [`preintern`].
+/// Rebuilds an [`Interner`] whose ids equal the wire string ids exactly.
+/// Everything keyed by id (the CSR columns, the statistics sidecar,
+/// byte-for-byte re-encoding) depends on this; a table whose entries
+/// don't round-trip to their own index (duplicate strings, or a first
+/// entry that is not ε) cannot have come from our encoder and is
+/// rejected.
 fn build_interner(strings: &[String]) -> Result<Interner, DecodeError> {
     let mut interner = Interner::new();
     for (i, s) in strings.iter().enumerate() {
@@ -909,15 +705,15 @@ fn validate_csr_parts(p: &GraphParts, h: &CsrHeader) -> Result<(), DecodeError> 
     }
 }
 
-/// Assembles a graph from CSR-layout sections. `storage_for` maps an
-/// array's byte range within the CSR payload to its backing storage —
-/// an owned copy for byte-slice decoding, a mapped window for
-/// zero-copy loads.
+/// Assembles a graph from the checksum-verified `sections`, whose CSR
+/// section payload is `payload`. `storage_for` maps an array's byte
+/// range within that payload to its backing storage — an owned copy
+/// for byte-slice decoding, a mapped window for zero-copy loads.
 fn decode_csr_graph(
     sections: &[RawSection<'_>],
+    payload: &[u8],
     mut storage_for: impl FnMut(std::ops::Range<usize>) -> Storage,
 ) -> Result<Graph, DecodeError> {
-    let payload = section(sections, SECTION_CSR_GRAPH)?;
     let header = peek_csr_header(payload)?;
     let ranges = csr_array_ranges(payload, &header)?;
 
@@ -1001,187 +797,42 @@ fn owned_column(payload: &[u8], range: std::ops::Range<usize>) -> Storage {
 }
 
 /// Decodes a CSG2 buffer that is backed by a live memory mapping,
-/// backing the CSR columns by the mapping itself (zero-copy). Returns
-/// `Ok(None)` if the buffer is not CSG2 or has no CSR section, so the
-/// caller can fall back to the owned path. Only little-endian hosts
-/// can reinterpret the file bytes in place.
-#[cfg(target_endian = "little")]
-pub(crate) fn decode_graph_mapped(map: &Arc<MmapFile>) -> Result<Option<Graph>, DecodeError> {
+/// backing the CSR columns by the mapping itself (zero-copy). A column
+/// whose offset is not 4-byte aligned within the mapping falls back to
+/// an owned copy. Only little-endian hosts can reinterpret the file
+/// bytes in place, and only unix hosts map files.
+#[cfg(all(unix, target_endian = "little"))]
+pub(crate) fn decode_graph_mapped(map: &Arc<MmapFile>) -> Result<Graph, DecodeError> {
     let bytes = map.bytes();
-    if bytes.len() < 4 || &bytes[..4] != MAGIC_V2 {
-        return Ok(None);
-    }
     let sections = read_sections(bytes)?;
-    let Some(csr) = sections.iter().find(|s| s.id == SECTION_CSR_GRAPH) else {
-        return Ok(None);
-    };
-    let base = bytes.as_ptr() as usize;
-    let payload_offset = csr.payload.as_ptr() as usize - base;
-    let payload = csr.payload;
-    let g = decode_csr_graph(&sections, |range| {
+    let payload = section(&sections, SECTION_CSR_GRAPH)?;
+    let payload_offset = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+    decode_csr_graph(&sections, payload, |range| {
         Storage::from_mapping(map, payload_offset + range.start, range.len() / 4)
             .unwrap_or_else(|| owned_column(payload, range))
-    })?;
-    Ok(Some(g))
-}
-
-#[cfg(not(target_endian = "little"))]
-pub(crate) fn decode_graph_mapped(_map: &Arc<MmapFile>) -> Result<Option<Graph>, DecodeError> {
-    Ok(None)
-}
-
-fn decode_graph_v2(bytes: &[u8]) -> Result<Graph, DecodeError> {
-    let sections = read_sections(bytes)?;
-
-    if let Some(csr) = sections.iter().find(|s| s.id == SECTION_CSR_GRAPH) {
-        let payload = csr.payload;
-        return decode_csr_graph(&sections, |range| owned_column(payload, range));
-    }
-
-    let mut r = Reader {
-        buf: section(&sections, SECTION_INTERNER)?,
-    };
-    let strings = decode_strings(&mut r)?;
-
-    let mut b = GraphBuilder::with_capacity(0, 0);
-    preintern(&mut b, &strings)?;
-    let mut r = Reader {
-        buf: section(&sections, SECTION_NODES)?,
-    };
-    let n_nodes = decode_nodes(&mut r, &mut b, &strings)?;
-
-    let mut r = Reader {
-        buf: section(&sections, SECTION_EDGES)?,
-    };
-    decode_edges(&mut r, &mut b, &strings, n_nodes)?;
-    let n_edges = b.edge_count();
-
-    // The optional sidecar: decode *before* freezing so a corrupt
-    // stats section fails the whole load rather than silently cooling
-    // the planner.
-    let stats = match sections.iter().find(|s| s.id == SECTION_STATS) {
-        Some(s) => {
-            let mut r = Reader { buf: s.payload };
-            Some(decode_stats(&mut r, strings.len(), n_nodes, n_edges)?)
-        }
-        None => None,
-    };
-
-    let g = b.freeze();
-    if let Some(c) = stats {
-        g.warm_cardinalities(c);
-    }
-    Ok(g)
-}
-
-fn decode_graph_v1(bytes: &[u8]) -> Result<Graph, DecodeError> {
-    let mut r = Reader { buf: &bytes[4..] };
-    let strings = decode_strings(&mut r)?;
-    let mut b = GraphBuilder::with_capacity(0, 0);
-    preintern(&mut b, &strings)?;
-    let n_nodes = decode_nodes(&mut r, &mut b, &strings)?;
-    decode_edges(&mut r, &mut b, &strings, n_nodes)?;
-    Ok(b.freeze())
-}
-
-/// The record counts of a legacy CSG1 snapshot, obtained by walking the
-/// record stream without building a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CountsV1 {
-    /// Interned strings.
-    pub strings: usize,
-    /// Node records.
-    pub nodes: usize,
-    /// Edge records.
-    pub edges: usize,
-}
-
-/// Skips over one serialised [`Value`] without materialising it.
-fn skip_value(r: &mut Reader<'_>) -> Result<(), DecodeError> {
-    match r.u8()? {
-        0 => {
-            let len = r.u32()? as usize;
-            r.need(len)?;
-            r.buf.advance(len);
-            Ok(())
-        }
-        1 | 2 => {
-            r.need(8)?;
-            r.buf.advance(8);
-            Ok(())
-        }
-        _ => Err(DecodeError::Truncated),
-    }
-}
-
-/// Reads a CSG1 file's string/node/edge counts by skipping over the
-/// records (no graph build, no per-record allocation). `bytes` must
-/// start with the CSG1 magic.
-pub fn peek_counts_v1(bytes: &[u8]) -> Result<CountsV1, DecodeError> {
-    if bytes.len() < 4 || &bytes[..4] != MAGIC_V1 {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut r = Reader { buf: &bytes[4..] };
-    let strings = r.u32()? as usize;
-    for _ in 0..strings {
-        let len = r.u32()? as usize;
-        r.need(len)?;
-        r.buf.advance(len);
-    }
-    let nodes = r.u32()? as usize;
-    for _ in 0..nodes {
-        r.u32()?; // label
-        let n_types = r.u16()?;
-        let skip = 4 * n_types as usize;
-        r.need(skip)?;
-        r.buf.advance(skip);
-        let n_props = r.u16()?;
-        for _ in 0..n_props {
-            r.u32()?; // key
-            skip_value(&mut r)?;
-        }
-    }
-    let edges = r.u32()? as usize;
-    for _ in 0..edges {
-        r.need(12)?;
-        r.buf.advance(12); // src, dst, label
-        let n_props = r.u16()?;
-        for _ in 0..n_props {
-            r.u32()?;
-            skip_value(&mut r)?;
-        }
-    }
-    Ok(CountsV1 {
-        strings,
-        nodes,
-        edges,
     })
 }
 
-/// Decodes a snapshot produced by [`encode_graph`] (CSG2) or by the
-/// legacy CSG1 encoder. A CSG2 statistics section, when present, seeds
-/// the graph's cached [`Cardinalities`] so
-/// [`Graph::cardinalities`](crate::Graph::cardinalities) returns
-/// without a stats pass.
+/// Decodes a snapshot produced by [`encode_graph`] into owned columns.
+/// A statistics section, when present, seeds the graph's cached
+/// [`Cardinalities`] so [`Graph::cardinalities`](crate::Graph::cardinalities)
+/// returns without a stats pass.
 pub fn decode_graph(bytes: &[u8]) -> Result<Graph, DecodeError> {
-    if bytes.len() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    match &bytes[..4] {
-        m if m == MAGIC_V2 => decode_graph_v2(bytes),
-        m if m == MAGIC_V1 => decode_graph_v1(bytes),
-        _ => Err(DecodeError::BadMagic),
-    }
+    let sections = read_sections(bytes)?;
+    let payload = section(&sections, SECTION_CSR_GRAPH)?;
+    decode_csr_graph(&sections, payload, |range| owned_column(payload, range))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::figure1::figure1;
     use crate::generate::{scale_free, ScaleFreeParams};
 
-    #[test]
-    fn mutated_graph_snapshots_compacted() {
+    /// Figure 1 with a mutation overlay: one node and one edge inserted,
+    /// one edge removed (13 nodes, 19 edges).
+    pub(crate) fn mutated_figure1() -> Graph {
         let mut g = figure1();
         let alice = g.node_by_label("Alice").unwrap();
         let zoe = g.insert_node("Zoe", &["person"]);
@@ -1190,6 +841,12 @@ mod tests {
         let victim = g.edges_with_label(l)[0];
         g.remove_edge(victim);
         assert!(g.has_delta());
+        g
+    }
+
+    #[test]
+    fn mutated_graph_snapshots_compacted() {
+        let g = mutated_figure1();
         let bytes = encode_graph(&g);
         // The caller's graph keeps its overlay; the snapshot holds the
         // dense equivalent.
@@ -1212,44 +869,13 @@ mod tests {
     #[test]
     fn wire_width_boundaries_fit() {
         assert_eq!(wire_u32(u32::MAX as usize, "test"), u32::MAX);
-        assert_eq!(wire_u16(u16::MAX as usize, "test"), u16::MAX);
         assert_eq!(wire_u32(0, "test"), 0);
-        assert_eq!(wire_u16(0, "test"), 0);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the CSG u32 wire limit")]
     fn wire_u32_overflow_panics() {
         wire_u32(u32::MAX as usize + 1, "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the CSG u16 wire limit")]
-    fn wire_u16_overflow_panics() {
-        wire_u16(u16::MAX as usize + 1, "test");
-    }
-
-    /// The legacy record layout stores per-node type counts as `u16`;
-    /// a node with 2^16 types must fail the encode loudly instead of
-    /// truncating into a corrupt snapshot (the historical `as u16`
-    /// behaviour cs-lint rule L006 now bans).
-    #[cfg(not(miri))] // interns 2^16 strings — too slow interpreted
-    #[test]
-    #[should_panic(expected = "node type count 65536 exceeds the CSG u16 wire limit")]
-    fn legacy_encoding_rejects_oversized_type_list() {
-        let mut b = GraphBuilder::new();
-        let names: Vec<String> = (0..=usize::from(u16::MAX))
-            .map(|i| format!("t{i}"))
-            .collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        b.add_typed_node("n", &refs);
-        let _ = encode_graph_with(
-            &b.freeze(),
-            &EncodeOptions {
-                legacy_layout: true,
-                ..EncodeOptions::default()
-            },
-        );
     }
 
     fn assert_same_graph(g: &Graph, g2: &Graph) {
@@ -1324,27 +950,12 @@ mod tests {
     #[test]
     fn stats_sidecar_is_optional() {
         let g = figure1();
-        let bytes = encode_graph_with(
-            &g,
-            &EncodeOptions {
-                include_stats: false,
-                ..EncodeOptions::default()
-            },
-        );
+        let sections = encode_sections(&g);
+        let bytes = reframe(sections.iter().filter(|(id, _)| *id != SECTION_STATS));
         let g2 = decode_graph(&bytes).unwrap();
         assert!(g2.cardinalities_if_computed().is_none());
         // Cold path still works.
         assert_eq!(g2.cardinalities().edges, g.edge_count());
-    }
-
-    #[test]
-    fn csg1_still_readable() {
-        let g = figure1();
-        let v1 = encode_graph_v1(&g);
-        assert_eq!(&v1[..4], b"CSG1");
-        let g2 = decode_graph(&v1).unwrap();
-        assert_same_graph(&g, &g2);
-        assert!(g2.cardinalities_if_computed().is_none());
     }
 
     #[test]
@@ -1374,7 +985,8 @@ mod tests {
         );
     }
 
-    fn reframe<'a>(sections: impl IntoIterator<Item = &'a (u32, Bytes)>) -> Vec<u8> {
+    /// Frames `sections` into a CSG2 file the way the encoder does.
+    pub(crate) fn reframe<'a>(sections: impl IntoIterator<Item = &'a (u32, Bytes)>) -> Vec<u8> {
         let sections: Vec<_> = sections.into_iter().collect();
         let mut buf = Vec::new();
         buf.extend_from_slice(b"CSG2");
@@ -1389,27 +1001,34 @@ mod tests {
     #[test]
     fn missing_required_section() {
         let g = figure1();
-        // Re-frame a record-layout file with the edges section dropped.
-        let sections = encode_sections(
-            &g,
-            &EncodeOptions {
-                legacy_layout: true,
-                ..EncodeOptions::default()
-            },
-        );
-        let buf = reframe(sections.iter().filter(|(id, _)| *id != SECTION_EDGES));
-        assert_eq!(
-            decode_graph(&buf).unwrap_err(),
-            DecodeError::MissingSection {
-                section: SECTION_EDGES
+        let sections = encode_sections(&g);
+        let buf = reframe(sections.iter().filter(|(id, _)| *id != SECTION_CSR_GRAPH));
+        let missing = DecodeError::MissingSection {
+            section: SECTION_CSR_GRAPH,
+        };
+        assert_eq!(decode_graph(&buf).unwrap_err(), missing);
+
+        // The file-level loaders (mapped and owned) and `inspect` agree.
+        let path =
+            std::env::temp_dir().join(format!("cs-graph-binfmt-{}-no-csr.csg", std::process::id()));
+        std::fs::write(&path, &buf).unwrap();
+        let load = crate::snapshot::load_from(&path).map(|_| ());
+        let inspect = crate::snapshot::inspect(&path).map(|_| ());
+        std::fs::remove_file(&path).ok();
+        for err in [load.unwrap_err(), inspect.unwrap_err()] {
+            match err {
+                crate::snapshot::SnapshotError::Decode { source, .. } => {
+                    assert_eq!(source, missing)
+                }
+                other => panic!("expected a decode error, got {other}"),
             }
-        );
+        }
     }
 
     #[test]
     fn csr_file_without_interner_is_rejected() {
         let g = figure1();
-        let sections = encode_sections(&g, &EncodeOptions::default());
+        let sections = encode_sections(&g);
         let buf = reframe(sections.iter().filter(|(id, _)| *id != SECTION_INTERNER));
         assert_eq!(
             decode_graph(&buf).unwrap_err(),
@@ -1420,25 +1039,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_record_layout_still_roundtrips() {
-        let g = figure1();
-        let bytes = encode_graph_with(
-            &g,
-            &EncodeOptions {
-                legacy_layout: true,
-                ..EncodeOptions::default()
-            },
-        );
-        let g2 = decode_graph(&bytes).unwrap();
-        assert_same_graph(&g, &g2);
-        // The sidecar still warms the planner on the legacy path.
-        assert!(g2.cardinalities_if_computed().is_some());
-    }
-
-    #[test]
     fn unknown_csr_layout_version_is_rejected() {
         let g = figure1();
-        let mut sections = encode_sections(&g, &EncodeOptions::default());
+        let mut sections = encode_sections(&g);
         let mut payload = sections[0].1.to_vec();
         assert_eq!(sections[0].0, SECTION_CSR_GRAPH);
         payload[0..4].copy_from_slice(&99u32.to_le_bytes());
@@ -1453,7 +1056,7 @@ mod tests {
     #[test]
     fn csr_payload_length_must_match_header() {
         let g = figure1();
-        let mut sections = encode_sections(&g, &EncodeOptions::default());
+        let mut sections = encode_sections(&g);
         let mut payload = sections[0].1.to_vec();
         payload.extend_from_slice(&[0u8; 4]); // one stray trailing word
         sections[0].1 = Bytes::from_vec(payload);
@@ -1464,7 +1067,7 @@ mod tests {
     #[test]
     fn unknown_sections_are_skipped() {
         let g = figure1();
-        let mut sections = encode_sections(&g, &EncodeOptions::default());
+        let mut sections = encode_sections(&g);
         sections.push((999, Bytes::from_vec(b"future data".to_vec())));
         let mut buf = Vec::new();
         buf.extend_from_slice(b"CSG2");

@@ -59,13 +59,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Reserves capacity for at least `nodes` more nodes and `edges`
-    /// more edges — used by decoders that learn the counts mid-stream.
-    pub fn reserve(&mut self, nodes: usize, edges: usize) {
-        self.nodes.reserve(nodes);
-        self.edges.reserve(edges);
-    }
-
     /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
         self.nodes.len()

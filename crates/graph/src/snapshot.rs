@@ -3,10 +3,9 @@
 //!
 //! This is the persistence layer the engine, sessions, `csq`, and the
 //! bench harness share: a graph is generated or parsed **once**, saved
-//! as a `.csg` file (CSG2: sectioned, checksummed, with an optional
-//! statistics sidecar), and re-loaded in milliseconds on every later
-//! process start — with the planner's [`crate::Cardinalities`] already
-//! warm when the sidecar is present.
+//! as a `.csg` file (CSG2: sectioned, checksummed, with a statistics
+//! sidecar), and re-loaded in milliseconds on every later process start
+//! — with the planner's [`crate::Cardinalities`] already warm.
 //!
 //! ```no_run
 //! use cs_graph::{figure1, snapshot};
@@ -18,10 +17,7 @@
 //! assert!(g2.cardinalities_if_computed().is_some()); // warm planner
 //! ```
 
-use crate::binfmt::{
-    self, DecodeError, EncodeOptions, CSR_LAYOUT_VERSION, SECTION_CSR_GRAPH, SECTION_EDGES,
-    SECTION_INTERNER, SECTION_NODES, SECTION_STATS,
-};
+use crate::binfmt::{self, DecodeError, CSR_LAYOUT_VERSION, SECTION_CSR_GRAPH, SECTION_STATS};
 use crate::model::Graph;
 use std::fmt;
 use std::io::{BufWriter, Write};
@@ -110,8 +106,6 @@ impl SectionInfo {
 /// What [`inspect`] (and [`save_to`]) report about a snapshot file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// Format version: 1 (legacy CSG1) or 2 (CSG2).
-    pub version: u8,
     /// Total file size in bytes.
     pub bytes: u64,
     /// Number of nodes.
@@ -123,12 +117,9 @@ pub struct SnapshotInfo {
     /// Whether a statistics sidecar is present (the loaded graph's
     /// planner starts warm).
     pub has_stats: bool,
-    /// The CSR layout version when the snapshot carries a `csr`
-    /// section (`None` for legacy record-layout CSG2 and for CSG1).
-    /// Such files are eligible for the zero-copy mmap load path.
-    pub csr_layout: Option<u32>,
-    /// The file's sections in file order (CSG1 reports none — the
-    /// legacy format is one unframed stream).
+    /// The layout version of the `csr` section.
+    pub csr_layout: u32,
+    /// The file's sections in file order.
     pub sections: Vec<SectionInfo>,
 }
 
@@ -136,17 +127,14 @@ impl fmt::Display for SnapshotInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "CSG{} snapshot: {} bytes, {} nodes, {} edges, {} strings, stats {}, layout {}",
-            self.version,
+            "CSG2 snapshot: {} bytes, {} nodes, {} edges, {} strings, stats {}, \
+             layout csr-v{} (zero-copy capable)",
             self.bytes,
             self.nodes,
             self.edges,
             self.strings,
             if self.has_stats { "present" } else { "absent" },
-            match self.csr_layout {
-                Some(v) => format!("csr-v{v} (zero-copy capable)"),
-                None => "records (decode-only)".to_string(),
-            }
+            self.csr_layout,
         )?;
         for s in &self.sections {
             writeln!(
@@ -168,17 +156,8 @@ impl fmt::Display for SnapshotInfo {
 /// are streamed through a [`BufWriter`] — the whole file is never
 /// materialised as one buffer. Returns what was written.
 pub fn save_to(g: &Graph, path: impl AsRef<Path>) -> Result<SnapshotInfo, SnapshotError> {
-    save_to_with(g, path, &EncodeOptions::default())
-}
-
-/// Saves `g` to `path` with explicit encode options.
-pub fn save_to_with(
-    g: &Graph,
-    path: impl AsRef<Path>,
-    opts: &EncodeOptions,
-) -> Result<SnapshotInfo, SnapshotError> {
     let path = path.as_ref();
-    let sections = binfmt::encode_sections(g, opts);
+    let sections = binfmt::encode_sections(g);
 
     let file = std::fs::File::create(path).map_err(|e| SnapshotError::io(path, e))?;
     let mut w = BufWriter::new(file);
@@ -207,27 +186,26 @@ pub fn save_to_with(
         .map_err(io)?;
 
     Ok(SnapshotInfo {
-        version: 2,
         bytes: total,
         nodes: g.node_count() as u64,
         edges: g.edge_count() as u64,
         strings: g.interner().len() as u64,
-        has_stats: opts.include_stats,
-        csr_layout: (!opts.legacy_layout).then_some(CSR_LAYOUT_VERSION),
+        has_stats: true,
+        csr_layout: CSR_LAYOUT_VERSION,
         sections: infos,
     })
 }
 
-/// Loads a graph from a `.csg` snapshot file (CSG1 or CSG2). When the
-/// file carries a statistics section, the returned graph's
+/// Loads a graph from a CSG2 snapshot file. When the file carries a
+/// statistics section, the returned graph's
 /// [`crate::Graph::cardinalities`] is already populated — no
 /// first-query stats pass.
 ///
-/// CSR-layout CSG2 snapshots on little-endian unix hosts load
-/// **zero-copy**: the file is memory-mapped, section checksums and CSR
-/// bounds are verified, and the graph's columns alias the mapping
-/// directly — no per-edge work at all. Everything else (legacy CSG2,
-/// CSG1, other hosts) falls back to [`load_from_owned`].
+/// On little-endian unix hosts the load is **zero-copy**: the file is
+/// memory-mapped, section checksums and CSR bounds are verified, and
+/// the graph's columns alias the mapping directly — no per-edge work
+/// at all (a column at a misaligned offset is copied). Big-endian and
+/// non-unix hosts, and empty files, fall back to [`load_from_owned`].
 pub fn load_from(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
     let path = path.as_ref();
     #[cfg(all(unix, target_endian = "little"))]
@@ -247,8 +225,9 @@ pub fn load_from_owned(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
 }
 
 /// Loads a snapshot strictly zero-copy, erroring instead of falling
-/// back when the file (or host) does not support mapped loads. The
-/// ablation harness uses this to keep the `load_mmap` column honest.
+/// back when the host (or an empty file) does not support mapped
+/// loads. The ablation harness uses this to keep the `load_mmap`
+/// column honest.
 pub fn load_from_mmap(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
     let path = path.as_ref();
     let unsupported = |reason: &str| {
@@ -261,9 +240,7 @@ pub fn load_from_mmap(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
     {
         match try_load_mapped(path)? {
             Some(g) => Ok(g),
-            None => Err(unsupported(
-                "not a CSR-layout CSG2 snapshot (or empty file); only those load zero-copy",
-            )),
+            None => Err(unsupported("an empty file cannot load zero-copy")),
         }
     }
     #[cfg(not(all(unix, target_endian = "little")))]
@@ -274,9 +251,9 @@ pub fn load_from_mmap(path: impl AsRef<Path>) -> Result<Graph, SnapshotError> {
     }
 }
 
-/// Maps the file and decodes it in place. `Ok(None)` means the file is
-/// fine but not eligible for zero-copy (legacy layout, CSG1, empty);
-/// actual corruption is an error.
+/// Maps the file and decodes it in place. `Ok(None)` means the file
+/// cannot be mapped (it is empty, or Miri cannot model the mapping);
+/// any decode failure is an error.
 #[cfg(all(unix, target_endian = "little"))]
 fn try_load_mapped(path: &Path) -> Result<Option<Graph>, SnapshotError> {
     // Miri cannot model the mmap FFI; report "not eligible" so loads
@@ -297,62 +274,34 @@ fn try_load_mapped_inner(path: &Path) -> Result<Option<Graph>, SnapshotError> {
     let Some(map) = MmapFile::map(&file).map_err(|e| SnapshotError::io(path, e))? else {
         return Ok(None);
     };
-    match binfmt::decode_graph_mapped(&map) {
-        Ok(found) => Ok(found),
-        // A file that *claims* the CSR layout but fails validation is
-        // corrupt for the owned path too — report, don't re-decode.
-        Err(e) => Err(SnapshotError::decode(path, e)),
-    }
+    // A file that fails the mapped decode fails the owned one too —
+    // report, don't re-decode.
+    binfmt::decode_graph_mapped(&map)
+        .map(Some)
+        .map_err(|e| SnapshotError::decode(path, e))
 }
 
-/// Reads a snapshot file's structure — version, sections with byte
-/// lengths, offsets and alignment, counts, whether statistics are
-/// present — verifying every CSG2 checksum, *without* building the
-/// graph. CSG2 peeks the CSR header (or the count prefixes of the
-/// legacy node/edge sections); CSG1 walks its record stream counting
-/// records but materialising none of them.
+/// Reads a snapshot file's structure — sections with byte lengths,
+/// offsets and alignment, counts, whether statistics are present —
+/// verifying every checksum, *without* building the graph. The counts
+/// come from the CSR section's header; a file without that section is
+/// an error, exactly as for [`load_from`].
 pub fn inspect(path: impl AsRef<Path>) -> Result<SnapshotInfo, SnapshotError> {
     let path = path.as_ref();
     let bytes = std::fs::read(path).map_err(|e| SnapshotError::io(path, e))?;
-    if bytes.len() >= 4 && &bytes[..4] == b"CSG1" {
-        // Legacy: no section table to walk; skip-scan the records.
-        let counts = binfmt::peek_counts_v1(&bytes).map_err(|e| SnapshotError::decode(path, e))?;
-        return Ok(SnapshotInfo {
-            version: 1,
-            bytes: bytes.len() as u64,
-            nodes: counts.nodes as u64,
-            edges: counts.edges as u64,
-            strings: counts.strings as u64,
-            has_stats: false,
-            csr_layout: None,
-            sections: Vec::new(),
-        });
-    }
-
-    let sections = binfmt::read_sections(&bytes).map_err(|e| SnapshotError::decode(path, e))?;
-    let count_prefix = |id: u32| -> u64 {
-        sections
-            .iter()
-            .find(|s| s.id == id)
-            .and_then(|s| s.payload.get(..4))
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64)
-            .unwrap_or(0)
-    };
-    let csr = match sections.iter().find(|s| s.id == SECTION_CSR_GRAPH) {
-        Some(s) => {
-            Some(binfmt::peek_csr_header(s.payload).map_err(|e| SnapshotError::decode(path, e))?)
-        }
-        None => None,
-    };
+    let decode = |e| SnapshotError::decode(path, e);
+    let sections = binfmt::read_sections(&bytes).map_err(decode)?;
+    let csr = binfmt::section(&sections, SECTION_CSR_GRAPH)
+        .and_then(binfmt::peek_csr_header)
+        .map_err(decode)?;
     let base = bytes.as_ptr() as u64;
     Ok(SnapshotInfo {
-        version: 2,
         bytes: bytes.len() as u64,
-        nodes: csr.map_or_else(|| count_prefix(SECTION_NODES), |h| h.nodes as u64),
-        edges: csr.map_or_else(|| count_prefix(SECTION_EDGES), |h| h.edges as u64),
-        strings: count_prefix(SECTION_INTERNER),
+        nodes: csr.nodes as u64,
+        edges: csr.edges as u64,
+        strings: csr.labels as u64,
         has_stats: sections.iter().any(|s| s.id == SECTION_STATS),
-        csr_layout: csr.map(|h| h.version),
+        csr_layout: csr.version,
         sections: sections
             .iter()
             .map(|s| SectionInfo {
@@ -378,63 +327,43 @@ mod tests {
 
     #[test]
     fn save_load_inspect_roundtrip() {
-        let g = figure1();
-        let path = tmp("roundtrip.csg");
-        let info = save_to(&g, &path).unwrap();
-        assert_eq!(info.version, 2);
-        assert_eq!(info.nodes, g.node_count() as u64);
-        assert!(info.has_stats);
-        assert_eq!(info.csr_layout, Some(CSR_LAYOUT_VERSION));
-        // figure1 carries no properties: csr + interner + stats.
-        assert_eq!(info.sections.len(), 3);
-        // The CSR section comes first so its payload lands 8-aligned.
-        assert_eq!(info.sections[0].id, SECTION_CSR_GRAPH);
-        assert_eq!(info.sections[0].offset, 24);
-        assert_eq!(info.sections[0].alignment(), 8);
+        // The mutated graph is saved through the compaction fold
+        // `encode_sections` runs on a clone; what `save_to` reports
+        // must still match the file it wrote.
+        for (name, g) in [
+            ("figure1", figure1()),
+            ("mutated", binfmt::tests::mutated_figure1()),
+        ] {
+            let path = tmp(&format!("roundtrip-{name}.csg"));
+            let info = save_to(&g, &path).unwrap();
+            assert_eq!(info.nodes, g.node_count() as u64, "{name}");
+            assert_eq!(info.edges, g.edge_count() as u64, "{name}");
+            assert_eq!(info.strings, g.interner().len() as u64, "{name}");
+            assert!(info.has_stats);
+            assert_eq!(info.csr_layout, CSR_LAYOUT_VERSION);
+            // figure1 carries no properties: csr + interner + stats.
+            assert_eq!(info.sections.len(), 3);
+            // The CSR section comes first so its payload lands 8-aligned.
+            assert_eq!(info.sections[0].id, SECTION_CSR_GRAPH);
+            assert_eq!(info.sections[0].offset, 24);
+            assert_eq!(info.sections[0].alignment(), 8);
 
-        let inspected = inspect(&path).unwrap();
-        assert_eq!(inspected, info);
-        assert!(inspected.to_string().contains("stats present"));
-        assert!(inspected.to_string().contains("layout csr-v1"));
+            let inspected = inspect(&path).unwrap();
+            assert_eq!(inspected, info, "{name}");
+            assert!(inspected.to_string().contains("stats present"));
+            assert!(inspected.to_string().contains("layout csr-v1"));
 
-        let g2 = load_from(&path).unwrap();
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert_eq!(
-            g2.cardinalities_if_computed().unwrap(),
-            g.cardinalities(),
-            "loaded stats must equal recomputed stats"
-        );
-        #[cfg(all(unix, target_endian = "little", not(miri)))]
-        assert!(g2.is_memory_mapped(), "CSR snapshot should load zero-copy");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_layout_roundtrip_and_strict_mmap_refusal() {
-        let g = figure1();
-        let path = tmp("legacy-layout.csg");
-        let info = save_to_with(
-            &g,
-            &path,
-            &EncodeOptions {
-                legacy_layout: true,
-                ..EncodeOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(info.csr_layout, None);
-        assert_eq!(info.sections.len(), 4); // interner, nodes, edges, stats
-        assert_eq!(inspect(&path).unwrap(), info);
-
-        let g2 = load_from(&path).unwrap();
-        assert_eq!(g2.edge_count(), g.edge_count());
-        assert!(!g2.is_memory_mapped());
-        assert!(g2.cardinalities_if_computed().is_some());
-
-        // The strict zero-copy loader refuses record-layout files.
-        let err = load_from_mmap(&path).unwrap_err();
-        assert!(err.to_string().contains("zero-copy"), "{err}");
-        std::fs::remove_file(&path).ok();
+            let g2 = load_from(&path).unwrap();
+            assert_eq!(g2.edge_count(), g.edge_count());
+            assert_eq!(
+                g2.cardinalities_if_computed().unwrap(),
+                g.cardinalities(),
+                "{name}: loaded stats must equal recomputed stats"
+            );
+            #[cfg(all(unix, target_endian = "little", not(miri)))]
+            assert!(g2.is_memory_mapped(), "CSR snapshot should load zero-copy");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[cfg(all(unix, target_endian = "little", not(miri)))] // Miri: no mmap FFI
@@ -487,33 +416,17 @@ mod tests {
     fn inspect_without_stats() {
         let g = figure1();
         let path = tmp("nostats.csg");
-        save_to_with(
-            &g,
-            &path,
-            &EncodeOptions {
-                include_stats: false,
-                ..EncodeOptions::default()
-            },
-        )
-        .unwrap();
+        let sections = binfmt::encode_sections(&g);
+        let bytes = binfmt::tests::reframe(sections.iter().filter(|(id, _)| *id != SECTION_STATS));
+        std::fs::write(&path, bytes).unwrap();
         let info = inspect(&path).unwrap();
         assert!(!info.has_stats);
+        assert!(info.to_string().contains("stats absent"));
         assert_eq!(info.sections.len(), 2); // csr + interner
-        std::fs::remove_file(&path).ok();
-    }
 
-    #[test]
-    fn csg1_inspect_peeks_counts() {
-        let g = figure1();
-        let path = tmp("v1-peek.csg");
-        std::fs::write(&path, binfmt::encode_graph_v1(&g)).unwrap();
-        let info = inspect(&path).unwrap();
-        assert_eq!(info.version, 1);
-        assert_eq!(info.nodes, g.node_count() as u64);
-        assert_eq!(info.edges, g.edge_count() as u64);
-        assert_eq!(info.strings, g.interner().len() as u64);
-        assert_eq!(info.csr_layout, None);
-        assert!(info.sections.is_empty());
+        // The file still loads, with a cold planner.
+        let g2 = load_from(&path).unwrap();
+        assert!(g2.cardinalities_if_computed().is_none());
         std::fs::remove_file(&path).ok();
     }
 }

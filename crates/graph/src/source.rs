@@ -2,14 +2,16 @@
 //! [`Graph`], shared by the `csq` and `csqd` binaries.
 
 use crate::generate::{from_spec, SpecError};
-use crate::{binfmt, figure1, ntriples, snapshot, Graph};
+use crate::{figure1, ntriples, snapshot, Graph};
+use std::io::Read;
 
 /// Builds a graph from a source string, trying in order: `--demo` (the
 /// Figure 1 graph), a `gen:`-prefixed generator spec, a bare spec that
-/// names a known generator family and no existing file, a `.csg`
-/// snapshot, and finally a file read as a binary snapshot (by its magic
-/// bytes) or a tab-separated triples file. Errors are one-line
-/// messages naming the source.
+/// names a known generator family and no existing file, and finally a
+/// file: a CSG2 snapshot (named `*.csg`, or recognised by its magic
+/// bytes) or else a tab-separated triples file. Every snapshot loads
+/// through [`snapshot::load_from`], so it is memory-mapped wherever the
+/// host allows. Errors are one-line messages naming the source.
 pub fn load_graph(source: &str) -> Result<Graph, String> {
     if source == "--demo" {
         return Ok(figure1());
@@ -28,16 +30,20 @@ pub fn load_graph(source: &str) -> Result<Graph, String> {
             Err(e) => return Err(e.to_string()),
         }
     }
-    if source.ends_with(".csg") {
+    let read_err = |e: std::io::Error| format!("cannot read {source}: {e}");
+    if source.ends_with(".csg") || has_snapshot_magic(source).map_err(read_err)? {
         return snapshot::load_from(source).map_err(|e| e.to_string());
     }
-    let raw = std::fs::read(source).map_err(|e| format!("cannot read {source}: {e}"))?;
-    if raw.starts_with(b"CSG1") || raw.starts_with(b"CSG2") {
-        binfmt::decode_graph(&raw).map_err(|e| format!("{source}: {e}"))
-    } else {
-        let text = String::from_utf8(raw).map_err(|_| format!("{source} is not UTF-8"))?;
-        ntriples::parse_triples(&text).map_err(|e| format!("bad triples in {source}: {e}"))
-    }
+    let raw = std::fs::read(source).map_err(read_err)?;
+    let text = String::from_utf8(raw).map_err(|_| format!("{source} is not UTF-8"))?;
+    ntriples::parse_triples(&text).map_err(|e| format!("bad triples in {source}: {e}"))
+}
+
+/// Whether the file at `path` starts with the CSG2 snapshot magic.
+fn has_snapshot_magic(path: &str) -> std::io::Result<bool> {
+    let mut magic = Vec::with_capacity(4);
+    std::fs::File::open(path)?.take(4).read_to_end(&mut magic)?;
+    Ok(magic == b"CSG2")
 }
 
 #[cfg(test)]
@@ -70,11 +76,17 @@ mod tests {
             "{err}"
         );
 
-        let mut path = std::env::temp_dir();
-        path.push(format!("cs-graph-source-{}.csg", std::process::id()));
-        snapshot::save_to(&demo, &path).unwrap();
-        let g = load_graph(path.to_str().unwrap()).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(g.edge_count(), demo.edge_count());
+        // A snapshot loads (mapped where the host allows) whether it is
+        // named `*.csg` or only carries the CSG2 magic.
+        for name in ["csg", "bin"] {
+            let mut path = std::env::temp_dir();
+            path.push(format!("cs-graph-source-{}.{name}", std::process::id()));
+            snapshot::save_to(&demo, &path).unwrap();
+            let g = load_graph(path.to_str().unwrap()).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(g.edge_count(), demo.edge_count(), "{name}");
+            #[cfg(all(unix, target_endian = "little", not(miri)))]
+            assert!(g.is_memory_mapped(), "a .{name} snapshot must load mapped");
+        }
     }
 }

@@ -184,7 +184,7 @@ proptest! {
 #[test]
 fn misaligned_csr_section_falls_back_to_owned() {
     let g = rich_graph(8, 4, 3);
-    let sections = binfmt::encode_sections(&g, &binfmt::EncodeOptions::default());
+    let sections = binfmt::encode_sections(&g);
     let mut reordered: Vec<(u32, Vec<u8>)> = vec![(999, vec![0u8])];
     reordered.extend(sections.iter().map(|(id, p)| (*id, p.to_vec())));
 
@@ -212,7 +212,7 @@ fn misaligned_csr_section_falls_back_to_owned() {
 #[test]
 fn crafted_out_of_range_ids_are_rejected() {
     let g = rich_graph(6, 3, 9);
-    let sections = binfmt::encode_sections(&g, &binfmt::EncodeOptions::default());
+    let sections = binfmt::encode_sections(&g);
     let csr = sections
         .iter()
         .find(|(id, _)| *id == binfmt::SECTION_CSR_GRAPH)

@@ -56,7 +56,8 @@ proptest! {
     fn binfmt_never_panics_on_corrupt_input(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         // Arbitrary bytes must decode to Err, never panic.
         let _ = binfmt::decode_graph(&bytes);
-        // Also flip a valid magic (both versions) onto garbage.
+        // Also put the snapshot magic, and the retired CSG1 one, onto
+        // garbage.
         for magic in [b"CSG1".as_slice(), b"CSG2".as_slice()] {
             let mut with_magic = magic.to_vec();
             with_magic.extend_from_slice(&bytes);

@@ -1,7 +1,6 @@
 //! Property-based tests of the disk-backed snapshot store (CSG2):
-//! decode robustness (corrupt input must error, never panic),
-//! CSG1 → CSG2 forward compatibility, and full save → load equivalence
-//! including warm planner statistics.
+//! decode robustness (corrupt input must error, never panic), and full
+//! save → load equivalence including warm planner statistics.
 
 use cs_graph::generate::{from_spec, random_connected};
 use cs_graph::{binfmt, snapshot, Graph, GraphBuilder, Value};
@@ -90,18 +89,6 @@ proptest! {
         prop_assert_eq!(warm, g.cardinalities());
     }
 
-    /// CSG1 files written by the legacy encoder keep decoding under
-    /// the CSG2 reader, bit for bit equivalent.
-    #[test]
-    fn csg1_forward_compat(n in 2usize..30, extra in 0usize..15, seed in any::<u64>()) {
-        let g = rich_graph(n, extra, seed);
-        let v1 = binfmt::encode_graph_v1(&g);
-        let g2 = binfmt::decode_graph(&v1).unwrap();
-        assert_identical(&g, &g2);
-        // Legacy files carry no statistics: the planner starts cold.
-        prop_assert!(g2.cardinalities_if_computed().is_none());
-    }
-
     /// Truncation at every prefix length errors, never panics.
     #[test]
     fn truncation_never_panics(cut_permille in 0usize..1000) {
@@ -150,6 +137,36 @@ fn wrong_magic_is_bad_magic() {
         binfmt::decode_graph(b"PNG\x89 not a graph").unwrap_err(),
         binfmt::DecodeError::BadMagic
     );
+}
+
+/// The retired CSG1 format is no longer read: a file with its magic is
+/// rejected as not a snapshot, by the decoder and the file-level API.
+#[test]
+fn csg1_magic_is_bad_magic() {
+    let mut bytes = binfmt::encode_graph(&rich_graph(8, 4, 1)).to_vec();
+    bytes[..4].copy_from_slice(b"CSG1");
+    assert_eq!(
+        binfmt::decode_graph(&bytes).unwrap_err(),
+        binfmt::DecodeError::BadMagic
+    );
+    let path = tmp("csg1-magic.csg");
+    std::fs::write(&path, &bytes).unwrap();
+    let load = snapshot::load_from(&path).map(|_| ());
+    let inspect = snapshot::inspect(&path).map(|_| ());
+    std::fs::remove_file(&path).ok();
+    for err in [load.unwrap_err(), inspect.unwrap_err()] {
+        assert!(
+            matches!(
+                err,
+                snapshot::SnapshotError::Decode {
+                    source: binfmt::DecodeError::BadMagic,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().ends_with("not a CSG2 snapshot"), "{err}");
+    }
 }
 
 #[test]

@@ -277,8 +277,24 @@ fn full_run_queue_rejects_with_overloaded() {
         deadline_ms: 200,
     };
     // First long query occupies the worker, second fills the queue,
-    // third must bounce at admission.
+    // third must bounce at admission. The second is sent only once the
+    // worker has taken the first off the queue: were the first still
+    // queued, the second would bounce instead, and the third could be
+    // admitted after the worker drains the first.
     let _id1 = client.send_query(LONG_QUERY, &header).expect("send 1");
+    let mut probe = Client::connect(addr).expect("connect probe");
+    let since = Instant::now();
+    while !probe
+        .stats()
+        .expect("stats")
+        .contains("scheduler: 0 queued, 1 inflight")
+    {
+        assert!(
+            since.elapsed() < Duration::from_secs(5),
+            "the worker never picked up the first query"
+        );
+        std::thread::yield_now();
+    }
     let _id2 = client.send_query(LONG_QUERY, &header).expect("send 2");
     let id3 = client.send_query(LONG_QUERY, &header).expect("send 3");
     let err = client.wait_query(id3).expect_err("admission must reject");

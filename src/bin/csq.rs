@@ -5,7 +5,7 @@
 //!     [--timeout-ms N] [--threads N] [--result-cache on|off]
 //!     [--result-cache-capacity N] [--stats] [--explain] [--batch] [--stream]
 //! csq --graph <file.csg> <query-or-@file> [...]   # same, source as a flag
-//! csq snapshot save <gen-spec|graph-file> <out.csg> [--no-stats]
+//! csq snapshot save <gen-spec|graph-file> <out.csg>
 //! csq snapshot inspect <file.csg>
 //! csq connect <addr> <query-or-@file> [--tenant T] [--timeout-ms N]
 //!     [--batch] [--cancel-after-ms N] [--stats]
@@ -15,20 +15,21 @@
 //!     [--threads N] [--result-cache on|off]
 //! ```
 //!
-//! A *graph source* is `--demo` (the Figure 1 graph), a `.csg` binary
-//! snapshot (`cs_graph::snapshot`), a generator spec
+//! A *graph source* is `--demo` (the Figure 1 graph), a CSG2 binary
+//! snapshot (`cs_graph::snapshot`; a `.csg` file, or any file with the
+//! snapshot magic), a generator spec
 //! (`gen:scale_free:nodes=2000,seed=7`, see
 //! `cs_graph::generate::from_spec`), or a tab-separated triples file
 //! (`cs_graph::ntriples`), resolved by `cs_graph::load_graph`.
-//! Snapshots loaded through `--graph`/a `.csg` source carry their
+//! Snapshots are memory-mapped where the host allows and carry their
 //! statistics section, so the BGP planner starts warm — no first-query
 //! stats pass.
 //!
 //! The dataset workflow: `csq snapshot save` materialises a generator
 //! spec or parsed graph file as a CSG2 snapshot (statistics sidecar
-//! included unless `--no-stats`); `csq snapshot inspect` prints its
-//! sections, counts, and whether statistics are present; `--graph
-//! file.csg` then serves queries from the pinned dataset.
+//! included); `csq snapshot inspect` prints its sections, counts, and
+//! whether statistics are present; `--graph file.csg` then serves
+//! queries from the pinned dataset.
 //!
 //! `--threads N` sets the worker budget for evaluating independent
 //! CTPs in parallel (0 = available parallelism; each search itself
@@ -86,7 +87,7 @@
 use connection_search::bench::BenchRecord;
 use connection_search::core::Algorithm;
 use connection_search::eql::{EqlError, ExecOptions, QueryResult, ResultCacheMode, WatchSkip};
-use connection_search::graph::{binfmt, load_graph, snapshot, Graph, Mutation, NodeId};
+use connection_search::graph::{load_graph, snapshot, Graph, Mutation, NodeId};
 use connection_search::server::{Client, ClientError, ErrorCode, LatencyHistogram, RequestHeader};
 use connection_search::Session;
 use std::process::ExitCode;
@@ -99,7 +100,7 @@ fn usage() -> ExitCode {
          [--result-cache on|off] [--result-cache-capacity N] [--stats] \
          [--explain] [--batch] [--stream]\n       \
          csq --graph <file.csg> <query|@query-file> [...]\n       \
-         csq snapshot save <gen-spec|graph-file> <out.csg> [--no-stats]\n       \
+         csq snapshot save <gen-spec|graph-file> <out.csg>\n       \
          csq snapshot inspect <file.csg>\n       \
          csq connect <host:port> <query|@query-file> [--tenant T] \
          [--timeout-ms N] [--batch] [--cancel-after-ms N] [--stats]\n       \
@@ -107,8 +108,7 @@ fn usage() -> ExitCode {
          [--duration-ms N] [--connections K] [--tenant T] [--timeout-ms N] \
          [--label NAME]\n       \
          csq watch <graph-source> <query|@query-file> [--script FILE] \
-         [--stats] [--threads N] [--result-cache on|off]\n       \
-         csq <graph-file> --snapshot <out.csg>   (legacy alias of `snapshot save`)\n\
+         [--stats] [--threads N] [--result-cache on|off]\n\
          graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file"
     );
     ExitCode::from(2)
@@ -158,18 +158,14 @@ fn snapshot_command(args: &[String]) -> ExitCode {
             let (Some(input), Some(out)) = (args.get(1), args.get(2)) else {
                 return usage();
             };
-            let mut opts = binfmt::EncodeOptions::default();
-            for extra in &args[3..] {
-                match extra.as_str() {
-                    "--no-stats" => opts.include_stats = false,
-                    _ => return usage(),
-                }
+            if args.len() > 3 {
+                return usage();
             }
             let graph = match load_graph(input) {
                 Ok(g) => g,
                 Err(e) => return fail(e),
             };
-            match snapshot::save_to_with(&graph, out, &opts) {
+            match snapshot::save_to(&graph, out) {
                 Ok(info) => {
                     print!("wrote {out}: {info}");
                     ExitCode::SUCCESS
@@ -319,9 +315,9 @@ fn watch_command(args: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
 
-    // Watching mutates the graph, so the session must own it: load
-    // via `load_graph` even for `.csg` sources (the decoded snapshot
-    // is an owned graph; its statistics sidecar still rides along).
+    // Watching mutates the graph, so the session must own it. A
+    // snapshot source stays memory-mapped: mutations go to the graph's
+    // copy-on-write overlay, and the statistics sidecar rides along.
     let mut session = match load_graph(source) {
         Ok(g) => connection_search::Session::from_graph_with(g, opts),
         Err(e) => return fail(e),
@@ -598,7 +594,6 @@ fn main() -> ExitCode {
     let mut show_plan = false;
     let mut batch = false;
     let mut stream = false;
-    let mut legacy_snapshot_out: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -610,14 +605,6 @@ fn main() -> ExitCode {
                     return fail("graph source given twice (positional and --graph)");
                 }
                 source = Some(path);
-                i += 2;
-            }
-            "--snapshot" => {
-                // Legacy conversion mode: `csq <graph> --snapshot <out>`.
-                let Some(out) = args.get(i + 1) else {
-                    return usage();
-                };
-                legacy_snapshot_out = Some(out);
                 i += 2;
             }
             "--algorithm" => {
@@ -689,7 +676,7 @@ fn main() -> ExitCode {
                 if other.starts_with("--") && other != "--demo" {
                     return usage();
                 }
-                if source.is_none() && query_arg.is_none() && legacy_snapshot_out.is_none() {
+                if source.is_none() && query_arg.is_none() {
                     source = Some(other);
                 } else if query_arg.is_none() {
                     query_arg = Some(other);
@@ -705,26 +692,7 @@ fn main() -> ExitCode {
         return fail("--stream streams a single query and cannot be combined with --batch");
     }
 
-    let Some(source) = source else {
-        return usage();
-    };
-
-    // Legacy `--snapshot` conversion mode.
-    if let Some(out) = legacy_snapshot_out {
-        let graph = match load_graph(source) {
-            Ok(g) => g,
-            Err(e) => return fail(e),
-        };
-        return match snapshot::save_to(&graph, out) {
-            Ok(info) => {
-                print!("wrote {out}: {info}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        };
-    }
-
-    let Some(query_arg) = query_arg else {
+    let (Some(source), Some(query_arg)) = (source, query_arg) else {
         return usage();
     };
     let query = if let Some(path) = query_arg.strip_prefix('@') {
@@ -737,19 +705,10 @@ fn main() -> ExitCode {
     };
 
     // One session for the whole invocation: every query (and every
-    // batch member) shares the plan cache. `.csg` sources go through
-    // `Session::open_snapshot`, so a statistics sidecar lands directly
-    // in the planner.
-    let session = if source != "--demo" && source.ends_with(".csg") {
-        match Session::open_snapshot_with(source, opts) {
-            Ok(s) => s,
-            Err(e) => return fail(e),
-        }
-    } else {
-        match load_graph(source) {
-            Ok(g) => Session::from_graph_with(g, opts),
-            Err(e) => return fail(e),
-        }
+    // batch member) shares the plan cache.
+    let session = match load_graph(source) {
+        Ok(g) => Session::from_graph_with(g, opts),
+        Err(e) => return fail(e),
     };
     let graph = session.graph();
 

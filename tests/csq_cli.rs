@@ -160,7 +160,6 @@ fn usage_lists_every_flag() {
         "--batch",
         "--stream",
         "--graph",
-        "--snapshot",
         "snapshot save",
         "snapshot inspect",
         "connect",
@@ -252,13 +251,20 @@ fn snapshot_save_inspect_query_roundtrip() {
 }
 
 #[test]
-fn snapshot_save_without_stats() {
-    let file = TmpFile::new("nostats.csg");
-    let out = csq(&["snapshot", "save", "figure1", file.as_str(), "--no-stats"]);
-    assert!(out.status.success(), "{out:?}");
-    let out = csq(&["snapshot", "inspect", file.as_str()]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("stats absent"), "{stdout}");
+fn removed_snapshot_flags_are_usage_errors() {
+    // The `--snapshot` conversion alias and `snapshot save --no-stats`
+    // are gone: both fail with the usage text and write nothing.
+    let file = TmpFile::new("removed-flags.csg");
+    for args in [
+        &["--demo", "--snapshot", file.as_str()][..],
+        &["snapshot", "save", "figure1", file.as_str(), "--no-stats"],
+    ] {
+        let out = csq(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!file.0.exists(), "{args:?} wrote {}", file.as_str());
+    }
 }
 
 #[test]
@@ -369,9 +375,6 @@ fn corrupt_snapshot_is_one_line_error() {
 fn unwritable_save_target_is_one_line_error() {
     let out = csq(&["snapshot", "save", "figure1", "/no/such/dir/out.csg"]);
     assert_one_line_error(&out, "unwritable save target");
-    // Legacy conversion mode shares the error path.
-    let out = csq(&["--demo", "--snapshot", "/no/such/dir/out.csg"]);
-    assert_one_line_error(&out, "legacy --snapshot unwritable target");
 }
 
 #[test]
