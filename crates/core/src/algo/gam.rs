@@ -70,9 +70,6 @@ impl GamConfig {
     };
 }
 
-/// Streaming consumer type for [`GamEngine::run_streaming`].
-type ResultCallback<'g> = Box<dyn FnMut(&ResultTree) -> bool + 'g>;
-
 /// The engine's seed sets: borrowed for the classic entry points, owned
 /// for pull-based streaming ([`GamEngine::into_stream`]), where the
 /// stream must carry the seeds along with the engine.
@@ -194,9 +191,6 @@ pub struct GamEngine<'g> {
     /// them as engine state (rather than a local loop) is what makes
     /// the search resumable one [`GamEngine::step`] at a time.
     init_pending: VecDeque<NodeId>,
-    /// Streaming consumer: called on each new result; returning false
-    /// stops the search (see [`GamEngine::run_streaming`]).
-    on_result: Option<ResultCallback<'g>>,
 }
 
 impl<'g> GamEngine<'g> {
@@ -270,48 +264,25 @@ impl<'g> GamEngine<'g> {
             tick: 0,
             stop: false,
             init_pending: VecDeque::new(),
-            on_result: None,
         }
     }
 
-    /// Runs the search to completion (or until a filter/limit stops it).
-    pub fn run(mut self) -> SearchOutcome {
-        self.run_inner()
-    }
-
-    /// Runs the search, streaming every new result to `on_result` the
-    /// moment it is found (the paper's "as many results as possible,
-    /// as fast as possible" contract, Observation 2). The callback
-    /// returns `false` to stop the search early — e.g. once an
-    /// application-side score threshold is met.
-    pub fn run_streaming(
-        mut self,
-        on_result: impl FnMut(&ResultTree) -> bool + 'g,
-    ) -> SearchOutcome {
-        self.on_result = Some(Box::new(on_result));
-        self.run_inner()
+    /// Runs the search to completion (or until a filter/limit stops it)
+    /// — draining the engine's [`CtpStream`].
+    pub fn run(self) -> SearchOutcome {
+        self.into_stream().into_outcome()
     }
 
     /// Like [`GamEngine::run`], but also returns the tree arena and the
     /// arena ids of the reported results, enabling provenance
     /// inspection (Def. 4.1) via [`crate::explain`].
-    pub fn run_traced(mut self) -> crate::explain::TracedOutcome {
-        let outcome = self.run_inner();
+    pub fn run_traced(self) -> crate::explain::TracedOutcome {
+        let mut stream = self.into_stream();
+        let outcome = stream.drain();
         crate::explain::TracedOutcome {
             outcome,
-            store: self.store,
-            result_ids: self.result_ids,
-        }
-    }
-
-    fn run_inner(&mut self) -> SearchOutcome {
-        let start = Instant::now();
-        self.begin(start);
-        while self.step() {}
-        SearchOutcome {
-            results: std::mem::take(&mut self.results),
-            stats: self.stats.clone(),
-            duration: start.elapsed(),
+            store: stream.engine.store,
+            result_ids: stream.engine.result_ids,
         }
     }
 
@@ -326,8 +297,8 @@ impl<'g> GamEngine<'g> {
     /// Advances the search by one unit of work: processing one Init
     /// tree while any is pending, then one Grow opportunity per call
     /// (Algorithm 1 lines 8–11). Returns `false` once the search is
-    /// exhausted or stopped (filters, timeout, streaming callback) —
-    /// the resumption point [`CtpStream`] pulls on.
+    /// exhausted or stopped (filters, timeout, cancellation) — the
+    /// resumption point [`CtpStream`] pulls on.
     fn step(&mut self) -> bool {
         if self.stop {
             return false;
@@ -440,18 +411,7 @@ impl<'g> GamEngine<'g> {
                 crate::result::check_result_minimal(self.g, &r, self.seeds.get()).is_ok(),
                 "GAM produced a non-minimal result (Property 2 violated)"
             );
-            let inserted = {
-                // Stream before moving `r` into the set.
-                let keep_going = match &mut self.on_result {
-                    Some(cb) if !self.results.contains(&r.edges, r.nodes[0]) => cb(&r),
-                    _ => true,
-                };
-                if !keep_going {
-                    self.stop = true;
-                }
-                self.results.insert(r)
-            };
-            if inserted {
+            if self.results.insert(r) {
                 self.result_ids.push(id);
             }
             if let Some(k) = self.filters.max_results {
@@ -637,10 +597,11 @@ pub fn run_gam_family(
 /// Each [`Iterator::next`] call advances the underlying search only
 /// until the next result is discovered, so the caller pays exactly for
 /// the results it consumes: `stream.take(k)` is a true TOP-k-style
-/// early termination — the push (callback) twin of this contract is
-/// [`crate::evaluate_ctp_streaming`]. All of the engine's filters
-/// (`MAX`, `LIMIT`, timeout, labels, `UNI`) apply unchanged; when a
-/// filter stops the search the stream simply ends.
+/// early termination. It is the only loop that steps the engine:
+/// materialising a search ([`GamEngine::run`],
+/// [`CtpStream::into_outcome`]) is draining the stream. All of the
+/// engine's filters (`MAX`, `LIMIT`, timeout, labels, `UNI`) apply
+/// unchanged; when a filter stops the search the stream simply ends.
 pub struct CtpStream<'g> {
     engine: GamEngine<'g>,
     start: Instant,
@@ -671,6 +632,13 @@ impl CtpStream<'_> {
     /// [`SearchOutcome`] (all results, including the already-streamed
     /// prefix, in discovery order).
     pub fn into_outcome(mut self) -> SearchOutcome {
+        self.drain()
+    }
+
+    /// Steps the search to its end and takes its outcome — the one
+    /// stepping loop behind [`CtpStream::into_outcome`],
+    /// [`GamEngine::run`] and [`GamEngine::run_traced`].
+    fn drain(&mut self) -> SearchOutcome {
         while self.engine.step() {}
         SearchOutcome {
             results: std::mem::take(&mut self.engine.results),

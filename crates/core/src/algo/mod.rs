@@ -142,15 +142,7 @@ pub fn evaluate_ctp_with_policy(
         Algorithm::Bft => run_bft(g, seeds, BftMerge::None, filters, order),
         Algorithm::BftM => run_bft(g, seeds, BftMerge::Single, filters, order),
         Algorithm::BftAm => run_bft(g, seeds, BftMerge::Aggressive, filters, order),
-        Algorithm::Gam => GamEngine::new(g, seeds, GamConfig::GAM, filters, order, policy).run(),
-        Algorithm::Esp => GamEngine::new(g, seeds, GamConfig::ESP, filters, order, policy).run(),
-        Algorithm::MoEsp => {
-            GamEngine::new(g, seeds, GamConfig::MOESP, filters, order, policy).run()
-        }
-        Algorithm::Lesp => GamEngine::new(g, seeds, GamConfig::LESP, filters, order, policy).run(),
-        Algorithm::MoLesp => {
-            GamEngine::new(g, seeds, GamConfig::MOLESP, filters, order, policy).run()
-        }
+        gam => GamEngine::new(g, seeds, gam_config(gam), filters, order, policy).run(),
     }
 }
 
@@ -210,24 +202,6 @@ mod tests {
     }
 }
 
-/// Evaluates a GAM-family CTP search, streaming each result to
-/// `on_result` as it is discovered; the callback returns `false` to
-/// stop early. (The BFT variants are batch-only reference algorithms.)
-///
-/// # Panics
-/// Panics if `algo` is a BFT variant.
-pub fn evaluate_ctp_streaming<'g>(
-    g: &'g Graph,
-    seeds: &'g SeedSets,
-    algo: Algorithm,
-    filters: Filters,
-    order: QueueOrder,
-    on_result: impl FnMut(&crate::result::ResultTree) -> bool + 'g,
-) -> SearchOutcome {
-    let cfg = gam_config(algo);
-    GamEngine::new(g, seeds, cfg, filters, order, QueuePolicy::Single).run_streaming(on_result)
-}
-
 /// The [`GamConfig`] of a GAM-family algorithm.
 ///
 /// # Panics
@@ -249,8 +223,9 @@ fn gam_config(algo: Algorithm) -> GamConfig {
 /// search advances only as far as the results the caller consumes
 /// (`stream.take(k)` is TOP-k-style early termination). The stream
 /// owns the seed sets, so it can outlive the caller's locals; only the
-/// graph stays borrowed. This is the pull twin of the push-based
-/// [`evaluate_ctp_streaming`].
+/// graph stays borrowed. This is the one incremental shape of the GAM
+/// family: [`evaluate_ctp`] on a GAM-family algorithm drains the same
+/// stream.
 ///
 /// # Panics
 /// Panics if `algo` is a BFT variant (batch-only reference algorithms).
@@ -355,61 +330,17 @@ mod streaming_tests {
     use cs_graph::generate::chain;
 
     #[test]
-    fn streams_every_result_once() {
-        let w = chain(5); // 32 results
-        let seeds = SeedSets::from_sets(w.seeds.clone()).unwrap();
-        let mut streamed = Vec::new();
-        let out = evaluate_ctp_streaming(
-            &w.graph,
-            &seeds,
-            Algorithm::MoLesp,
-            Filters::none(),
-            QueueOrder::SmallestFirst,
-            |r| {
-                streamed.push(r.edges.to_vec());
-                true
-            },
-        );
-        assert_eq!(streamed.len(), 32);
-        let mut a = streamed.clone();
-        a.sort();
-        a.dedup();
-        assert_eq!(a.len(), 32, "no duplicates streamed");
-        assert_eq!(out.results.len(), 32);
-    }
-
-    #[test]
-    fn callback_false_stops_search() {
-        let w = chain(8); // 256 results
-        let seeds = SeedSets::from_sets(w.seeds.clone()).unwrap();
-        let mut count = 0usize;
-        let out = evaluate_ctp_streaming(
-            &w.graph,
-            &seeds,
-            Algorithm::MoLesp,
-            Filters::none(),
-            QueueOrder::SmallestFirst,
-            |_| {
-                count += 1;
-                count < 10
-            },
-        );
-        assert_eq!(count, 10);
-        assert!(out.results.len() <= 10);
-    }
-
-    #[test]
     #[should_panic(expected = "GAM-family")]
     fn bft_streaming_rejected() {
         let w = chain(2);
         let seeds = SeedSets::from_sets(w.seeds.clone()).unwrap();
-        evaluate_ctp_streaming(
+        stream_ctp(
             &w.graph,
-            &seeds,
+            seeds,
             Algorithm::Bft,
             Filters::none(),
             QueueOrder::SmallestFirst,
-            |_| true,
+            QueuePolicy::Single,
         );
     }
 }

@@ -8,6 +8,13 @@
 //! the comparison baselines (DPBF group-Steiner, path enumeration and
 //! stitching).
 //!
+//! A GAM-family search is stepped in one place, the pull-based
+//! [`CtpStream`] ([`stream_ctp`]): each `next` advances the search just
+//! far enough to yield one more result, and [`evaluate_ctp`] on a
+//! GAM-family algorithm is that stream drained.
+//! [`parallel`] runs independent searches side by side; each search
+//! stays on one thread.
+//!
 //! ```
 //! use cs_core::{evaluate_ctp, Algorithm, Filters, QueueOrder, SeedSets};
 //! use cs_graph::generate::star;
@@ -35,8 +42,7 @@ mod seeds;
 pub mod tree;
 
 pub use algo::{
-    evaluate_ctp, evaluate_ctp_streaming, evaluate_ctp_with_policy, stream_ctp, Algorithm,
-    CtpStream, GamConfig,
+    evaluate_ctp, evaluate_ctp_with_policy, stream_ctp, Algorithm, CtpStream, GamConfig,
 };
 pub use config::{CancelFlag, Filters, PriorityFn, QueueOrder, QueuePolicy};
 pub use delta::{probe_delta, ProbeOutcome, DEFAULT_PROBE_BUDGET};

@@ -71,9 +71,14 @@ pub fn evaluate_job(g: &Graph, job: &CtpJob) -> SearchOutcome {
 /// Evaluates independent CTP jobs over one shared graph on up to
 /// `threads` worker threads (0 = available parallelism). Outcomes are
 /// returned in job order, each in the sequential engine's discovery
-/// order.
+/// order. When that resolves to a single worker — one thread, or at
+/// most one job — the jobs run in-line on the calling thread, so a
+/// single-CPU host or a one-CTP query pays for no worker thread.
 pub fn evaluate_ctps_parallel(g: &Graph, jobs: &[CtpJob], threads: usize) -> Vec<SearchOutcome> {
-    let workers = resolve_threads(threads).min(jobs.len().max(1));
+    let workers = resolve_threads(threads).min(jobs.len());
+    if workers <= 1 {
+        return jobs.iter().map(|j| evaluate_job(g, j)).collect();
+    }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<SearchOutcome>>> =
         (0..jobs.len()).map(|_| Mutex::new(None)).collect();

@@ -130,12 +130,6 @@ impl ResultSet {
         true
     }
 
-    /// True if an identical result is present.
-    pub fn contains(&self, edges: &[EdgeId], anchor: NodeId) -> bool {
-        self.seen
-            .contains(&(edges.to_vec().into_boxed_slice(), anchor))
-    }
-
     /// Rebuilds a result set from trees (e.g. replayed from a result
     /// cache), restoring the dedup index. Insertion order is kept, so
     /// feeding canonically sorted trees yields a canonically sorted
@@ -289,7 +283,6 @@ mod tests {
         assert!(rs.insert(r.clone()));
         assert!(!rs.insert(r));
         assert_eq!(rs.len(), 1);
-        assert!(rs.contains(&es, ns[0]));
     }
 
     #[test]
@@ -302,7 +295,6 @@ mod tests {
         };
         let mut rs = ResultSet::from_trees(vec![r.clone()]);
         assert_eq!(rs.len(), 1);
-        assert!(rs.contains(&es, ns[0]));
         assert!(!rs.insert(r));
     }
 

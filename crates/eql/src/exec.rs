@@ -10,8 +10,7 @@
 use crate::ast::{CtpAst, QueryAst, QueryForm, TermAst};
 use crate::parser::ParseError;
 use crate::result_cache::ResultCacheMode;
-use crate::session::Session;
-use cs_core::parallel::{evaluate_ctps_parallel, evaluate_job, resolve_threads, CtpJob};
+use cs_core::parallel::CtpJob;
 use cs_core::score::by_name;
 use cs_core::{
     Algorithm, Filters, QueueOrder, QueuePolicy, ResultTree, SearchOutcome, SearchStats, SeedError,
@@ -90,9 +89,9 @@ pub struct ExecOptions {
     /// sequential engine. `1` (the default) evaluates in-line on the
     /// calling thread; `0` uses the available parallelism.
     pub threads: usize,
-    /// Capacity of the per-[`Session`] BGP plan cache (plans keyed by
-    /// pattern shape, the Fig. 13 per-label plan-cache idea). `0`
-    /// disables caching.
+    /// Capacity of the per-[`Session`](crate::Session) BGP plan cache
+    /// (plans keyed by pattern shape, the Fig. 13 per-label plan-cache
+    /// idea). `0` disables caching.
     pub plan_cache_capacity: usize,
     /// Hard per-query wall-clock budget. Unlike
     /// [`ExecOptions::default_timeout`] (the per-CTP soft `TIMEOUT`
@@ -155,11 +154,15 @@ pub struct SeedNarrowing {
 #[derive(Debug, Default)]
 pub struct ExecStats {
     /// End-to-end execution time (planning + steps A–C), so the
-    /// overhead around the per-step times is visible.
+    /// overhead around the per-step times is visible. For a member of
+    /// a batch of several queries it is the sum of the step times.
     pub total_time: Duration,
     /// Time evaluating BGPs (step A).
     pub bgp_time: Duration,
-    /// Time evaluating CTPs (step B).
+    /// Time evaluating CTPs (step B): building this query's jobs, the
+    /// dispatch round they ran in (shared by every member of a batch),
+    /// and finishing them — classification, materialisation, and any
+    /// `ASK` deepening rounds.
     pub ctp_time: Duration,
     /// Time joining and projecting (step C).
     pub join_time: Duration,
@@ -260,25 +263,15 @@ pub(crate) const ASK_INITIAL_LIMIT: usize = 4;
 /// Growth factor of the ASK deepening loop.
 pub(crate) const ASK_LIMIT_GROWTH: usize = 8;
 
-/// Executes a parsed query over a throwaway [`Session`]. Prefer
-/// holding a session and using [`Session::prepare`] +
-/// [`Session::execute`] when the same graph serves several queries —
-/// that is what lets structurally identical BGPs reuse cached plans.
-pub fn execute(g: &Graph, q: &QueryAst, opts: &ExecOptions) -> Result<QueryResult, EqlError> {
-    let session = Session::with_options(g, opts.clone());
-    let prepared = session.prepare_ast(q.clone())?;
-    session.execute(&prepared)
-}
-
 /// Per-execution control state derived from [`ExecOptions`] when a
 /// query starts: the absolute deadline and the shared cancel flag.
 ///
 /// The control is threaded two ways: [`QueryControl::check`] fails
 /// fast *between* execution steps, and [`QueryControl::arm`] pushes
-/// the flag/deadline *into* each search's [`Filters`] so the engines'
+/// the flag/deadline *into* each job's [`Filters`] so the engines'
 /// cooperative checks (every 64 Grow steps of the `step` loop) stop a
-/// running search mid-flight. [`QueryControl::classify`] then turns the stop reason
-/// into the typed [`EqlError::Cancelled`] /
+/// running search mid-flight. [`QueryControl::classify`] then turns
+/// the stop reason into the typed [`EqlError::Cancelled`] /
 /// [`EqlError::DeadlineExceeded`] errors.
 pub(crate) struct QueryControl {
     deadline: Option<Instant>,
@@ -306,27 +299,21 @@ impl QueryControl {
         Ok(())
     }
 
-    /// Pushes the control into one search's filters: the cancel flag
+    /// Pushes the control into every job's filters: the cancel flag
     /// is attached as-is, and the remaining wall-clock budget tightens
     /// the CTP timeout (the engines already stop on the tighter of the
     /// two).
-    pub(crate) fn arm(&self, filters: &mut Filters) {
-        if let Some(c) = &self.cancel {
-            filters.cancel = Some(c.clone());
-        }
-        if let Some(d) = self.deadline {
-            let remaining = d.saturating_duration_since(Instant::now());
-            filters.timeout = Some(filters.timeout.map_or(remaining, |t| t.min(remaining)));
-        }
-    }
-
-    /// Arms every job of a dispatch round.
-    pub(crate) fn arm_jobs(&self, jobs: &mut [CtpJob]) {
-        if self.deadline.is_none() && self.cancel.is_none() {
-            return;
-        }
-        for j in jobs {
-            self.arm(&mut j.filters);
+    pub(crate) fn arm(&self, jobs: &mut [CtpJob]) {
+        let remaining = self
+            .deadline
+            .map(|d| d.saturating_duration_since(Instant::now()));
+        for f in jobs.iter_mut().map(|j| &mut j.filters) {
+            if let Some(c) = &self.cancel {
+                f.cancel = Some(c.clone());
+            }
+            if let Some(r) = remaining {
+                f.timeout = Some(f.timeout.map_or(r, |t| t.min(r)));
+            }
         }
     }
 
@@ -367,10 +354,11 @@ pub(crate) struct BuiltJobs {
 }
 
 /// Lowers a CTP's filter clauses into search [`Filters`] — everything
-/// except the result cap (`LIMIT`), which each call site layers on
-/// (implicit ASK limits here, streaming early termination in the
-/// session). The single lowering point keeps the materialised,
-/// streaming, and ASK fast paths honouring exactly the same clauses.
+/// except the result cap (`LIMIT`, plus the implicit ASK caps), which
+/// [`build_ctp_jobs`] layers on. The single lowering point keeps the
+/// searches of every query path (execute, batch and stream all build
+/// their jobs through [`build_ctp_jobs`]) and the watch layer's delta
+/// probe honouring exactly the same clauses.
 pub(crate) fn ctp_filters(ctp: &CtpAst, opts: &ExecOptions) -> Filters {
     let mut filters = Filters::none();
     filters.uni = ctp.filters.uni;
@@ -572,19 +560,6 @@ pub(crate) fn enforce_exclusions(outcomes: &mut [SearchOutcome], exclusions: &[V
                 .into_iter()
                 .filter(|t| !t.nodes.iter().any(|n| excl.binary_search(n).is_ok())),
         );
-    }
-}
-
-/// Evaluates a slice of CTP jobs: in-line on the calling thread when a
-/// single worker suffices (`threads == 0` resolves to the available
-/// parallelism first, so single-CPU hosts don't pay for a useless
-/// worker thread), through [`evaluate_ctps_parallel`] otherwise.
-pub(crate) fn dispatch_jobs(g: &Graph, jobs: &[CtpJob], threads: usize) -> Vec<SearchOutcome> {
-    let threads = resolve_threads(threads);
-    if threads == 1 || jobs.len() <= 1 {
-        jobs.iter().map(|j| evaluate_job(g, j)).collect()
-    } else {
-        evaluate_ctps_parallel(g, jobs, threads)
     }
 }
 
@@ -882,6 +857,7 @@ pub(crate) fn join_all(mut tables: Vec<Table>) -> Table {
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use crate::Session;
     use cs_graph::figure1;
 
     const Q1: &str = r#"
@@ -1067,7 +1043,7 @@ mod tests {
 #[cfg(test)]
 mod ask_tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::Session;
     use cs_graph::figure1;
 
     #[test]
@@ -1092,8 +1068,9 @@ mod ask_tests {
         // The CTP shares no variables with anything else, so the
         // implicit LIMIT 1 is safe and applied.
         let g = figure1();
-        let ast = parse(r#"ASK WHERE { CONNECT("Bob", "Elon" -> w) }"#).unwrap();
-        let res = execute(&g, &ast, &ExecOptions::default()).unwrap();
+        let res = Session::with_options(&g, ExecOptions::default())
+            .run(r#"ASK WHERE { CONNECT("Bob", "Elon" -> w) }"#)
+            .unwrap();
         assert_eq!(res.boolean, Some(true));
         // Only one tree computed thanks to the implicit LIMIT 1.
         assert_eq!(res.trees["w"].len(), 1);
@@ -1128,14 +1105,14 @@ mod ask_tests {
     #[test]
     fn ask_with_bgp_bound_ctp_computes_all_trees() {
         let g = figure1();
-        let ast = parse(
-            r#"ASK WHERE {
+        let res = Session::with_options(&g, ExecOptions::default())
+            .run(
+                r#"ASK WHERE {
                 (x : type = "entrepreneur", "citizenOf", "USA")
                 CONNECT(x, "Elon" -> w) MAX 3
             }"#,
-        )
-        .unwrap();
-        let res = execute(&g, &ast, &ExecOptions::default()).unwrap();
+            )
+            .unwrap();
         assert_eq!(res.boolean, Some(true));
         assert!(
             res.trees["w"].len() > 1,
@@ -1166,6 +1143,20 @@ mod ask_tests {
             .unwrap());
     }
 
+    /// `SCORE … TOP 0` keeps no tree, so ASK answers false — the
+    /// SELECT form has no row — although a witness exists.
+    #[test]
+    fn ask_honours_top_zero() {
+        let g = figure1();
+        let s = Session::new(&g);
+        let body = r#"WHERE { CONNECT("Bob", "Elon" -> w) SCORE edgecount TOP 0 }"#;
+        assert_eq!(s.run(&format!("SELECT w {body}")).unwrap().rows(), 0);
+        assert!(!s.ask(&format!("ASK {body}")).unwrap());
+        assert!(s
+            .ask(r#"ASK WHERE { CONNECT("Bob", "Elon" -> w) SCORE edgecount TOP 1 }"#)
+            .unwrap());
+    }
+
     #[test]
     fn select_has_no_boolean() {
         let g = figure1();
@@ -1180,6 +1171,7 @@ mod ask_tests {
 mod planner_and_batching_tests {
     use super::*;
     use crate::parser::parse;
+    use crate::Session;
     use cs_engine::AccessPath;
     use cs_graph::figure1;
 
@@ -1210,8 +1202,9 @@ mod planner_and_batching_tests {
     #[test]
     fn exec_stats_record_the_plans() {
         let g = figure1();
-        let q = parse(Q1).unwrap();
-        let r = execute(&g, &q, &ExecOptions::default()).unwrap();
+        let r = Session::with_options(&g, ExecOptions::default())
+            .run(Q1)
+            .unwrap();
         assert_eq!(r.stats.plans.len(), 3);
         let rendered = r.stats.plans[0].to_string();
         assert!(rendered.contains("EdgeLabelIndex"), "{rendered}");
@@ -1220,37 +1213,25 @@ mod planner_and_batching_tests {
     #[test]
     fn batched_parallel_execution_matches_sequential() {
         let g = figure1();
-        let q = parse(
-            r#"SELECT x, w1, w2 WHERE {
+        let q = r#"SELECT x, w1, w2 WHERE {
                 (x : type = "entrepreneur", "citizenOf", "USA")
                 CONNECT(x, "France" -> w1) LIMIT 20
                 CONNECT(x, "Elon" -> w2) LIMIT 20
-            }"#,
-        )
-        .unwrap();
-        let seq = execute(&g, &q, &ExecOptions::default()).unwrap();
-        let par = execute(
-            &g,
-            &q,
-            &ExecOptions {
-                threads: 4,
+            }"#;
+        let with_threads = |threads| {
+            let opts = ExecOptions {
+                threads,
                 ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+            };
+            Session::with_options(&g, opts).run(q).unwrap()
+        };
+        let seq = with_threads(1);
+        let par = with_threads(4);
         assert_eq!(seq.rows(), par.rows());
         assert_eq!(seq.trees["w1"].len(), par.trees["w1"].len());
         assert_eq!(seq.trees["w2"].len(), par.trees["w2"].len());
         // Zero means "available parallelism".
-        let auto = execute(
-            &g,
-            &q,
-            &ExecOptions {
-                threads: 0,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let auto = with_threads(0);
         assert_eq!(seq.rows(), auto.rows());
     }
 
@@ -1269,7 +1250,9 @@ mod planner_and_batching_tests {
             patterns: Vec::new(),
             ctps: vec![mk(), mk()],
         };
-        let err = execute(&g, &q, &ExecOptions::default()).unwrap_err();
+        let err = Session::with_options(&g, ExecOptions::default())
+            .prepare_ast(q)
+            .unwrap_err();
         assert!(matches!(err, EqlError::Validate(_)));
         assert!(
             err.to_string().contains("duplicate CTP output variable"),

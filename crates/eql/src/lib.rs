@@ -49,9 +49,7 @@ pub mod session;
 pub mod watch;
 
 pub use ast::{CtpAst, CtpFiltersAst, EdgePatternAst, QueryAst, QueryForm, TermAst};
-pub use exec::{
-    execute, explain_plan, EqlError, ExecOptions, ExecStats, QueryResult, SeedNarrowing,
-};
+pub use exec::{explain_plan, EqlError, ExecOptions, ExecStats, QueryResult, SeedNarrowing};
 pub use parser::{parse, ParseError};
 pub use result_cache::{
     CacheCounters, CtpSignature, GraphToken, ResultCache, ResultCacheMode, SharedResultCache,

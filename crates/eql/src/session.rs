@@ -10,15 +10,21 @@
 //! stream reuse plans — the paper's Fig. 13 per-label plan-cache idea
 //! generalised to whole patterns.
 //!
-//! On top of the cache the session adds the ROADMAP's two scale
-//! levers:
+//! Every query runs through one pipeline: stage it (step A, then its
+//! CTP jobs), dispatch the jobs of every staged query in one round
+//! through the result cache, then finish each query on its own (step
+//! B's classification, materialisation and ASK deepening, then the
+//! step C join). [`Session::execute`] is that pipeline over one query,
+//! and on top of it the session offers two scale levers:
 //!
-//! * [`Session::execute_batch`] collects the CTP jobs of *many*
-//!   queries into one [`cs_core::parallel::evaluate_ctps_parallel`] dispatch, so a batch
+//! * [`Session::execute_batch`] runs the pipeline over *many* queries,
+//!   so their CTP jobs share one
+//!   [`cs_core::parallel::evaluate_ctps_parallel`] dispatch and a batch
 //!   saturates the worker pool even when each query has a single CTP;
-//! * [`Session::execute_streaming`] returns a pull-based
-//!   [`ResultStream`] that advances the CTP search only as far as the
-//!   results the caller consumes (TOP-k-style early termination).
+//! * [`Session::execute_streaming`] stages one query the same way but
+//!   hands its CTP job to a pull-based [`ResultStream`] that advances
+//!   the search only as far as the results the caller consumes
+//!   (TOP-k-style early termination).
 //!
 //! ```
 //! use cs_eql::Session;
@@ -43,22 +49,19 @@
 
 use crate::ast::{QueryAst, QueryForm};
 use crate::exec::{
-    ask_truncated, build_ctp_jobs, ctp_filters, dispatch_jobs, enforce_exclusions, grow_ask_limits,
-    join_all, materialise_ctps, pick_policy, query_bgps, seed_specs, CtpMaterialisation, EqlError,
-    ExecOptions, ExecStats, QueryControl, QueryResult,
+    ask_truncated, build_ctp_jobs, enforce_exclusions, grow_ask_limits, join_all, materialise_ctps,
+    query_bgps, CtpMaterialisation, EqlError, ExecOptions, ExecStats, QueryControl, QueryResult,
 };
 use crate::parser::parse;
 use crate::result_cache::{
     CacheCounters, CacheLookup, CtpSignature, GraphToken, ResultCache, ResultCacheMode,
     SharedResultCache,
 };
-use cs_core::parallel::CtpJob;
-use cs_core::{
-    evaluate_ctp_streaming, stream_ctp, Algorithm, CtpStream, QueueOrder, QueuePolicy, ResultTree,
-    SearchOutcome, SearchStats, SeedSets,
-};
+use cs_core::parallel::{evaluate_ctps_parallel, CtpJob};
+use cs_core::{stream_ctp, Algorithm, CtpStream, ResultTree, SearchOutcome, SearchStats};
 use cs_engine::{eval_bgp_with_plan, Bgp, PlanCache, Table};
 use cs_graph::{Applied, Graph, Mutation, NodeId};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
@@ -345,7 +348,7 @@ impl<'g> Session<'g> {
     fn dispatch_cached(&self, jobs: &[CtpJob]) -> (Vec<SearchOutcome>, Vec<CacheEvent>) {
         let g = self.graph();
         if matches!(self.results, ResultCacheHandle::Off) {
-            let outs = dispatch_jobs(g, jobs, self.opts.threads);
+            let outs = evaluate_ctps_parallel(g, jobs, self.opts.threads);
             return (outs, vec![CacheEvent::Bypass; jobs.len()]);
         }
         let sigs: Vec<Option<CtpSignature>> = jobs.iter().map(|j| CtpSignature::of(g, j)).collect();
@@ -404,7 +407,7 @@ impl<'g> Session<'g> {
                 .filter(|&i| slots[i].is_none())
                 .collect();
             let miss_jobs: Vec<CtpJob> = miss_idx.iter().map(|&i| jobs[i].clone()).collect();
-            let outs = dispatch_jobs(g, &miss_jobs, self.opts.threads);
+            let outs = evaluate_ctps_parallel(g, &miss_jobs, self.opts.threads);
             self.results.with(|cache| {
                 for (&i, o) in miss_idx.iter().zip(&outs) {
                     if matches!(events[i], CacheEvent::Miss) {
@@ -555,8 +558,8 @@ impl<'g> Session<'g> {
         Ok(PreparedQuery { ast, bgps })
     }
 
-    /// Parses and executes a query in one call — the session-aware
-    /// replacement for the deprecated `run_query` free function.
+    /// Parses and executes a query in one call: [`Session::prepare`]
+    /// followed by [`Session::execute`].
     pub fn run(&self, text: &str) -> Result<QueryResult, EqlError> {
         let prepared = self.prepare(text)?;
         self.execute(&prepared)
@@ -565,109 +568,27 @@ impl<'g> Session<'g> {
     /// Executes a prepared query — steps (A)–(C) of the paper's
     /// evaluation strategy (§3), with step (A) plans served from the
     /// session's shape-keyed cache.
+    ///
+    /// This is the batch pipeline of [`Session::execute_batch`] run over
+    /// one query, so a query answers the same alone and inside a batch.
+    /// `stats.total_time` is the wall clock of the whole execution;
+    /// `stats.ctp_time` covers building the CTP jobs, their dispatch,
+    /// and finishing them (classification, materialisation and, for
+    /// `ASK`, any deepening rounds).
     pub fn execute(&self, q: &PreparedQuery) -> Result<QueryResult, EqlError> {
-        let g = self.graph();
-        let ast = &q.ast;
-        let t_total = Instant::now();
-        let control = QueryControl::begin(&self.opts);
-        let mut stats = ExecStats {
-            graph_generation: g.generation(),
-            ..ExecStats::default()
-        };
-
-        // ---- Step (A): plan each BGP component through the session
-        // cache and evaluate the plans.
-        let t0 = Instant::now();
-        let bgp_tables = self.eval_bgps(&q.bgps, &mut stats);
-        stats.bgp_time = t0.elapsed();
-        control.check()?;
-
-        // ---- Step (B): evaluate the CTPs. All CTPs of a query are
-        // independent searches (their seed sets derive only from step
-        // A), so they are collected into [`CtpJob`]s and — when more
-        // than one worker is configured — dispatched through the §6
-        // coarse-grained parallel evaluator. The control is armed into
-        // every job, so a raised cancel flag or an elapsed deadline
-        // stops the searches mid-flight.
-        let t1 = Instant::now();
-        let mut built = build_ctp_jobs(g, ast, &bgp_tables, &self.opts)?;
-        control.arm_jobs(&mut built.jobs);
-        stats.seed_narrowings = built.narrowings;
-        let materialised = self.run_ctp_rounds(
-            ast,
-            &bgp_tables,
-            &mut built.jobs,
-            &built.job_cols,
-            &built.deepenable,
-            &built.exclusions,
-            &control,
-            &mut stats,
-        )?;
-        stats.ctp_time = t1.elapsed();
-
-        Ok(assemble(
-            ast,
-            bgp_tables,
-            materialised,
-            stats,
-            Some(t_total),
-        ))
-    }
-
-    /// Step (B)'s evaluate–probe–deepen loop: dispatches the jobs,
-    /// materialises the outcomes, and — for ASK — raises the
-    /// deepenable result caps while the join probe stays empty and a
-    /// truncated search might still produce the joining tree. Each
-    /// round replaces the previous attempt's per-CTP stats.
-    #[allow(clippy::too_many_arguments)]
-    fn run_ctp_rounds(
-        &self,
-        ast: &QueryAst,
-        bgp_tables: &[Table],
-        jobs: &mut [CtpJob],
-        job_cols: &[Vec<Option<String>>],
-        deepenable: &[bool],
-        exclusions: &[Vec<NodeId>],
-        control: &QueryControl,
-        stats: &mut ExecStats,
-    ) -> Result<CtpMaterialisation, EqlError> {
-        loop {
-            let (mut outcomes, events) = self.dispatch_cached(jobs);
-            control.classify(&outcomes)?;
-            fold_cache_events(stats, &events);
-
-            stats.ctp_stats.clear();
-            // Deepening decisions read the *raw* outcomes (a cap-hit
-            // must stay visible); the exclusivity re-check of narrowed
-            // jobs runs after, and after the raw outcome was cached.
-            let truncated = ask_truncated(jobs, &outcomes, deepenable);
-            let timed_out = outcomes.iter().any(|o| o.stats.timed_out);
-            enforce_exclusions(&mut outcomes, exclusions);
-
-            let materialised = materialise_ctps(self.graph(), ast, outcomes, job_cols, stats);
-
-            // SELECT returns everything found; ASK stops as soon as
-            // the join is witnessed, or no truncated search can change
-            // it.
-            if ast.form == QueryForm::Select || !truncated || timed_out {
-                return Ok(materialised);
-            }
-            let mut probe = bgp_tables.to_vec();
-            probe.extend(materialised.0.iter().cloned());
-            if !join_all(probe).is_empty() {
-                return Ok(materialised);
-            }
-            grow_ask_limits(jobs, deepenable);
-        }
+        self.execute_staged(std::iter::once(Ok(q)))
+            .pop()
+            // cs-lint: allow(L002): the pipeline returns exactly one
+            // result per query it was given.
+            .expect("one result per staged query")
     }
 
     /// Parses and executes an `ASK` query, returning its boolean
-    /// answer.
-    ///
-    /// Single-CTP ASK queries without edge patterns take a streaming
-    /// fast path: the search is evaluated through
-    /// [`cs_core::evaluate_ctp_streaming`] and stopped the moment the
-    /// first witness appears.
+    /// answer — [`Session::run`]'s `boolean`. A CTP that shares no
+    /// variable with another table searches under an implicit
+    /// `LIMIT 1`, so the search stops at its first witness; one that
+    /// joins starts from a small result cap that grows only while the
+    /// join stays empty.
     ///
     /// ```
     /// use cs_eql::Session;
@@ -682,196 +603,182 @@ impl<'g> Session<'g> {
     ///     .unwrap());
     /// ```
     pub fn ask(&self, text: &str) -> Result<bool, EqlError> {
-        let prepared = self.prepare(text)?;
-        if let Some(answer) = self.try_streaming_ask(&prepared)? {
-            return Ok(answer);
-        }
-        let res = self.execute(&prepared)?;
+        let res = self.run(text)?;
         Ok(res.boolean.unwrap_or(res.rows() > 0))
     }
 
-    /// The ASK fast path: when the query is a single GAM-family CTP
-    /// with no edge patterns (so its table joins nothing), existence
-    /// is decided by streaming the search and stopping at the first
-    /// result. Returns `None` when the query doesn't qualify and must
-    /// go through the materialised path.
-    fn try_streaming_ask(&self, q: &PreparedQuery) -> Result<Option<bool>, EqlError> {
-        let ast = &q.ast;
-        if ast.form != QueryForm::Ask || !ast.patterns.is_empty() || ast.ctps.len() != 1 {
-            return Ok(None);
-        }
-        let ctp = &ast.ctps[0];
-        let algorithm = ctp.algorithm.unwrap_or(self.opts.default_algorithm);
-        if !Algorithm::GAM_FAMILY.contains(&algorithm) {
-            return Ok(None);
-        }
-        let (specs, _) = seed_specs(self.graph(), ctp, 0, &[]);
-        let seeds = SeedSets::new(specs)?;
-        // `evaluate_ctp_streaming` runs single-queue; defer to the
-        // materialised path when the policy heuristic wants balancing.
-        if pick_policy(&seeds, self.opts.balance_ratio) != QueuePolicy::Single {
-            return Ok(None);
-        }
-        let control = QueryControl::begin(&self.opts);
-        control.check()?;
-        let mut filters = ctp_filters(ctp, &self.opts);
-        control.arm(&mut filters);
-        let outcome = evaluate_ctp_streaming(
-            self.graph(),
-            &seeds,
-            algorithm,
-            filters,
-            QueueOrder::SmallestFirst,
-            |_| false, // first witness decides: stop immediately
-        );
-        control.classify(std::slice::from_ref(&outcome))?;
-        Ok(Some(!outcome.results.is_empty()))
+    /// Executes a batch of queries with the CTP jobs of *all* queries
+    /// collected into a single
+    /// [`cs_core::parallel::evaluate_ctps_parallel`] dispatch (through
+    /// the result cache), so the worker pool (`ExecOptions::threads`;
+    /// `0` = available parallelism) is saturated across query
+    /// boundaries and a batch repeating a CTP pays for its search once.
+    ///
+    /// It runs the same pipeline as [`Session::execute`]; results are
+    /// returned in input order, and a query that fails to parse, seed,
+    /// or finish reports its error without aborting the rest of the
+    /// batch. Each result's `ctp_time` counts its own job building and
+    /// finishing plus the shared dispatch round, and — for a batch of
+    /// more than one query — `total_time` is the sum of the per-step
+    /// times (a per-query wall clock would mostly measure the other
+    /// queries). ASK queries whose join probe stays empty continue
+    /// deepening on their own from grown result caps: the batch
+    /// dispatch was their first round.
+    pub fn execute_batch(&self, queries: &[&str]) -> Vec<Result<QueryResult, EqlError>> {
+        self.execute_staged(queries.iter().map(|text| self.prepare(text)))
     }
 
-    /// Executes a batch of queries with the CTP jobs of *all* queries
-    /// collected into a single [`cs_core::parallel::evaluate_ctps_parallel`] dispatch, so
-    /// the worker pool (`ExecOptions::threads`; `0` = available
-    /// parallelism) is saturated across query boundaries — the
-    /// cross-query batching lever on top of the per-query batching of
-    /// step (B).
-    ///
-    /// Results are returned in input order; a query that fails to
-    /// parse or seed reports its error without aborting the rest of
-    /// the batch. Step (B) runs once for the whole batch, so each
-    /// result's `ctp_time` reports the shared dispatch time, and
-    /// `total_time` is the sum of the per-step times (a per-query
-    /// wall clock would mostly measure the other queries). ASK
-    /// queries whose join probe stays empty continue deepening from
-    /// *grown* result caps — the batch dispatch was their first
-    /// round.
-    pub fn execute_batch(&self, queries: &[&str]) -> Vec<Result<QueryResult, EqlError>> {
-        struct Staged {
-            prepared: PreparedQuery,
-            stats: ExecStats,
-            bgp_tables: Vec<Table>,
-            job_cols: Vec<Vec<Option<String>>>,
-            deepenable: Vec<bool>,
-            exclusions: Vec<Vec<NodeId>>,
-            n_jobs: usize,
-        }
-
-        let g = self.graph();
+    /// The one query pipeline behind [`Session::execute`] and
+    /// [`Session::execute_batch`]: stage every query (step A, then its
+    /// CTP jobs), run one [`Session::dispatch_cached`] round over all
+    /// their jobs, then finish each query on its own (step B's
+    /// [`Session::finish_ctps`], then step C). One [`QueryControl`]
+    /// covers the whole run.
+    fn execute_staged<Q: Borrow<PreparedQuery>>(
+        &self,
+        queries: impl IntoIterator<Item = Result<Q, EqlError>>,
+    ) -> Vec<Result<QueryResult, EqlError>> {
         let control = QueryControl::begin(&self.opts);
-        let mut staged: Vec<Result<Staged, EqlError>> = Vec::with_capacity(queries.len());
         let mut all_jobs: Vec<CtpJob> = Vec::new();
-        for text in queries {
-            let one = self.prepare(text).and_then(|prepared| {
-                let mut stats = ExecStats {
-                    graph_generation: g.generation(),
-                    ..ExecStats::default()
-                };
-                let t0 = Instant::now();
-                let bgp_tables = self.eval_bgps(&prepared.bgps, &mut stats);
-                stats.bgp_time = t0.elapsed();
-                control.check()?;
-                let mut built = build_ctp_jobs(g, &prepared.ast, &bgp_tables, &self.opts)?;
-                control.arm_jobs(&mut built.jobs);
-                stats.seed_narrowings = built.narrowings;
-                let n_jobs = built.jobs.len();
-                all_jobs.extend(built.jobs);
-                Ok(Staged {
-                    prepared,
-                    stats,
-                    bgp_tables,
-                    job_cols: built.job_cols,
-                    deepenable: built.deepenable,
-                    exclusions: built.exclusions,
-                    n_jobs,
-                })
-            });
-            staged.push(one);
-        }
+        let staged: Vec<Result<Staged<Q>, EqlError>> = queries
+            .into_iter()
+            .map(|q| {
+                let (st, jobs) = self.stage(q?, &control)?;
+                all_jobs.extend(jobs);
+                Ok(st)
+            })
+            .collect();
+        let wall_clock = staged.len() == 1;
 
-        // The one cross-query dispatch, through the result cache: a
-        // batch repeating a CTP pays for its search once.
-        let t1 = Instant::now();
+        let t = Instant::now();
         let (outcomes, events) = self.dispatch_cached(&all_jobs);
-        let dispatch_time = t1.elapsed();
+        let dispatch_time = t.elapsed();
 
-        let mut outcome_iter = outcomes.into_iter();
-        let mut job_base = 0usize;
+        let mut outcomes = outcomes.into_iter();
+        let mut jobs = all_jobs.as_mut_slice();
+        let mut base = 0usize;
         staged
             .into_iter()
-            .map(|one| {
-                let mut st = match one {
-                    Ok(st) => st,
-                    Err(e) => return Err(e),
-                };
-                let jobs = &all_jobs[job_base..job_base + st.n_jobs];
-                fold_cache_events(&mut st.stats, &events[job_base..job_base + st.n_jobs]);
-                job_base += st.n_jobs;
-                let mut outs: Vec<_> = outcome_iter.by_ref().take(st.n_jobs).collect();
-                // A cancelled/past-deadline batch fails each affected
-                // query; queries whose searches already finished keep
-                // their results.
-                control.classify(&outs)?;
-
-                let truncated = ask_truncated(jobs, &outs, &st.deepenable);
-                let timed_out = outs.iter().any(|o| o.stats.timed_out);
-                enforce_exclusions(&mut outs, &st.exclusions);
-                let materialised =
-                    materialise_ctps(g, &st.prepared.ast, outs, &st.job_cols, &mut st.stats);
-                st.stats.ctp_time = dispatch_time;
-
-                if st.prepared.ast.form == QueryForm::Ask && truncated && !timed_out {
-                    let mut probe = st.bgp_tables.clone();
-                    probe.extend(materialised.0.iter().cloned());
-                    if join_all(probe).is_empty() {
-                        // The batch dispatch was this query's first
-                        // deepening round: continue from grown result
-                        // caps (re-running at the initial caps would
-                        // repeat the search the probe just rejected).
-                        let mut retry_jobs = jobs.to_vec();
-                        grow_ask_limits(&mut retry_jobs, &st.deepenable);
-                        let t2 = Instant::now();
-                        let deepened = self.run_ctp_rounds(
-                            &st.prepared.ast,
-                            &st.bgp_tables,
-                            &mut retry_jobs,
-                            &st.job_cols,
-                            &st.deepenable,
-                            &st.exclusions,
-                            &control,
-                            &mut st.stats,
-                        )?;
-                        st.stats.ctp_time += t2.elapsed();
-                        return Ok(assemble(
-                            &st.prepared.ast,
-                            st.bgp_tables,
-                            deepened,
-                            st.stats,
-                            None,
-                        ));
-                    }
-                }
+            .map(|st| {
+                let mut st = st?;
+                let n = st.job_cols.len();
+                let (mine, rest) = std::mem::take(&mut jobs).split_at_mut(n);
+                jobs = rest;
+                fold_cache_events(&mut st.stats, &events[base..base + n]);
+                base += n;
+                let outs: Vec<SearchOutcome> = outcomes.by_ref().take(n).collect();
+                let t = Instant::now();
+                let materialised = self.finish_ctps(&mut st, mine, outs, &control)?;
+                st.stats.ctp_time += dispatch_time + t.elapsed();
                 Ok(assemble(
-                    &st.prepared.ast,
+                    &st.query.borrow().ast,
                     st.bgp_tables,
                     materialised,
                     st.stats,
-                    None,
+                    wall_clock.then_some(st.start),
                 ))
             })
             .collect()
     }
 
+    /// Stages one query for the pipeline: step (A) through the plan
+    /// cache, then its CTP jobs ([`build_ctp_jobs`]), armed with the
+    /// query control. `stats.ctp_time` starts with the job-building
+    /// time.
+    fn stage<Q: Borrow<PreparedQuery>>(
+        &self,
+        query: Q,
+        control: &QueryControl,
+    ) -> Result<(Staged<Q>, Vec<CtpJob>), EqlError> {
+        let start = Instant::now();
+        let g = self.graph();
+        let q = query.borrow();
+        let mut stats = ExecStats {
+            graph_generation: g.generation(),
+            ..ExecStats::default()
+        };
+        let bgp_tables = self.eval_bgps(&q.bgps, &mut stats);
+        stats.bgp_time = start.elapsed();
+        control.check()?;
+
+        let t = Instant::now();
+        let mut built = build_ctp_jobs(g, &q.ast, &bgp_tables, &self.opts)?;
+        control.arm(&mut built.jobs);
+        stats.seed_narrowings = built.narrowings;
+        stats.ctp_time = t.elapsed();
+        let staged = Staged {
+            query,
+            stats,
+            bgp_tables,
+            job_cols: built.job_cols,
+            deepenable: built.deepenable,
+            exclusions: built.exclusions,
+            start,
+        };
+        Ok((staged, built.jobs))
+    }
+
+    /// Finishes step (B) for one staged query from the outcomes of its
+    /// jobs' first dispatch round: classifies them against the query
+    /// control, re-imposes the narrowing exclusions, and materialises
+    /// the CTP tables. For `ASK`, while the join probe stays empty and
+    /// a truncated search might still produce the joining tree, it
+    /// raises the deepenable result caps and dispatches again. Each
+    /// round replaces the previous round's per-CTP stats.
+    fn finish_ctps<Q: Borrow<PreparedQuery>>(
+        &self,
+        st: &mut Staged<Q>,
+        jobs: &mut [CtpJob],
+        mut outcomes: Vec<SearchOutcome>,
+        control: &QueryControl,
+    ) -> Result<CtpMaterialisation, EqlError> {
+        let ast = &st.query.borrow().ast;
+        loop {
+            // A cancelled or past-deadline round fails this query only;
+            // batch members whose searches finished keep their results.
+            control.classify(&outcomes)?;
+            st.stats.ctp_stats.clear();
+            // Deepening decisions read the *raw* outcomes (a cap-hit
+            // must stay visible); the exclusivity re-check of narrowed
+            // jobs runs after, and after the raw outcome was cached.
+            let truncated = ask_truncated(jobs, &outcomes, &st.deepenable);
+            let timed_out = outcomes.iter().any(|o| o.stats.timed_out);
+            enforce_exclusions(&mut outcomes, &st.exclusions);
+
+            let materialised =
+                materialise_ctps(self.graph(), ast, outcomes, &st.job_cols, &mut st.stats);
+
+            // SELECT returns everything found; ASK stops as soon as
+            // the join is witnessed, or no truncated search can change
+            // it.
+            if ast.form == QueryForm::Select || !truncated || timed_out {
+                return Ok(materialised);
+            }
+            let mut probe = st.bgp_tables.clone();
+            probe.extend(materialised.0.iter().cloned());
+            if !join_all(probe).is_empty() {
+                return Ok(materialised);
+            }
+            grow_ask_limits(jobs, &st.deepenable);
+            let (next, events) = self.dispatch_cached(jobs);
+            fold_cache_events(&mut st.stats, &events);
+            outcomes = next;
+        }
+    }
+
     /// Opens a pull-based stream over a query's connecting trees: the
     /// CTP search advances only as far as the results the caller
-    /// consumes, so `stream.take(k)` is TOP-k-style early termination
-    /// — the consumer the ROADMAP noted was missing for
-    /// [`cs_core::evaluate_ctp_streaming`]'s machinery.
+    /// consumes, so `stream.take(k)` is TOP-k-style early termination.
     ///
     /// Streaming requires a `SELECT` query with exactly one CTP, a
     /// GAM-family algorithm (BFT is batch-only), and no `SCORE`
     /// clause (ranking needs the materialised result set). Edge
-    /// patterns are allowed: step (A) runs eagerly (through the plan
-    /// cache) to derive the CTP's seed sets, and the stream yields the
-    /// CTP's trees — per-seed bindings travel on each
+    /// patterns are allowed: the query is staged as in
+    /// [`Session::execute`] — step (A) runs eagerly (through the plan
+    /// cache) to derive the CTP's seed sets, and the CTP's one search
+    /// job — seeds, policy and filters exactly as `execute` would
+    /// dispatch them — is handed to [`cs_core::stream_ctp`] instead. The stream yields the CTP's trees
+    /// in discovery order — per-seed bindings travel on each
     /// [`ResultTree::seeds`].
     pub fn execute_streaming(&self, q: &PreparedQuery) -> Result<ResultStream<'_>, EqlError> {
         let ast = &q.ast;
@@ -901,37 +808,27 @@ impl<'g> Session<'g> {
             )));
         }
 
+        // The armed control stops the pulled stream early when the
+        // flag is raised or the budget elapses (visible as
+        // `stats().cancelled` / `stats().timed_out`). A lone CTP has
+        // pairwise-distinct variables and no join partner, so nothing
+        // was narrowed and the job needs no exclusion pass.
         let control = QueryControl::begin(&self.opts);
-        let mut stats = ExecStats {
-            graph_generation: self.graph().generation(),
-            ..ExecStats::default()
-        };
-        let t0 = Instant::now();
-        let bgp_tables = self.eval_bgps(&q.bgps, &mut stats);
-        stats.bgp_time = t0.elapsed();
-        control.check()?;
-
-        let (specs, _) = seed_specs(self.graph(), ctp, 0, &bgp_tables);
-        let seeds = SeedSets::new(specs)?;
-        let policy = pick_policy(&seeds, self.opts.balance_ratio);
-        let mut filters = ctp_filters(ctp, &self.opts);
-        filters.max_results = ctp.filters.limit;
-        // Armed control: the pulled stream stops early when the flag
-        // is raised or the budget elapses (visible as
-        // `stats().cancelled` / `stats().timed_out`).
-        control.arm(&mut filters);
-
+        let (staged, mut jobs) = self.stage(q, &control)?;
+        // cs-lint: allow(L002): the query was checked above to hold
+        // exactly one CTP, and `build_ctp_jobs` builds one job per CTP.
+        let job = jobs.pop().expect("one job for the one CTP");
         Ok(ResultStream {
             stream: stream_ctp(
                 self.graph(),
-                seeds,
-                algorithm,
-                filters,
-                QueueOrder::SmallestFirst,
-                policy,
+                job.seeds,
+                job.algorithm,
+                job.filters,
+                job.order,
+                job.policy,
             ),
             out_var: ctp.out_var.clone(),
-            exec_stats: stats,
+            exec_stats: staged.stats,
         })
     }
 
@@ -954,6 +851,24 @@ impl<'g> Session<'g> {
         stats.plan_cache_misses += cache.misses() - m0;
         tables
     }
+}
+
+/// One query between the stages of [`Session::execute_staged`]: step
+/// (A) done, its CTP jobs handed to the shared dispatch round, and the
+/// per-CTP state [`Session::finish_ctps`] needs to turn the round's
+/// outcomes into tables.
+struct Staged<Q> {
+    query: Q,
+    stats: ExecStats,
+    bgp_tables: Vec<Table>,
+    /// Per CTP, the table column of each seed position.
+    job_cols: Vec<Vec<Option<String>>>,
+    /// Per CTP, whether ASK deepening may raise its result cap.
+    deepenable: Vec<bool>,
+    /// Per CTP, the seeds magic-set narrowing removed.
+    exclusions: Vec<Vec<NodeId>>,
+    /// When staging began — the start of a lone query's wall clock.
+    start: Instant,
 }
 
 /// Step (C): join the BGP and CTP tables, project the head, and wrap
@@ -1012,8 +927,9 @@ impl ResultStream<'_> {
         &self.out_var
     }
 
-    /// Step (A) statistics: BGP time, plans, and plan-cache counters
-    /// (CTP search counters accumulate in [`ResultStream::stats`]).
+    /// Staging statistics: BGP time, plans, plan-cache counters, and the
+    /// job-building time in `ctp_time` (CTP search counters accumulate
+    /// in [`ResultStream::stats`]).
     pub fn exec_stats(&self) -> &ExecStats {
         &self.exec_stats
     }

@@ -103,7 +103,7 @@ fn pre_cancelled_query_fails_without_searching() {
 }
 
 #[test]
-fn cancel_fails_ask_fast_path_and_batch() {
+fn cancel_fails_ask_and_batch() {
     let g = long_graph();
     let flag = CancelFlag::new();
     flag.cancel();
@@ -114,7 +114,7 @@ fn cancel_fails_ask_fast_path_and_batch() {
             ..ExecOptions::default()
         },
     );
-    // The single-CTP ASK streaming fast path.
+    // A pattern-free single-CTP ASK (implicit `LIMIT 1`).
     let err = s
         .ask(r#"ASK WHERE { CONNECT("n0", "n63" -> w) MAX 5 }"#)
         .expect_err("ask under a raised flag");

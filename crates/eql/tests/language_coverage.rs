@@ -3,7 +3,9 @@
 //! between per-CTP `ALGORITHM` overrides.
 
 use cs_eql::{parse, EqlError, ExecOptions, Session};
-use cs_graph::figure1;
+use cs_graph::generate::gnp;
+use cs_graph::{figure1, Graph};
+use proptest::prelude::*;
 
 #[test]
 fn all_score_functions_run() {
@@ -91,8 +93,21 @@ fn error_messages_are_actionable() {
     }
 }
 
+/// `ask` ≡ `SELECT … rows > 0` ≡ the `boolean` of the ASK member of
+/// a batch, each on a fresh session; `None` when the query fails.
+fn ask_answers(g: &Graph, opts: &ExecOptions, body: &str) -> [Option<bool>; 3] {
+    let session = || Session::with_options(g, opts.clone());
+    let ask_text = format!("ASK {body}");
+    let select_text = format!("SELECT w {body}");
+    let ask = session().ask(&ask_text).ok();
+    let select = session().run(&select_text).ok().map(|r| r.rows() > 0);
+    let batch = session().execute_batch(&[&select_text, &ask_text]);
+    let batched = batch[1].as_ref().ok().and_then(|r| r.boolean);
+    [ask, select, batched]
+}
+
 #[test]
-fn ask_and_select_consistency() {
+fn ask_and_select_consistency_on_figure1() {
     let g = figure1();
     let queries = [
         r#"WHERE { CONNECT("Bob", "Doug" -> w) MAX 3 }"#,
@@ -100,9 +115,59 @@ fn ask_and_select_consistency() {
         r#"WHERE { CONNECT("OrgB", "Falcon" -> w) MAX 2 }"#,
     ];
     for body in queries {
-        let ask = Session::new(&g).ask(&format!("ASK {body}")).unwrap();
-        let select = Session::new(&g).run(&format!("SELECT w {body}")).unwrap();
-        assert_eq!(ask, select.rows() > 0, "{body}");
+        let [ask, select, batched] = ask_answers(&g, &ExecOptions::default(), body);
+        assert!(ask.is_some(), "{body}");
+        assert_eq!(ask, select, "{body}");
+        assert_eq!(ask, batched, "{body}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On random graphs, every pattern-free single-CTP shape (two or
+    /// three constant seeds, each GAM-family algorithm, with and
+    /// without `LABEL`/`MAX`/`LIMIT`) and a BGP-bound one answer ASK
+    /// exactly as the SELECT form and the batch member do — under the
+    /// single-queue policy and, with `balance_ratio: 1`, the balanced
+    /// one.
+    #[test]
+    fn ask_and_select_consistency(
+        seed in any::<u64>(),
+        (shape, balanced) in (0usize..3, 0usize..2),
+        (a, b, c) in (0usize..7, 0usize..7, 0usize..7),
+        (label, max, limit, algo) in (0usize..5, 0usize..5, 0usize..4, 0usize..6),
+    ) {
+        let g = gnp(7, 0.25, seed);
+        let mut body = match shape {
+            0 => format!(r#"WHERE {{ CONNECT("n{a}", "n{b}" -> w)"#),
+            1 => format!(r#"WHERE {{ CONNECT("n{a}", "n{b}", "n{c}" -> w)"#),
+            _ => format!(r#"WHERE {{ (x, "r{}", y) CONNECT(x, "n{b}" -> w)"#, c % 4),
+        };
+        // Each clause is absent at the top of its range.
+        if label < 4 {
+            body += &format!(r#" LABEL "r{label}""#);
+        }
+        if max < 4 {
+            body += &format!(" MAX {}", max + 1);
+        }
+        if limit < 3 {
+            body += &format!(" LIMIT {}", limit + 1);
+        }
+        if let Some(name) = ["gam", "esp", "moesp", "lesp", "molesp"].get(algo) {
+            body += &format!(" ALGORITHM {name}");
+        }
+        body += " }";
+        let opts = ExecOptions {
+            balance_ratio: if balanced == 1 { 1 } else { 64 },
+            ..ExecOptions::default()
+        };
+        let [ask, select, batched] = ask_answers(&g, &opts, &body);
+        if shape < 2 {
+            prop_assert!(ask.is_some(), "constant seeds always execute: {}", body);
+        }
+        prop_assert_eq!(ask, select, "{}", body);
+        prop_assert_eq!(ask, batched, "{}", body);
     }
 }
 

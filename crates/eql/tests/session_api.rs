@@ -4,7 +4,7 @@
 //! proptest); `execute_streaming` must yield the same trees as
 //! materialised execution.
 
-use cs_eql::{execute, parse, EqlError, ExecOptions, QueryResult, Session};
+use cs_eql::{EqlError, ExecOptions, QueryResult, Session};
 use cs_graph::generate::gnp;
 use cs_graph::{figure1, EdgeId, Graph};
 use proptest::prelude::*;
@@ -63,9 +63,9 @@ fn star_query(vars: (&str, &str, &str), lbl: usize, limit: usize) -> String {
     )
 }
 
+/// The reference path: a cold session built for this one query.
 fn one_shot(g: &Graph, q: &str, opts: &ExecOptions) -> Result<QueryResult, EqlError> {
-    let ast = parse(q)?;
-    execute(g, &ast, opts)
+    Session::with_options(g, opts.clone()).run(q)
 }
 
 proptest! {
