@@ -21,8 +21,9 @@ use crate::result::{ResultSet, ResultTree, SearchOutcome, SearchStats};
 use crate::seedmask::SeedMask;
 use crate::seeds::SeedSets;
 use crate::tree::{Provenance, TreeData, TreeId, TreeStore};
-use cs_graph::fxhash::{FxHashMap, FxHashSet};
+use cs_graph::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
 use cs_graph::{EdgeId, Graph, LabelId, NodeId};
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -155,6 +156,25 @@ impl Queues {
     }
 }
 
+/// Ends a chain through the tree arena.
+const NIL: u32 = u32::MAX;
+
+/// One tree's links in the engine's two chains through the tree arena,
+/// indexed by [`TreeId`].
+struct Links {
+    /// The next older tree whose edge set has the same hash (Hist).
+    hist: u32,
+    /// The next newer tree recorded for merging at the same root
+    /// (TreesRootedIn).
+    rooted: u32,
+}
+
+/// The history key of an edge set. Equal hashes do not imply equal edge
+/// sets: every lookup compares the edge slices along the chain.
+fn edge_set_hash(edges: &[EdgeId]) -> u64 {
+    fx_hash_one(&edges)
+}
+
 /// The GAM-family search engine. Construct with [`GamEngine::new`],
 /// run with [`GamEngine::run`] — or pull results incrementally through
 /// [`GamEngine::into_stream`].
@@ -168,13 +188,18 @@ pub struct GamEngine<'g> {
     store: TreeStore,
     queue: Queues,
     seq: u64,
-    /// Edge set → roots for which a tree over it has been built.
-    /// Implements both GAM's rooted-tree dedup and ESP's edge-set
-    /// history (Hist of Algorithm 1).
-    hist: FxHashMap<Box<[EdgeId]>, Vec<NodeId>>,
-    /// TreesRootedIn of Algorithm 3 (result trees are excluded — they
-    /// can never merge, their `sat` overlaps everything).
-    trees_rooted_in: FxHashMap<NodeId, Vec<TreeId>>,
+    /// Hist of Algorithm 1: edge-set hash → the newest stored tree with
+    /// that hash; [`Links::hist`] chains each stored tree to the next
+    /// older one. Every stored tree is in it, so it answers both GAM's
+    /// rooted-tree dedup and ESP's edge-set history.
+    hist: FxHashMap<u64, u32>,
+    /// TreesRootedIn of Algorithm 3: root → (oldest, newest) tree
+    /// recorded for merging there; [`Links::rooted`] chains them in
+    /// insertion order. Result trees are excluded — they can never
+    /// merge, their `sat` overlaps everything.
+    trees_rooted_in: FxHashMap<NodeId, (u32, u32)>,
+    /// Per-tree chain links, aligned with `store`.
+    links: Vec<Links>,
     /// Seed signatures ss_n (§4.6), indexed by node.
     ss: Vec<SeedMask>,
     /// Aggressive-merge worklist.
@@ -255,6 +280,7 @@ impl<'g> GamEngine<'g> {
             seq: 0,
             hist: FxHashMap::default(),
             trees_rooted_in: FxHashMap::default(),
+            links: Vec::new(),
             ss,
             pending_merge: Vec::new(),
             result_ids: Vec::new(),
@@ -349,11 +375,32 @@ impl<'g> GamEngine<'g> {
         }
     }
 
-    /// Algorithm 4 `isNew`: the history check with LESP's sparing rule.
-    fn is_new(&self, t: &TreeData) -> bool {
-        let Some(roots) = self.hist.get(t.edges.as_ref()) else {
+    /// Stored trees whose edge set hashes to `h`, newest first.
+    fn hist_chain(&self, h: u64) -> impl Iterator<Item = &TreeData> + '_ {
+        let mut cur = self.hist.get(&h).copied().unwrap_or(NIL);
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let t = self.store.get(TreeId(cur));
+            cur = self.links[cur as usize].hist;
+            Some(t)
+        })
+    }
+
+    /// True if a tree over `edges` (hashing to `h`) rooted at `root` has
+    /// been built.
+    fn has_rooted(&self, h: u64, edges: &[EdgeId], root: NodeId) -> bool {
+        self.hist_chain(h)
+            .any(|t| t.root == root && *t.edges == *edges)
+    }
+
+    /// Algorithm 4 `isNew`: the history check with LESP's sparing rule;
+    /// `h` is the hash of `t`'s edge set.
+    fn is_new(&self, t: &TreeData, h: u64) -> bool {
+        if !self.hist_chain(h).any(|o| *o.edges == *t.edges) {
             return true;
-        };
+        }
         if self.cfg.esp && !t.edges.is_empty() {
             // The edge set exists. LESP spares a tree whose root is
             // well-connected to seeds, unless the identical rooted tree
@@ -361,7 +408,7 @@ impl<'g> GamEngine<'g> {
             if self.cfg.lesp {
                 let ssr = self.ss[t.root.index()];
                 if ssr.count() >= 3 && self.g.degree(t.root) >= 3 {
-                    return !roots.contains(&t.root);
+                    return !self.has_rooted(h, &t.edges, t.root);
                 }
             }
             false
@@ -369,7 +416,46 @@ impl<'g> GamEngine<'g> {
             // GAM keeps only the first provenance per *rooted* tree;
             // Init trees (empty edge set) dedup by root under every
             // configuration.
-            !roots.contains(&t.root)
+            !self.has_rooted(h, &t.edges, t.root)
+        }
+    }
+
+    /// Stores `t` and registers it in Hist under `h`, its edge-set hash.
+    fn store_tree(&mut self, t: TreeData, h: u64) -> TreeId {
+        let id = self.store.push(t);
+        let older = self.hist.insert(h, id.0).unwrap_or(NIL);
+        self.links.push(Links {
+            hist: older,
+            rooted: NIL,
+        });
+        id
+    }
+
+    /// recordForMerging (Algorithm 3 line 1): appends `id` to
+    /// TreesRootedIn at `root` and schedules its merges.
+    fn record_for_merging(&mut self, id: TreeId, root: NodeId) {
+        match self.trees_rooted_in.entry(root) {
+            Entry::Occupied(mut o) => {
+                let (_, newest) = o.get_mut();
+                self.links[*newest as usize].rooted = id.0;
+                *newest = id.0;
+            }
+            Entry::Vacant(v) => {
+                v.insert((id.0, id.0));
+            }
+        }
+        self.pending_merge.push(id);
+    }
+
+    /// Counts one more kept provenance; reaching the provenance budget
+    /// stops the search.
+    fn count_provenance(&mut self) {
+        self.stats.provenances += 1;
+        if let Some(maxp) = self.filters.max_provenances {
+            if self.stats.provenances >= maxp {
+                self.stats.budget_exhausted = true;
+                self.stop = true;
+            }
         }
     }
 
@@ -379,18 +465,12 @@ impl<'g> GamEngine<'g> {
         if self.stop {
             return None;
         }
-        if !self.is_new(&t) {
+        let h = edge_set_hash(&t.edges);
+        if !self.is_new(&t, h) {
             self.stats.pruned += 1;
             return None;
         }
-        self.hist.entry(t.edges.clone()).or_default().push(t.root);
-        self.stats.provenances += 1;
-        if let Some(maxp) = self.filters.max_provenances {
-            if self.stats.provenances >= maxp {
-                self.stats.budget_exhausted = true;
-                self.stop = true;
-            }
-        }
+        self.count_provenance();
 
         let sat_total = t.sat.union(self.seeds.get().presatisfied());
         let is_result = sat_total == self.seeds.get().full();
@@ -401,7 +481,7 @@ impl<'g> GamEngine<'g> {
             Provenance::Merge(_, _) => true,
             Provenance::Init(_) | Provenance::Mo(_, _) => false,
         };
-        let id = self.store.push(t);
+        let id = self.store_tree(t, h);
 
         if is_result {
             let td = self.store.get(id);
@@ -429,15 +509,13 @@ impl<'g> GamEngine<'g> {
             }
         }
 
-        // recordForMerging (Algorithm 3 line 1).
-        self.trees_rooted_in.entry(root).or_default().push(id);
-        self.pending_merge.push(id);
+        self.record_for_merging(id, root);
 
         // MoESP injection (Algorithm 3 lines 2–5, restricted per §4.5
         // to provenances that gained seeds; disabled under UNI, where
         // re-rooting at a seed breaks direction consistency).
         if self.cfg.mo && seeds_increased && !self.filters.uni {
-            self.inject_mo(id);
+            self.inject_mo(id, h);
         }
 
         // Queue Grow opportunities (Algorithm 2 lines 8–14); Grow is
@@ -448,41 +526,44 @@ impl<'g> GamEngine<'g> {
         Some(id)
     }
 
-    /// Creates the MoESP copies of tree `id`, re-rooted at each of its
-    /// seed nodes (other than its root), and schedules them for merging.
-    fn inject_mo(&mut self, id: TreeId) {
-        let td = self.store.get(id);
-        let mo_roots: Vec<NodeId> = td
-            .nodes
-            .iter()
-            .copied()
-            .filter(|&n| n != td.root && self.seeds.get().is_seed(n))
-            .collect();
-        for r in mo_roots {
+    /// Creates the MoESP copies of tree `id` (edge-set hash `h`),
+    /// re-rooted at each of its seed nodes (other than its root), and
+    /// schedules them for merging. Each copy is a provenance: the search
+    /// stops at the provenance budget like [`GamEngine::process_tree`].
+    fn inject_mo(&mut self, id: TreeId, h: u64) {
+        for i in 0..self.store.get(id).nodes.len() {
+            if self.stop {
+                return;
+            }
+            let td = self.store.get(id);
+            let r = td.nodes[i];
+            if r == td.root || !self.seeds.get().is_seed(r) {
+                continue;
+            }
             // Skip if the identical rooted tree already exists; Mo
             // bypasses edge-set pruning by design, but exact duplicates
             // are useless.
-            if self
-                .hist
-                .get(self.store.get(id).edges.as_ref())
-                .is_some_and(|roots| roots.contains(&r))
-            {
+            if self.has_rooted(h, &td.edges, r) {
                 continue;
             }
-            let mo = self.store.make_mo(id, self.store.get(id), r);
+            let mo = self.store.make_mo(id, td, r);
             self.stats.mo_copies += 1;
-            self.hist.entry(mo.edges.clone()).or_default().push(r);
-            self.stats.provenances += 1;
-            let mo_id = self.store.push(mo);
-            self.trees_rooted_in.entry(r).or_default().push(mo_id);
-            self.pending_merge.push(mo_id);
+            let mo_id = self.store_tree(mo, h);
+            self.count_provenance();
+            self.record_for_merging(mo_id, r);
         }
     }
 
     /// Pushes every admissible (tree, edge) Grow pair for tree `id`.
     fn queue_grows(&mut self, id: TreeId) {
         let td = self.store.get(id);
-        let mut pushes: Vec<(SeedMask, QEntry)> = Vec::new();
+        // MAX n (§4.8): a Grow adds one edge whichever edge it takes, so
+        // a tree at the bound has no admissible pair.
+        if let Some(maxe) = self.filters.max_edges {
+            if td.size() + 1 > maxe {
+                return;
+            }
+        }
         for a in self.g.adjacent(td.root) {
             // UNI (§4.8): to keep "root reaches all seeds via directed
             // paths" invariant, grow only along edges *entering* the
@@ -503,28 +584,18 @@ impl<'g> GamEngine<'g> {
             if !self.seeds.get().membership(a.other()).disjoint(td.sat) {
                 continue;
             }
-            // MAX n (§4.8).
-            if let Some(maxe) = self.filters.max_edges {
-                if td.size() + 1 > maxe {
-                    continue;
-                }
-            }
             let key = self.order.priority(self.g, td, a.edge());
-            pushes.push((
+            self.queue.push(
                 td.sat,
                 QEntry {
                     key,
-                    seq: 0, // assigned below
+                    seq: self.seq,
                     tree: id,
                     edge: a.edge(),
                 },
-            ));
-        }
-        for (mask, mut e) in pushes {
-            e.seq = self.seq;
+            );
             self.seq += 1;
             self.stats.queue_pushes += 1;
-            self.queue.push(mask, e);
         }
     }
 
@@ -538,22 +609,38 @@ impl<'g> GamEngine<'g> {
             }
             self.check_time();
             let root = self.store.get(cur).root;
-            let partners: Vec<TreeId> =
-                self.trees_rooted_in.get(&root).cloned().unwrap_or_default();
-            for p in partners {
-                if p == cur || self.stop {
-                    continue;
+            let Some(&(oldest, newest)) = self.trees_rooted_in.get(&root) else {
+                continue;
+            };
+            // Partners are the trees recorded at `root` when this pass
+            // begins, oldest first. Merges built during the pass share
+            // the root and are appended after `newest`; each gets its
+            // own pass from the worklist.
+            let mut p = oldest;
+            loop {
+                if self.stop {
+                    break;
                 }
-                let (a, b) = (self.store.get(cur), self.store.get(p));
-                if let Some(maxe) = self.filters.max_edges {
-                    if a.size() + b.size() > maxe {
-                        continue;
+                if p != cur.0 {
+                    let (a, b) = (self.store.get(cur), self.store.get(TreeId(p)));
+                    let within_max = self
+                        .filters
+                        .max_edges
+                        .is_none_or(|maxe| a.size() + b.size() <= maxe);
+                    if within_max {
+                        if let Some(m) =
+                            self.store
+                                .make_merge(cur, a, TreeId(p), b, self.seeds.get())
+                        {
+                            self.stats.merges += 1;
+                            self.process_tree(m);
+                        }
                     }
                 }
-                if let Some(m) = self.store.make_merge(cur, a, p, b, self.seeds.get()) {
-                    self.stats.merges += 1;
-                    self.process_tree(m);
+                if p == newest {
+                    break;
                 }
+                p = self.links[p as usize].rooted;
             }
         }
     }
@@ -816,6 +903,117 @@ mod tests {
         );
         assert!(out.stats.budget_exhausted);
         assert!(out.stats.provenances <= 50);
+    }
+
+    #[test]
+    fn mo_injection_respects_provenance_budget() {
+        // Mo copies are provenances: the budget caps them too, so no
+        // search ends above its budget.
+        for n in [4, 6, 10] {
+            let w = star(n, 2);
+            let seeds = SeedSets::from_sets(w.seeds.clone()).unwrap();
+            for cfg in [GamConfig::MOESP, GamConfig::MOLESP] {
+                for budget in 1..200 {
+                    let out = run_gam_family(
+                        &w.graph,
+                        &seeds,
+                        cfg,
+                        Filters::none().with_max_provenances(budget),
+                        QueueOrder::SmallestFirst,
+                    );
+                    assert!(
+                        out.stats.provenances <= budget,
+                        "star({n},2) {cfg:?} budget {budget}: {} provenances",
+                        out.stats.provenances
+                    );
+                }
+            }
+        }
+    }
+
+    /// A tree over `edges` rooted at `root`, with `sat` = the sets of
+    /// its seed nodes.
+    fn tree(g: &Graph, seeds: &SeedSets, root: NodeId, edges: &[EdgeId]) -> TreeData {
+        let mut nodes: Vec<NodeId> = edges
+            .iter()
+            .flat_map(|&e| [g.edge(e).src, g.edge(e).dst])
+            .collect();
+        nodes.sort();
+        nodes.dedup();
+        let sat = nodes
+            .iter()
+            .fold(SeedMask::EMPTY, |s, &n| s.union(seeds.membership(n)));
+        TreeData {
+            root,
+            edges: edges.into(),
+            nodes: nodes.into(),
+            sat,
+            is_mo: false,
+            path_from: SeedMask::EMPTY,
+            provenance: Provenance::Init(root),
+        }
+    }
+
+    #[test]
+    fn history_chain_tells_colliding_edge_sets_apart() {
+        // Hub h with seeds a, b, c and a fourth neighbour (degree 4).
+        let mut gb = GraphBuilder::new();
+        let h = gb.add_node("h");
+        let a = gb.add_node("a");
+        let b = gb.add_node("b");
+        let c = gb.add_node("c");
+        let d = gb.add_node("d");
+        let ea = gb.add_edge(h, "r", a);
+        let eb = gb.add_edge(h, "r", b);
+        let ec = gb.add_edge(h, "r", c);
+        gb.add_edge(h, "r", d);
+        let g = gb.freeze();
+        let seeds = SeedSets::from_sets(vec![vec![a], vec![b], vec![c]]).unwrap();
+        // Every tree below is registered under this one hash.
+        const H: u64 = 7;
+        let ab = [ea, eb];
+        let ac = [ea, ec];
+        let bc = [eb, ec];
+        let engine = |cfg| {
+            let mut e = GamEngine::new(
+                &g,
+                &seeds,
+                cfg,
+                Filters::none(),
+                QueueOrder::SmallestFirst,
+                QueuePolicy::Single,
+            );
+            // h reaches all three seed sets: LESP's sparing applies there.
+            e.ss[h.index()] = SeedMask::full(3);
+            e.store_tree(tree(&g, &seeds, a, &ab), H);
+            e.store_tree(tree(&g, &seeds, h, &ac), H);
+            e
+        };
+
+        // ESP: {ea, eb} exists (rooted at a); {eb, ec} is new despite
+        // sharing the hash.
+        let esp = engine(GamConfig::ESP);
+        assert!(!esp.is_new(&tree(&g, &seeds, h, &ab), H));
+        assert!(esp.is_new(&tree(&g, &seeds, h, &bc), H));
+
+        // LESP spares {ea, eb} rooted at h: the tree at root h under the
+        // same hash is {ea, ec}, not the identical rooted tree.
+        let lesp = engine(GamConfig::LESP);
+        assert!(lesp.is_new(&tree(&g, &seeds, h, &ab), H));
+        assert!(!lesp.is_new(&tree(&g, &seeds, h, &ac), H));
+        assert!(!lesp.is_new(&tree(&g, &seeds, a, &ab), H));
+
+        // Mo duplicate check: ({ea, ec}, h) re-rooted at seeds a and c.
+        // ({ea, eb}, a) shares root and hash but not edges, so both
+        // copies are built; a second injection finds both and adds none.
+        let mut mo = engine(GamConfig::MOLESP);
+        assert!(mo.has_rooted(H, &ab, a));
+        assert!(!mo.has_rooted(H, &ac, a));
+        mo.inject_mo(TreeId(1), H);
+        assert_eq!(mo.stats.mo_copies, 2);
+        assert!(mo.has_rooted(H, &ac, a) && mo.has_rooted(H, &ac, c));
+        mo.inject_mo(TreeId(1), H);
+        assert_eq!(mo.stats.mo_copies, 2);
     }
 
     #[test]
