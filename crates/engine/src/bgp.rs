@@ -5,10 +5,10 @@
 //! with one column per variable — step (A) of the paper's strategy (§3).
 
 use crate::binding::Binding;
-use crate::plan::{plan_bgp, AccessPath, BgpPlan};
+use crate::plan::{labelled_run, pinned_nodes, plan_bgp, AccessPath, BgpPlan, CheapestRuns};
 use crate::table::Table;
 use cs_graph::fxhash::FxHashSet;
-use cs_graph::{Graph, Predicate};
+use cs_graph::{Graph, NodeId, Predicate};
 use std::sync::Arc;
 
 /// One position of an edge pattern: a variable plus the predicate that
@@ -157,11 +157,12 @@ struct BoundSets {
 }
 
 impl BoundSets {
-    /// Collects the pushdown sets for `p` from the accumulated table.
+    /// Collects the pushdown sets for `p` from the accumulated table,
+    /// each straight from its column in one pass.
     fn from_table(acc: &Table, p: &TriplePattern) -> BoundSets {
         let get = |v: &Arc<str>| -> Option<FxHashSet<Binding>> {
-            acc.col(v)
-                .map(|_| acc.distinct_column(v).into_iter().collect())
+            let c = acc.col(v)?;
+            Some(acc.rows().map(|r| r[c]).collect())
         };
         BoundSets {
             src: get(&p.src.var),
@@ -175,10 +176,11 @@ impl BoundSets {
 /// path, with bound-variable pushdown.
 ///
 /// The access path fixes the *static* candidate source (edge-label
-/// index, node-index scan, full scan); when the accumulated table
-/// already binds one of the pattern's variables, the evaluator may
-/// instead expand from the bound bindings when that set is smaller —
-/// the semi-join-style pushdown that makes cost-ordered plans prune.
+/// index, pinned nodes' labelled runs, node-index scan, full scan);
+/// when the accumulated table already binds one of the pattern's
+/// variables, the evaluator may instead expand from the bound bindings
+/// when that set is smaller — the semi-join-style pushdown that makes
+/// cost-ordered plans prune.
 /// Either way, bound sets are applied as membership filters, so the
 /// produced table contains exactly the rows that can survive the join
 /// with the accumulated table.
@@ -273,14 +275,17 @@ fn emit_row(
 /// and row construction). Separated from the emission so the
 /// no-pushdown path monomorphises without bound checks.
 ///
-/// All candidate sources are costed in the same unit — incident edges
-/// iterated (degree sums for node expansions, index length for the
-/// label index) — the same measure the planner's estimates use, so
-/// without pushdown the executed source always matches the planned
-/// access path (ties resolved src-first, like [`crate::choose_access`]).
-/// With pushdown, a strictly cheaper bound endpoint set overrides the
-/// static path; the plan documents this possibility in
-/// [`crate::PatternPlan::pushdown`].
+/// The access path fixes the static source: the label index, the
+/// planned pinned side's runs, or a full scan. Bound endpoint sets and
+/// the planned pinned side go through one [`CheapestRuns`] chooser,
+/// bound source first, then bound target, then the pinned side; each
+/// is costed in incident entries walked — exact labelled-run lengths
+/// when the label is pinned, degree sums otherwise — and must be
+/// strictly cheaper than the label index to replace it. The chosen runs
+/// are walked exactly as they were costed. Without pushdown the
+/// executed source is therefore the planned access path; with it, a
+/// cheaper bound endpoint set overrides the static path, which the plan
+/// documents in [`crate::PatternPlan::pushdown`].
 fn scan_candidates(
     g: &Graph,
     p: &TriplePattern,
@@ -298,97 +303,73 @@ fn scan_candidates(
         return;
     }
 
-    let bound_nodes = |s: &FxHashSet<Binding>| -> Vec<cs_graph::NodeId> {
-        s.iter().filter_map(|b| b.as_node()).collect()
-    };
-    let degree_sum =
-        |nodes: &[cs_graph::NodeId]| -> usize { nodes.iter().map(|&n| g.degree(n)).sum() };
-    let mut expand = |nodes: Vec<cs_graph::NodeId>, outgoing: bool| {
-        for n in nodes {
-            if outgoing {
-                for a in g.outgoing(n) {
-                    emit(a.edge());
-                }
-            } else {
-                for a in g.incoming(n) {
-                    emit(a.edge());
-                }
+    // Offers the bound endpoint sets, then the planned pinned side.
+    fn offer_endpoints<'g, T, R: Fn(NodeId, bool) -> &'g [T]>(
+        g: &'g Graph,
+        p: &TriplePattern,
+        bound: &BoundSets,
+        pinned_src: Option<bool>,
+        pick: &mut CheapestRuns<'g, T, R>,
+    ) {
+        for (set, outgoing) in [(&bound.src, true), (&bound.dst, false)] {
+            if let Some(s) = set {
+                pick.offer(s.len(), s.iter().filter_map(|b| b.as_node()), outgoing);
             }
         }
-    };
-
-    // Node expansions available through pushdown: (cost, nodes,
-    // outgoing?), src before dst so ties resolve like the planner.
-    let mut sources: Vec<(usize, Vec<cs_graph::NodeId>, bool)> = Vec::new();
-    if let Some(s) = &bound.src {
-        let v = bound_nodes(s);
-        sources.push((degree_sum(&v), v, true));
-    }
-    if let Some(s) = &bound.dst {
-        let v = bound_nodes(s);
-        sources.push((degree_sum(&v), v, false));
-    }
-
-    if let AccessPath::EdgeLabelIndex { label } = access {
-        // The label index lists exactly the matching edges; expand from
-        // a bound endpoint instead only when strictly cheaper (e.g. a
-        // handful of bound nodes against a huge label index).
-        let Some(l) = g.label_id(label) else {
-            return; // absent label => empty table
-        };
-        let index: &[cs_graph::EdgeId] = g.edges_with_label(l);
-        match sources.into_iter().min_by_key(|(c, _, _)| *c) {
-            Some((c, nodes, outgoing)) if c < index.len() => {
-                // The label is pinned, so walk each bound node's
-                // labelled run — a binary search into the per-label
-                // endpoint-sorted CSR column — instead of its whole
-                // adjacency. Candidate order (ascending edge id per
-                // node) matches the unfiltered expansion's survivors.
-                for n in nodes {
-                    let run = if outgoing {
-                        g.out_edges_labelled(n, l)
-                    } else {
-                        g.in_edges_labelled(n, l)
-                    };
-                    for &e in run {
-                        emit(e);
-                    }
-                }
+        if let Some(on_src) = pinned_src {
+            let term = if on_src { &p.src } else { &p.dst };
+            if let Some((_, nodes)) = pinned_nodes(g, &term.pred) {
+                pick.offer(nodes.len(), nodes.iter().copied(), on_src);
             }
-            _ => {
-                for &e in index {
+        }
+    }
+
+    let pinned_src = match access {
+        AccessPath::LabelledRun { on_src, .. } | AccessPath::NodeIndexScan { on_src, .. } => {
+            Some(*on_src)
+        }
+        AccessPath::EdgeLabelIndex { .. } | AccessPath::FullScan => None,
+    };
+    match access {
+        AccessPath::EdgeLabelIndex { label } | AccessPath::LabelledRun { label, .. } => {
+            let Some(l) = g.label_id(label) else {
+                return; // absent label => empty table
+            };
+            let index: &[cs_graph::EdgeId] = g.edges_with_label(l);
+            let mut pick = CheapestRuns::new(index.len(), |n, out| labelled_run(g, n, l, out));
+            offer_endpoints(g, p, bound, pinned_src, &mut pick);
+            // Labelled runs list exactly the label's edges at each node,
+            // in ascending edge-id order.
+            let runs = pick
+                .into_best()
+                .map_or_else(|| vec![index], |(runs, _)| runs);
+            for run in runs {
+                for &e in run {
                     emit(e);
                 }
             }
         }
-        return;
-    }
-
-    // NodeIndexScan / FullScan: add the pinned endpoint indexes, then
-    // run the cheapest source, falling back to a full edge scan.
-    if let Some(sn) = pinned_nodes(g, &p.src.pred) {
-        sources.push((degree_sum(&sn), sn, true));
-    }
-    if let Some(dn) = pinned_nodes(g, &p.dst.pred) {
-        sources.push((degree_sum(&dn), dn, false));
-    }
-    match sources.into_iter().min_by_key(|(c, _, _)| *c) {
-        Some((_, nodes, outgoing)) => expand(nodes, outgoing),
-        None => {
-            for e in g.edge_ids() {
-                emit(e);
+        AccessPath::NodeIndexScan { .. } | AccessPath::FullScan => {
+            // Without a label, a node set walks whole adjacency runs,
+            // keeping the entries of its direction; any node set beats
+            // the full scan.
+            let mut pick = CheapestRuns::new(usize::MAX, |n, _| g.adjacent(n));
+            offer_endpoints(g, p, bound, pinned_src, &mut pick);
+            match pick.into_best() {
+                Some((runs, outgoing)) => {
+                    for run in runs {
+                        for a in run.iter().filter(|a| a.outgoing() == outgoing) {
+                            emit(a.edge());
+                        }
+                    }
+                }
+                None => {
+                    for e in g.edge_ids() {
+                        emit(e);
+                    }
+                }
             }
         }
-    }
-}
-
-/// Returns the node candidates if `pred` pins a label or type, else
-/// `None` (meaning: all nodes).
-fn pinned_nodes(g: &Graph, pred: &Predicate) -> Option<Vec<cs_graph::NodeId>> {
-    if pred.eq_label().is_some() || pred.eq_type().is_some() {
-        Some(cs_graph::matching_nodes(g, pred))
-    } else {
-        None
     }
 }
 

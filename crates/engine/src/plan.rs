@@ -11,19 +11,39 @@
 //! (a semi-join filter on the variables the accumulated table already
 //! binds).
 //!
+//! Plans see the query's constants, as an RDBMS optimiser does: a
+//! pattern such as `(x, "citizenOf", "place3")` that pins an edge label
+//! and an endpoint's node label or type is costed by the exact labelled
+//! CSR runs of the pinned nodes, not by the whole label index, and
+//! walks those runs when they are shorter ([`AccessPath::LabelledRun`]).
+//!
 //! Every estimate is an **upper bound** on the actual pattern table
 //! size: residual predicates and pushdown only remove rows.
 
 use crate::bgp::{Bgp, TriplePattern};
-use cs_graph::{Graph, Predicate};
+use cs_graph::{Graph, LabelId, NodeId, Predicate};
 use std::fmt;
 use std::sync::Arc;
 
 /// How the candidate edges of one triple pattern are generated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AccessPath {
-    /// The edge term pins a label: scan the edge-label index.
+    /// The edge term pins a label: scan the edge-label index. Chosen
+    /// unless a pinned endpoint's labelled runs are shorter in total.
     EdgeLabelIndex {
+        /// The pinned edge label.
+        label: String,
+    },
+    /// The edge term pins a label and an endpoint term pins a node
+    /// label or type: walk each pinned node's labelled CSR run
+    /// (`out_edges_labelled` for the source, `in_edges_labelled` for
+    /// the target) instead of the whole label index.
+    LabelledRun {
+        /// True if the pinned endpoint is the source, false for the
+        /// target.
+        on_src: bool,
+        /// The pinned node label or type.
+        key: String,
         /// The pinned edge label.
         label: String,
     },
@@ -44,6 +64,10 @@ impl fmt::Display for AccessPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AccessPath::EdgeLabelIndex { label } => write!(f, "EdgeLabelIndex(\"{label}\")"),
+            AccessPath::LabelledRun { on_src, key, label } => {
+                let side = if *on_src { "src" } else { "dst" };
+                write!(f, "LabelledRun({side}, \"{key}\", \"{label}\")")
+            }
             AccessPath::NodeIndexScan { on_src, key } => {
                 let side = if *on_src { "src" } else { "dst" };
                 write!(f, "NodeIndexScan({side}, \"{key}\")")
@@ -62,7 +86,9 @@ pub struct PatternPlan {
     pub pattern: usize,
     /// The chosen access path.
     pub access: AccessPath,
-    /// Upper bound on the pattern table size under `access`.
+    /// Upper bound on the pattern table size under `access`: the
+    /// candidate edges the access path yields, exact for the label
+    /// index (its length) and for labelled runs (their summed lengths).
     pub estimate: usize,
     /// Estimated rows of the accumulated join *after* this step, under
     /// the classic independence assumption: `|prefix| × estimate /
@@ -123,47 +149,164 @@ impl fmt::Display for BgpPlan {
     }
 }
 
-/// Returns the label/type key a node predicate pins, if any; the flag
-/// is true for a label key (label conditions take precedence over type
-/// conditions, mirroring `matching_nodes`).
-fn node_key(pred: &Predicate) -> Option<(bool, &str)> {
-    pred.eq_label()
-        .map(|l| (true, l))
-        .or_else(|| pred.eq_type().map(|t| (false, t)))
+/// The key an endpoint predicate pins through the node-label or
+/// node-type index (label conditions take precedence over type
+/// conditions, mirroring `matching_nodes`) and the nodes under that
+/// key (empty if the key is absent from the graph), or `None` when it
+/// pins neither. The nodes are a superset of the matching ones:
+/// residual conditions are checked per emitted row.
+pub(crate) fn pinned_nodes<'g, 'p>(
+    g: &'g Graph,
+    pred: &'p Predicate,
+) -> Option<(&'p str, &'g [NodeId])> {
+    if let Some(key) = pred.eq_label() {
+        let nodes = g.label_id(key).map_or(&[][..], |l| g.nodes_with_label(l));
+        return Some((key, nodes));
+    }
+    let key = pred.eq_type()?;
+    let nodes = g.label_id(key).map_or(&[][..], |l| g.nodes_with_type(l));
+    Some((key, nodes))
+}
+
+/// Edges with label `l` leaving (`outgoing`) or entering `n`: one
+/// binary search into the per-label endpoint-sorted CSR column.
+pub(crate) fn labelled_run(
+    g: &Graph,
+    n: NodeId,
+    l: LabelId,
+    outgoing: bool,
+) -> &[cs_graph::EdgeId] {
+    if outgoing {
+        g.out_edges_labelled(n, l)
+    } else {
+        g.in_edges_labelled(n, l)
+    }
+}
+
+/// The cheapest endpoint source of one pattern. Node sets are offered
+/// in turn; each is costed by the exact total length of its nodes' runs
+/// — the entries walking it visits — and kept only when strictly
+/// cheaper than the best so far, which starts at the static source's
+/// cost (the label index length, say). Costing stays bounded: a set is
+/// costed only when it holds fewer nodes than the best cost so far
+/// (walking it pays one run lookup per node), and its costing stops as
+/// soon as its running total reaches that cost. The winner keeps the
+/// runs it was costed by, so the walk never looks them up again.
+pub(crate) struct CheapestRuns<'g, T, R> {
+    run: R,
+    /// The best cost so far.
+    cost: usize,
+    /// The winning runs (empty runs dropped) and whether they are
+    /// outgoing; `None` while no offer has beaten the initial cost.
+    best: Option<(Vec<&'g [T]>, bool)>,
+}
+
+impl<'g, T, R: Fn(NodeId, bool) -> &'g [T]> CheapestRuns<'g, T, R> {
+    /// A chooser whose offers must beat `cost`; `run(n, outgoing)` is
+    /// node `n`'s run in one direction.
+    pub fn new(cost: usize, run: R) -> Self {
+        CheapestRuns {
+            run,
+            cost,
+            best: None,
+        }
+    }
+
+    /// Offers the `count` nodes of `nodes`, expanded in direction
+    /// `outgoing`; returns true if they became the best source.
+    pub fn offer(
+        &mut self,
+        count: usize,
+        nodes: impl IntoIterator<Item = NodeId>,
+        outgoing: bool,
+    ) -> bool {
+        if count >= self.cost {
+            return false;
+        }
+        let mut runs = Vec::new();
+        let mut total = 0;
+        for n in nodes {
+            let r = (self.run)(n, outgoing);
+            total += r.len();
+            if total >= self.cost {
+                return false;
+            }
+            if !r.is_empty() {
+                runs.push(r);
+            }
+        }
+        self.cost = total;
+        self.best = Some((runs, outgoing));
+        true
+    }
+
+    /// The best cost so far: the initial cost until an offer wins.
+    pub fn cost(&self) -> usize {
+        self.cost
+    }
+
+    /// The winning runs and their direction, if any offer won.
+    pub fn into_best(self) -> Option<(Vec<&'g [T]>, bool)> {
+        self.best
+    }
 }
 
 /// Upper-bound estimate of a node-index scan on one endpoint: the sum
 /// of the candidate nodes' (combined) degrees — every emitted edge is
 /// incident to a candidate, and incident-edge counts per direction are
 /// bounded by the combined degree.
-fn node_scan_estimate(g: &Graph, is_label: bool, key: &str) -> usize {
-    let Some(l) = g.label_id(key) else { return 0 };
-    let nodes = if is_label {
-        g.nodes_with_label(l)
-    } else {
-        g.nodes_with_type(l)
-    };
+fn node_scan_estimate(g: &Graph, nodes: &[NodeId]) -> usize {
     nodes.iter().map(|&n| g.degree(n)).sum()
 }
 
 /// Chooses the access path and cardinality estimate of one pattern,
 /// consulting the graph's [`cs_graph::Cardinalities`] snapshot.
+///
+/// A pinned edge label selects the label index, whose estimate is its
+/// exact length — unless an endpoint also pins a node label or type
+/// whose nodes' labelled runs are shorter in total: then the pattern
+/// walks those runs ([`AccessPath::LabelledRun`]) and the estimate is
+/// their exact summed length. Pinned sides are weighed source side
+/// first (ties go to it), and a side is costed only while its node set
+/// is smaller than the cheapest cost so far, so a pinned node set at
+/// least as large as the label index never pays one run lookup per
+/// node.
+///
+/// Without an edge label, the cheaper pinned endpoint by degree sum
+/// gives a node-index scan; with no pin at all the pattern scans every
+/// edge.
 pub fn choose_access(g: &Graph, p: &TriplePattern) -> (AccessPath, usize) {
     let card = g.cardinalities();
-    // An edge-label equality always wins: the index yields exactly the
-    // matching edges, and the estimate is the exact index size.
     if let Some(label) = p.edge.pred.eq_label() {
-        let est = g.label_id(label).map_or(0, |l| card.edge_label_count(l));
-        return (
-            AccessPath::EdgeLabelIndex {
+        let Some(l) = g.label_id(label) else {
+            let access = AccessPath::EdgeLabelIndex {
                 label: label.to_string(),
-            },
-            est,
-        );
+            };
+            return (access, 0);
+        };
+        let index_len = card.edge_label_count(l);
+        let mut pick = CheapestRuns::new(index_len, |n, out| labelled_run(g, n, l, out));
+        let mut side = None;
+        for (on_src, term) in [(true, &p.src), (false, &p.dst)] {
+            if let Some((key, nodes)) = pinned_nodes(g, &term.pred) {
+                if pick.offer(nodes.len(), nodes.iter().copied(), on_src) {
+                    side = Some((on_src, key));
+                }
+            }
+        }
+        let label = label.to_string();
+        return match side {
+            Some((on_src, key)) => {
+                let key = key.to_string();
+                (AccessPath::LabelledRun { on_src, key, label }, pick.cost())
+            }
+            None => (AccessPath::EdgeLabelIndex { label }, index_len),
+        };
     }
     // Endpoint indexes: pick the cheaper pinned side.
-    let src = node_key(&p.src.pred).map(|(il, k)| (k, node_scan_estimate(g, il, k)));
-    let dst = node_key(&p.dst.pred).map(|(il, k)| (k, node_scan_estimate(g, il, k)));
+    let scan = |(key, nodes): (_, &[NodeId])| (key, node_scan_estimate(g, nodes));
+    let src = pinned_nodes(g, &p.src.pred).map(scan);
+    let dst = pinned_nodes(g, &p.dst.pred).map(scan);
     let side = match (src, dst) {
         (Some((sk, se)), Some((_, de))) if se <= de => Some((true, sk, se)),
         (Some(_) | None, Some((dk, de))) => Some((false, dk, de)),
@@ -187,8 +330,10 @@ pub fn choose_access(g: &Graph, p: &TriplePattern) -> (AccessPath, usize) {
 /// selectivity formula. Label-indexed patterns use the collected
 /// [`cs_graph::LabelCard::distinct_src`]/[`cs_graph::LabelCard::distinct_dst`]
 /// statistics; otherwise the count is bounded by the table size and,
-/// for node-valued columns, the node count. A variable occupying
-/// several positions of the pattern takes the tightest bound.
+/// for node-valued columns, the node count; every column is also
+/// bounded by the table size, and a labelled-run pattern's pinned
+/// column by the number of pinned nodes. A variable occupying several
+/// positions of the pattern takes the tightest bound.
 fn distinct_values(
     g: &Graph,
     p: &TriplePattern,
@@ -198,18 +343,37 @@ fn distinct_values(
 ) -> usize {
     let card = g.cardinalities();
     let label_card = match access {
-        AccessPath::EdgeLabelIndex { label } => {
+        AccessPath::EdgeLabelIndex { label } | AccessPath::LabelledRun { label, .. } => {
             g.label_id(label).and_then(|l| card.edge_labels.get(&l))
         }
         _ => None,
     };
+    // A node column holds at most one value per row.
+    let column = |on_src: bool| {
+        let d = label_card
+            .map_or(card.nodes, |c| {
+                if on_src {
+                    c.distinct_src
+                } else {
+                    c.distinct_dst
+                }
+            })
+            .min(est);
+        match access {
+            AccessPath::LabelledRun { on_src: pinned, .. } if *pinned == on_src => {
+                let term = if on_src { &p.src } else { &p.dst };
+                pinned_nodes(g, &term.pred).map_or(d, |(_, nodes)| d.min(nodes.len()))
+            }
+            _ => d,
+        }
+    };
     let mut best: Option<usize> = None;
     let mut tighten = |d: usize| best = Some(best.map_or(d, |b: usize| b.min(d)));
     if p.src.var.as_ref() == var {
-        tighten(label_card.map_or(est.min(card.nodes), |c| c.distinct_src));
+        tighten(column(true));
     }
     if p.dst.var.as_ref() == var {
-        tighten(label_card.map_or(est.min(card.nodes), |c| c.distinct_dst));
+        tighten(column(false));
     }
     if p.edge.var.as_ref() == var {
         tighten(est); // every row carries a distinct edge
@@ -317,7 +481,7 @@ mod tests {
     use cs_graph::{figure1, Predicate};
 
     #[test]
-    fn fig1_query_prefers_edge_label_index() {
+    fn fig1_query_prefers_labelled_run() {
         let g = figure1();
         let mut b = Bgp::new();
         b.push(
@@ -328,10 +492,14 @@ mod tests {
         let plan = plan_bgp(&g, &b);
         assert_eq!(plan.steps.len(), 1);
         assert!(
-            matches!(&plan.steps[0].access, AccessPath::EdgeLabelIndex { label } if label == "citizenOf"),
+            matches!(&plan.steps[0].access,
+                AccessPath::LabelledRun { on_src: false, key, label }
+                    if key == "USA" && label == "citizenOf"),
             "{plan}"
         );
-        assert_eq!(plan.steps[0].estimate, 5); // 5 citizenOf edges
+        // USA's incoming citizenOf run (Bob, Carole), not the 5-edge
+        // citizenOf index nor the 4 entrepreneurs' citizenOf runs.
+        assert_eq!(plan.steps[0].estimate, 2);
     }
 
     #[test]

@@ -1185,17 +1185,26 @@ mod planner_and_batching_tests {
     "#;
 
     #[test]
-    fn explain_plan_picks_edge_label_index_on_q1() {
+    fn explain_plan_picks_labelled_runs_on_q1() {
         let g = figure1();
         let q = parse(Q1).unwrap();
         let plans = explain_plan(&g, &q);
         assert_eq!(plans.len(), 3, "three BGP components");
-        for p in &plans {
+        // The exact citizenOf runs of the cheaper pinned side: USA's 2,
+        // France's 3, and the politician type pin's 1.
+        let expected = [
+            (false, "USA", 2),
+            (false, "France", 3),
+            (true, "politician", 1),
+        ];
+        for (p, (side, pin, est)) in plans.iter().zip(expected) {
             assert!(
-                matches!(&p.steps[0].access, AccessPath::EdgeLabelIndex { label } if label == "citizenOf"),
-                "expected the citizenOf index, got {p}"
+                matches!(&p.steps[0].access,
+                    AccessPath::LabelledRun { on_src, key, label }
+                        if *on_src == side && key == pin && label == "citizenOf"),
+                "expected the {pin} citizenOf run, got {p}"
             );
-            assert_eq!(p.steps[0].estimate, 5);
+            assert_eq!(p.steps[0].estimate, est);
         }
     }
 
@@ -1207,7 +1216,7 @@ mod planner_and_batching_tests {
             .unwrap();
         assert_eq!(r.stats.plans.len(), 3);
         let rendered = r.stats.plans[0].to_string();
-        assert!(rendered.contains("EdgeLabelIndex"), "{rendered}");
+        assert!(rendered.contains("LabelledRun"), "{rendered}");
     }
 
     #[test]

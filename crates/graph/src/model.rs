@@ -29,7 +29,8 @@
 //! ```
 //!
 //! Neighbour expansion (Grow) walks one cache-friendly linear run;
-//! `AccessPath::EdgeLabelIndex` is a slice iteration; and because the
+//! `AccessPath::EdgeLabelIndex` is a slice iteration and
+//! `AccessPath::LabelledRun` one binary search per pinned node; and because the
 //! columns are plain little-endian `u32` arrays, a CSG2 snapshot can
 //! serialise them verbatim and [`crate::snapshot::load_from`] can back
 //! them by a memory-mapped file with zero copying (see
