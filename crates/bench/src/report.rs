@@ -1,8 +1,6 @@
 //! Reporting helpers for the figure/table harness binaries: aligned
-//! console tables, CSV emission, repeated-run timing (the paper
-//! averages every point over 3 executions, §5.1), and the
-//! machine-readable JSON bench report (`BENCH_5.json`) the CI
-//! measured-bench lane records the perf trajectory with.
+//! console tables, CSV emission, and repeated-run timing (the paper
+//! averages every point over 3 executions, §5.1).
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -120,95 +118,6 @@ pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One measured benchmark: the unit the vendored criterion appends to
-/// the `CS_BENCH_JSON` sink and [`bench_report_json`] aggregates into
-/// `BENCH_5.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchRecord {
-    /// The benchmark's full name (`group/function/param`).
-    pub name: String,
-    /// Mean wall-clock time per iteration, in nanoseconds.
-    pub mean_ns: u64,
-    /// Iterations measured.
-    pub iters: u64,
-}
-
-impl BenchRecord {
-    /// Renders the one-line JSON object form used in the raw sink.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            r#"{{"name":"{}","mean_ns":{},"iters":{}}}"#,
-            json_escape(&self.name),
-            self.mean_ns,
-            self.iters
-        )
-    }
-
-    /// Parses a line produced by [`BenchRecord::to_json_line`] (or by
-    /// the vendored criterion's sink, which writes the same shape).
-    /// Returns `None` on anything that does not match; bench names
-    /// never contain quotes, so no unescaping is needed.
-    pub fn from_json_line(line: &str) -> Option<BenchRecord> {
-        let line = line.trim();
-        let name = line.split(r#""name":""#).nth(1)?.split('"').next()?;
-        let field = |key: &str| -> Option<u64> {
-            line.split(&format!(r#""{key}":"#))
-                .nth(1)?
-                .split(|c: char| !c.is_ascii_digit())
-                .next()?
-                .parse()
-                .ok()
-        };
-        Some(BenchRecord {
-            name: name.to_string(),
-            mean_ns: field("mean_ns")?,
-            iters: field("iters")?,
-        })
-    }
-}
-
-/// Renders the machine-readable bench report (the `BENCH_5.json`
-/// document): schema id, free-form metadata, and the measured records
-/// in input order.
-pub fn bench_report_json(records: &[BenchRecord], meta: &[(&str, String)]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"cs-bench/1\"");
-    for (k, v) in meta {
-        out.push_str(&format!(
-            ",\n  \"{}\": \"{}\"",
-            json_escape(k),
-            json_escape(v)
-        ));
-    }
-    out.push_str(",\n  \"benchmarks\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&r.to_json_line());
-        if i + 1 < records.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,50 +155,5 @@ mod tests {
     #[test]
     fn ms_format() {
         assert_eq!(ms(Duration::from_millis(1500)), "1500.00");
-    }
-
-    #[test]
-    fn bench_record_json_roundtrip() {
-        let r = BenchRecord {
-            name: "ctp_algorithms/chain8/molesp".into(),
-            mean_ns: 123_456,
-            iters: 42,
-        };
-        let line = r.to_json_line();
-        assert_eq!(BenchRecord::from_json_line(&line), Some(r));
-        assert_eq!(BenchRecord::from_json_line("not json"), None);
-        assert_eq!(BenchRecord::from_json_line(r#"{"name":"x"}"#), None);
-    }
-
-    #[test]
-    fn bench_report_document_shape() {
-        let records = vec![
-            BenchRecord {
-                name: "a/b".into(),
-                mean_ns: 10,
-                iters: 3,
-            },
-            BenchRecord {
-                name: "c".into(),
-                mean_ns: 20,
-                iters: 5,
-            },
-        ];
-        let doc = bench_report_json(&records, &[("commit", "abc123".into())]);
-        assert!(doc.contains(r#""schema": "cs-bench/1""#));
-        assert!(doc.contains(r#""commit": "abc123""#));
-        assert!(doc.contains(r#""name":"a/b""#));
-        // Every line must parse back.
-        let parsed: Vec<_> = doc
-            .lines()
-            .filter_map(BenchRecord::from_json_line)
-            .collect();
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\ny"), r"x\ny");
     }
 }

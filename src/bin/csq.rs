@@ -10,7 +10,7 @@
 //! csq connect <addr> <query-or-@file> [--tenant T] [--timeout-ms N]
 //!     [--batch] [--cancel-after-ms N] [--stats]
 //! csq bench-serve <addr> <query-or-@file> [--qps N] [--duration-ms N]
-//!     [--connections K] [--tenant T] [--timeout-ms N] [--label NAME]
+//!     [--connections K] [--tenant T] [--timeout-ms N]
 //! csq watch <graph-source> <query-or-@file> [--script FILE] [--stats]
 //!     [--threads N] [--result-cache on|off]
 //! ```
@@ -75,16 +75,14 @@
 //! `--cancel-after-ms N` fires a cooperative cancel frame mid-query
 //! from a second socket handle. `csq bench-serve` is an open-loop
 //! load generator: it schedules requests at a target QPS across K
-//! connections, collects a latency histogram, reports p50/p95/p99 and
-//! achieved QPS, and appends the percentiles to the `CS_BENCH_JSON`
-//! sink (cs-bench/1 records) when that is set.
+//! connections, collects a latency histogram, and reports p50/p95/p99
+//! and achieved QPS.
 //!
 //! The exit code is non-zero when the graph cannot be loaded, a
 //! snapshot cannot be saved or read, a query fails to parse, or
 //! execution errors — including any query of a batch. I/O and decode
 //! failures are one-line `error:` messages, never panics.
 
-use connection_search::bench::BenchRecord;
 use connection_search::core::Algorithm;
 use connection_search::eql::{EqlError, ExecOptions, QueryResult, ResultCacheMode, WatchSkip};
 use connection_search::graph::{load_graph, snapshot, Graph, Mutation, NodeId};
@@ -105,8 +103,7 @@ fn usage() -> ExitCode {
          csq connect <host:port> <query|@query-file> [--tenant T] \
          [--timeout-ms N] [--batch] [--cancel-after-ms N] [--stats]\n       \
          csq bench-serve <host:port> <query|@query-file> [--qps N] \
-         [--duration-ms N] [--connections K] [--tenant T] [--timeout-ms N] \
-         [--label NAME]\n       \
+         [--duration-ms N] [--connections K] [--tenant T] [--timeout-ms N]\n       \
          csq watch <graph-source> <query|@query-file> [--script FILE] \
          [--stats] [--threads N] [--result-cache on|off]\n\
          graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file"
@@ -952,7 +949,6 @@ fn bench_serve_command(args: &[String]) -> ExitCode {
     let mut qps: u64 = 50;
     let mut duration_ms: u64 = 2_000;
     let mut connections: usize = 4;
-    let mut label = "bench_serve".to_string();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -994,16 +990,6 @@ fn bench_serve_command(args: &[String]) -> ExitCode {
                 }
                 i += 2;
             }
-            "--label" => {
-                // Record-name prefix for the CS_BENCH_JSON sink, so
-                // two runs (e.g. cache off vs shared) land as distinct
-                // series in one report.
-                let Some(name) = args.get(i + 1) else {
-                    return fail("--label expects a name, but none was given");
-                };
-                label = name.clone();
-                i += 2;
-            }
             other => {
                 if other.starts_with("--") {
                     return usage();
@@ -1027,9 +1013,16 @@ fn bench_serve_command(args: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
 
-    let total = (qps * duration_ms / 1_000).max(1) as usize;
+    let Some(total) = qps
+        .checked_mul(duration_ms)
+        .and_then(|n| usize::try_from((n / 1_000).max(1)).ok())
+    else {
+        return fail("--qps × --duration-ms is too large");
+    };
     let interval = Duration::from_secs_f64(1.0 / qps as f64);
-    let mut clients = Vec::with_capacity(connections);
+    // Grown as connections succeed: `--connections` is user input, so
+    // it must not size an allocation up front.
+    let mut clients = Vec::new();
     for _ in 0..connections {
         match Client::connect(addr) {
             Ok(c) => clients.push(c),
@@ -1087,7 +1080,7 @@ fn bench_serve_command(args: &[String]) -> ExitCode {
                             },
                             Err(_) => {
                                 // Transport failure: this lane is dead.
-                                r.failed += total.saturating_sub(k) / connections.max(1) + 1;
+                                r.failed += lane_remaining(total, k, connections);
                                 break;
                             }
                         }
@@ -1132,37 +1125,13 @@ fn bench_serve_command(args: &[String]) -> ExitCode {
         fmt_ns(hist.mean()),
     );
 
-    // cs-bench/1 records into the shared sink, aggregated by
-    // `bench_report` alongside the criterion benches.
-    if let Ok(path) = std::env::var("CS_BENCH_JSON") {
-        if !path.is_empty() {
-            use std::io::Write as _;
-            let records = [
-                (format!("{label}/p50"), p50),
-                (format!("{label}/p95"), p95),
-                (format!("{label}/p99"), p99),
-            ];
-            let mut lines = String::new();
-            for (name, ns) in records {
-                let rec = BenchRecord {
-                    name,
-                    mean_ns: ns,
-                    iters: hist.len() as u64,
-                };
-                lines.push_str(&rec.to_json_line());
-                lines.push('\n');
-            }
-            let written = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(lines.as_bytes()));
-            if let Err(e) = written {
-                eprintln!("warning: cannot append to CS_BENCH_JSON sink {path}: {e}");
-            }
-        }
-    }
     ExitCode::SUCCESS
+}
+
+/// Requests still scheduled on a lane that sends request `k` next:
+/// the lane owns `k, k + lanes, k + 2·lanes, …` below `total`.
+fn lane_remaining(total: usize, k: usize, lanes: usize) -> usize {
+    total.saturating_sub(k).div_ceil(lanes.max(1))
 }
 
 /// Formats a nanosecond latency human-readably.
@@ -1175,5 +1144,36 @@ fn fmt_ns(ns: u64) -> String {
         format!("{:.2}ms", ns as f64 / 1e6)
     } else {
         format!("{:.2}s", ns as f64 / 1e9)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lane_remaining;
+
+    #[test]
+    fn dead_lanes_fail_exactly_their_remaining_requests() {
+        // 8 requests over 4 lanes: a lane that dies at request 4 had
+        // only request 4 left.
+        assert_eq!(lane_remaining(8, 4, 4), 1);
+        for total in 1..40 {
+            for lanes in 1..9 {
+                for dead_at in 0..total {
+                    // Every lane runs clean up to `dead_at`, then dies
+                    // at its next request: sent + failed must be the
+                    // scheduled count.
+                    let mut accounted = 0;
+                    for lane in 0..lanes {
+                        let mut k = lane;
+                        while k < total && k < dead_at {
+                            accounted += 1;
+                            k += lanes;
+                        }
+                        accounted += lane_remaining(total, k, lanes);
+                    }
+                    assert_eq!(accounted, total, "total {total}, lanes {lanes}");
+                }
+            }
+        }
     }
 }

@@ -394,3 +394,41 @@ fn removed_intra_search_flag_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage:"), "{stderr}");
 }
+
+#[test]
+fn removed_bench_serve_label_flag_is_a_usage_error() {
+    // `--label` only named records for a metrics sink that is gone.
+    let out = csq(&["bench-serve", "127.0.0.1:1", DEMO_CTP, "--label", "x"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!stderr.contains("--label"), "{stderr}");
+}
+
+#[test]
+fn bench_serve_oversized_arguments_are_one_line_errors() {
+    // Neither the connection count nor the scheduled total may size an
+    // allocation or overflow before the first connection is made.
+    let out = csq(&[
+        "bench-serve",
+        "127.0.0.1:1",
+        DEMO_CTP,
+        "--connections",
+        "1000000000000000",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_one_line_error(&out, "huge --connections");
+    let out = csq(&[
+        "bench-serve",
+        "127.0.0.1:1",
+        DEMO_CTP,
+        "--qps",
+        "18446744073709551615",
+        "--duration-ms",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_one_line_error(&out, "--qps × --duration-ms overflow");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("too large"), "{stderr}");
+}
