@@ -24,7 +24,7 @@ use crate::tree::{Provenance, TreeData, TreeId, TreeStore};
 use cs_graph::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
 use cs_graph::{EdgeId, Graph, LabelId, NodeId};
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Which refinements are active on top of plain GAM.
@@ -90,67 +90,68 @@ impl SeedsRef<'_> {
     }
 }
 
-/// A Grow opportunity in the priority queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct QEntry {
-    key: i64,
-    seq: u64,
-    tree: TreeId,
-    edge: EdgeId,
+/// Grow opportunities in FIFO buckets keyed by priority. `pop` takes
+/// the oldest pair of the highest key: the order of a max-heap on the
+/// key with ties broken by insertion, without a sequence number or a
+/// sift per push and pop.
+#[derive(Default)]
+struct Buckets {
+    by_key: BTreeMap<i64, VecDeque<(TreeId, EdgeId)>>,
+    len: usize,
 }
 
-impl Ord for QEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap on key; FIFO (smaller seq first) on ties.
-        self.key
-            .cmp(&other.key)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl Buckets {
+    fn push(&mut self, key: i64, pair: (TreeId, EdgeId)) {
+        self.by_key.entry(key).or_default().push_back(pair);
+        self.len += 1;
     }
-}
 
-impl PartialOrd for QEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn pop(&mut self) -> Option<(TreeId, EdgeId)> {
+        let mut top = self.by_key.last_entry()?;
+        let pair = top.get_mut().pop_front();
+        if top.get().is_empty() {
+            top.remove();
+        }
+        self.len -= 1;
+        pair
     }
 }
 
 /// Single or per-`sat`-mask balanced queues (§4.9).
 struct Queues {
     policy: QueuePolicy,
-    single: BinaryHeap<QEntry>,
-    per: FxHashMap<SeedMask, BinaryHeap<QEntry>>,
+    single: Buckets,
+    per: FxHashMap<SeedMask, Buckets>,
 }
 
 impl Queues {
     fn new(policy: QueuePolicy) -> Self {
         Queues {
             policy,
-            single: BinaryHeap::new(),
+            single: Buckets::default(),
             per: FxHashMap::default(),
         }
     }
 
-    fn push(&mut self, mask: SeedMask, e: QEntry) {
+    fn push(&mut self, mask: SeedMask, key: i64, pair: (TreeId, EdgeId)) {
         match self.policy {
-            QueuePolicy::Single => self.single.push(e),
-            QueuePolicy::Balanced => self.per.entry(mask).or_default().push(e),
+            QueuePolicy::Single => self.single.push(key, pair),
+            QueuePolicy::Balanced => self.per.entry(mask).or_default().push(key, pair),
         }
     }
 
-    fn pop(&mut self) -> Option<QEntry> {
+    fn pop(&mut self) -> Option<(TreeId, EdgeId)> {
         match self.policy {
             QueuePolicy::Single => self.single.pop(),
             QueuePolicy::Balanced => {
                 // Grow from the queue currently holding the fewest
                 // pairs, so small seed sets' neighbourhoods expand
                 // first (§4.9).
-                let key = self
-                    .per
-                    .iter()
-                    .filter(|(_, q)| !q.is_empty())
-                    .min_by_key(|(_, q)| q.len())
-                    .map(|(&k, _)| k)?;
-                self.per.get_mut(&key).and_then(BinaryHeap::pop)
+                self.per
+                    .values_mut()
+                    .filter(|q| q.len > 0)
+                    .min_by_key(|q| q.len)?
+                    .pop()
             }
         }
     }
@@ -187,7 +188,6 @@ pub struct GamEngine<'g> {
     order: QueueOrder,
     store: TreeStore,
     queue: Queues,
-    seq: u64,
     /// Hist of Algorithm 1: edge-set hash → the newest stored tree with
     /// that hash; [`Links::hist`] chains each stored tree to the next
     /// older one. Every stored tree is in it, so it answers both GAM's
@@ -196,7 +196,8 @@ pub struct GamEngine<'g> {
     /// TreesRootedIn of Algorithm 3: root → (oldest, newest) tree
     /// recorded for merging there; [`Links::rooted`] chains them in
     /// insertion order. Result trees are excluded — they can never
-    /// merge, their `sat` overlaps everything.
+    /// merge, their `sat` overlaps everything — and so are trees at the
+    /// `MAX` bound (see [`GamEngine::at_max`]).
     trees_rooted_in: FxHashMap<NodeId, (u32, u32)>,
     /// Per-tree chain links, aligned with `store`.
     links: Vec<Links>,
@@ -277,7 +278,6 @@ impl<'g> GamEngine<'g> {
             order,
             store: TreeStore::new(),
             queue: Queues::new(policy),
-            seq: 0,
             hist: FxHashMap::default(),
             trees_rooted_in: FxHashMap::default(),
             links: Vec::new(),
@@ -335,18 +335,18 @@ impl<'g> GamEngine<'g> {
             self.drain_merges();
             return !self.stop;
         }
-        let Some(entry) = self.queue.pop() else {
+        let Some((tree, edge)) = self.queue.pop() else {
             return false;
         };
         self.check_time();
         if self.stop {
             return false;
         }
-        let td = self.store.get(entry.tree);
-        let new_root = self.g.other_endpoint(entry.edge, td.root);
+        let td = self.store.get(tree);
+        let new_root = self.g.other_endpoint(edge, td.root);
         let grown = self
             .store
-            .make_grow(entry.tree, td, entry.edge, new_root, self.seeds.get());
+            .make_grow(tree, td, edge, new_root, self.seeds.get());
         self.stats.grows += 1;
         // Algorithm 1 line 10: update ss_root(t') before processing.
         if !grown.path_from.is_empty() {
@@ -432,8 +432,12 @@ impl<'g> GamEngine<'g> {
     }
 
     /// recordForMerging (Algorithm 3 line 1): appends `id` to
-    /// TreesRootedIn at `root` and schedules its merges.
+    /// TreesRootedIn at `root` and schedules its merges — unless the
+    /// tree is at the `MAX` bound, where no merge can build a new tree.
     fn record_for_merging(&mut self, id: TreeId, root: NodeId) {
+        if self.at_max(self.store.get(id).size()) {
+            return;
+        }
         match self.trees_rooted_in.entry(root) {
             Entry::Occupied(mut o) => {
                 let (_, newest) = o.get_mut();
@@ -445,6 +449,17 @@ impl<'g> GamEngine<'g> {
             }
         }
         self.pending_merge.push(id);
+    }
+
+    /// True if a tree of `size` edges has reached the `MAX` bound
+    /// (§4.8). Such a tree is never offered for Grow, and it is not
+    /// recorded for merging: within the bound its only partner is
+    /// `Init(root)`, whose union rebuilds the same rooted tree, which
+    /// the history rejects under every configuration. All Init trees
+    /// are processed before any other tree exists, so no later tree
+    /// needs it as a partner either.
+    fn at_max(&self, size: usize) -> bool {
+        self.filters.max_edges.is_some_and(|maxe| size >= maxe)
     }
 
     /// Counts one more kept provenance; reaching the provenance budget
@@ -559,10 +574,8 @@ impl<'g> GamEngine<'g> {
         let td = self.store.get(id);
         // MAX n (§4.8): a Grow adds one edge whichever edge it takes, so
         // a tree at the bound has no admissible pair.
-        if let Some(maxe) = self.filters.max_edges {
-            if td.size() + 1 > maxe {
-                return;
-            }
+        if self.at_max(td.size()) {
+            return;
         }
         for a in self.g.adjacent(td.root) {
             // UNI (§4.8): to keep "root reaches all seeds via directed
@@ -585,16 +598,7 @@ impl<'g> GamEngine<'g> {
                 continue;
             }
             let key = self.order.priority(self.g, td, a.edge());
-            self.queue.push(
-                td.sat,
-                QEntry {
-                    key,
-                    seq: self.seq,
-                    tree: id,
-                    edge: a.edge(),
-                },
-            );
-            self.seq += 1;
+            self.queue.push(td.sat, key, (id, a.edge()));
             self.stats.queue_pushes += 1;
         }
     }

@@ -152,18 +152,29 @@ impl ResultSet {
 }
 
 /// Counters describing one search run (Fig. 11 plots `provenances`).
+///
+/// `grows` and `merges` count constructions, not kept trees: each
+/// passed Grow1–2 or Merge1–2 and the `MAX` bound, and then met the
+/// history check, which kept it or counted it in `pruned`. So for a
+/// search that ran to its end, `provenances` = Init trees + `grows` +
+/// `merges` + `mo_copies` − `pruned`. Under `MAX`, a tree at the bound
+/// gets no merge pass (its only partner within the bound would rebuild
+/// it), so it adds nothing to `merges` or `pruned`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Provenances kept (passed the history check) — Init + Grow +
     /// Merge + Mo.
     pub provenances: u64,
-    /// Grow provenances created.
+    /// Grow constructions: queued (tree, edge) pairs popped and built.
     pub grows: u64,
-    /// Merge provenances created.
+    /// Merge constructions: pairs of trees rooted at one node that
+    /// passed Merge1–2 and `MAX` and were built.
     pub merges: u64,
-    /// MoESP copies created.
+    /// MoESP copies created. They skip the history check (only an
+    /// identical rooted tree stops one), so every copy is kept.
     pub mo_copies: u64,
-    /// Candidates discarded by the history (ESP or rooted-tree dedup).
+    /// Constructions the history rejected (ESP, or GAM's rooted-tree
+    /// dedup).
     pub pruned: u64,
     /// (tree, edge) pairs pushed to the queue.
     pub queue_pushes: u64,
@@ -174,6 +185,34 @@ pub struct SearchStats {
     /// True if the search stopped because its
     /// [`CancelFlag`](crate::CancelFlag) was raised.
     pub cancelled: bool,
+}
+
+/// One line, every counter, then a marker for each early stop:
+/// `9 provenances, 7 grows, 2 merges, 0 mo copies, 1 pruned, 7 queue
+/// pushes (TIMED OUT)`.
+impl std::fmt::Display for SearchStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} provenances, {} grows, {} merges, {} mo copies, {} pruned, {} queue pushes",
+            self.provenances,
+            self.grows,
+            self.merges,
+            self.mo_copies,
+            self.pruned,
+            self.queue_pushes
+        )?;
+        for (stopped, marker) in [
+            (self.timed_out, "TIMED OUT"),
+            (self.budget_exhausted, "BUDGET EXHAUSTED"),
+            (self.cancelled, "CANCELLED"),
+        ] {
+            if stopped {
+                write!(f, " ({marker})")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A search's outcome: results, statistics, duration.
@@ -369,5 +408,27 @@ mod tests {
             seeds: vec![ns[0]].into_boxed_slice(),
         };
         assert!(single.describe(&g).contains("single node"));
+    }
+
+    #[test]
+    fn stats_line_shows_every_counter_and_stop() {
+        let mut s = SearchStats {
+            provenances: 9,
+            grows: 7,
+            merges: 2,
+            mo_copies: 1,
+            pruned: 1,
+            queue_pushes: 8,
+            ..SearchStats::default()
+        };
+        assert_eq!(
+            s.to_string(),
+            "9 provenances, 7 grows, 2 merges, 1 mo copies, 1 pruned, 8 queue pushes"
+        );
+        s.timed_out = true;
+        s.cancelled = true;
+        assert!(s
+            .to_string()
+            .ends_with(" queue pushes (TIMED OUT) (CANCELLED)"));
     }
 }

@@ -89,10 +89,7 @@ fn main() {
                 println!("{} row(s):", res.rows());
                 print!("{}", res.render(&g));
                 for (var, stats, dur) in &res.stats.ctp_stats {
-                    println!(
-                        "  [CTP {var}: {} provenances, {} grows, {} merges, {:?}]",
-                        stats.provenances, stats.grows, stats.merges, dur
-                    );
+                    println!("  [CTP {var} ({dur:?}): {stats}]");
                 }
             }
             Err(e) => println!("error: {e}"),

@@ -83,7 +83,7 @@
 //! execution errors — including any query of a batch. I/O and decode
 //! failures are one-line `error:` messages, never panics.
 
-use connection_search::core::Algorithm;
+use connection_search::core::{Algorithm, SearchStats};
 use connection_search::eql::{EqlError, ExecOptions, QueryResult, ResultCacheMode, WatchSkip};
 use connection_search::graph::{load_graph, snapshot, Graph, Mutation, NodeId};
 use connection_search::server::{Client, ClientError, ErrorCode, LatencyHistogram, RequestHeader};
@@ -532,6 +532,12 @@ fn report_plans(stats: &connection_search::eql::ExecStats) {
     }
 }
 
+/// Prints one CTP search's stats line to stderr — the same line for a
+/// materialised query and a `--stream` run.
+fn report_ctp_stats(var: &str, stats: &SearchStats, took: Duration) {
+    eprintln!("CTP {var} ({took:?}): {stats}");
+}
+
 /// Prints one query's result (and optional plan/stats views) to
 /// stdout/stderr.
 fn report(graph: &Graph, result: &QueryResult, show_plan: bool, show_stats: bool) {
@@ -556,15 +562,7 @@ fn report(graph: &Graph, result: &QueryResult, show_plan: bool, show_stats: bool
             result.stats.result_cache_trees_filtered
         );
         for (var, s, d) in &result.stats.ctp_stats {
-            eprintln!(
-                "CTP {var}: {} provenances, {} grows, {} merges, {} pruned, {:?}{}",
-                s.provenances,
-                s.grows,
-                s.merges,
-                s.pruned,
-                d,
-                if s.timed_out { " (TIMED OUT)" } else { "" }
-            );
+            report_ctp_stats(var, s, *d);
         }
     }
 }
@@ -777,14 +775,10 @@ fn main() -> ExitCode {
         }
         eprintln!("{n} tree(s) streamed");
         if show_stats {
-            let s = result_stream.stats();
-            eprintln!(
-                "stream {:?} | {} provenances, {} grows, {} merges, {} pruned",
+            report_ctp_stats(
+                result_stream.out_var(),
+                result_stream.stats(),
                 result_stream.elapsed(),
-                s.provenances,
-                s.grows,
-                s.merges,
-                s.pruned
             );
         }
         return ExitCode::SUCCESS;

@@ -301,6 +301,52 @@ fn stream_mode_prints_trees() {
     assert!(stderr.contains("tree(s) streamed"), "{stderr}");
 }
 
+/// The `CTP w (<duration>): <stats>` line of a `--stats` run, with the
+/// duration cut out.
+fn ctp_stats_line(out: &Output) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("CTP w ("))
+        .unwrap_or_else(|| panic!("no CTP stats line: {stderr}"));
+    let (_, stats) = line.split_once("): ").expect("duration, then stats");
+    format!("CTP w: {stats}")
+}
+
+#[test]
+fn stream_and_materialised_runs_print_one_stats_line() {
+    // One formatter serves both paths: the same search prints the same
+    // counters, Mo copies and queue pushes included.
+    let materialised = csq(&["--demo", BGP_CTP, "--stats"]);
+    let streamed = csq(&["--demo", BGP_CTP, "--stats", "--stream"]);
+    assert!(materialised.status.success(), "{materialised:?}");
+    assert!(streamed.status.success(), "{streamed:?}");
+    let line = ctp_stats_line(&materialised);
+    assert_eq!(line, ctp_stats_line(&streamed));
+    for field in [
+        " provenances, ",
+        " grows, ",
+        " merges, ",
+        " mo copies, ",
+        " pruned, ",
+        " queue pushes",
+    ] {
+        assert!(line.contains(field), "{field:?} missing: {line}");
+    }
+
+    // The stream path keeps the early-stop marker too.
+    let out = csq(&[
+        LONG_GRAPH,
+        LONG_QUERY,
+        "--timeout",
+        "1",
+        "--stats",
+        "--stream",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(ctp_stats_line(&out).ends_with(" (TIMED OUT)"), "{out:?}");
+}
+
 #[test]
 fn stream_and_batch_conflict_is_one_line_error() {
     let out = csq(&["--demo", DEMO_CTP, "--stream", "--batch"]);
