@@ -11,6 +11,10 @@
 //! a tab-separated triples file, resolved by [`cs_graph::load_graph`].
 //! The graph is loaded once and shared by every connection.
 //!
+//! Each connection runs its queries on its own two threads;
+//! `--workers N` caps the concurrent executions across all connections
+//! (default 2), and `--tenant-inflight N` caps them per tenant.
+//!
 //! The cross-query result cache defaults to one cache shared by every
 //! connection (`Server::bind` upgrades the session-local `on` mode to
 //! `shared`, so `on` and `shared` are equivalent here); `--result-cache
@@ -34,7 +38,8 @@ fn usage() -> ExitCode {
          [--threads N] [--queue N] [--tenant-inflight N] \
          [--default-deadline-ms N] [--result-cache off|on|shared] \
          [--result-cache-capacity N]\n\
-         graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file"
+         graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file\n\
+         --workers N: concurrent executions across all connections (default 2)"
     );
     ExitCode::from(2)
 }

@@ -3,12 +3,13 @@
 //! Everything the paper's engine computes in-process, served over TCP:
 //! N clients share one loaded graph (an mmap snapshot or generated
 //! dataset), each connection gets its own [`Session`] (plan cache and
-//! all), and a global admission-controlled scheduler keeps tenants
-//! fairly shared across a fixed executor pool. The pieces:
+//! all), and a global admission-controlled scheduler shares a fixed
+//! number of execution slots fairly across tenants. Each connection
+//! runs its own queries on its two threads. The pieces:
 //!
 //! * [`proto`] — the `csq/1` length-prefixed binary protocol;
-//! * [`scheduler`] — bounded, tenant-fair admission and dispatch;
-//! * [`server`] — the accept/reader/executor threading around them;
+//! * [`scheduler`] — bounded, tenant-fair admission and execution slots;
+//! * [`server`] — the accept and per-connection threading around them;
 //! * [`client`] — the blocking client (`csq connect`, `csq
 //!   bench-serve`, tests);
 //! * [`latency`] — the exact percentile histogram behind `bench-serve`.

@@ -1,22 +1,24 @@
-//! Admission-controlled fair-share scheduling.
+//! Admission control and tenant-fair execution slots.
 //!
 //! The scheduler generalises the engine's `threads` knob (which shares
-//! one *query's* work) to sharing the *server* across tenants: a
-//! bounded global run queue feeds a fixed pool of executor workers, and
-//! dispatch round-robins over the tenants that still have headroom
-//! under their in-flight cap. Three rules:
+//! one *query's* work) to sharing the *server* across tenants. It holds
+//! no jobs: the connection thread that admitted a job keeps it, and
+//! asks the scheduler for a slot to run it in. Three rules:
 //!
-//! 1. **Admission** — a submit beyond [`SchedulerConfig::queue_capacity`]
-//!    queued jobs is rejected with [`AdmitError::QueueFull`] (the
-//!    `Overloaded` error frame), so a flood degrades into fast failures
-//!    instead of unbounded memory growth.
-//! 2. **Fair share** — `next` round-robins over tenants; a tenant at
-//!    its [`SchedulerConfig::tenant_inflight`] cap is skipped until one
-//!    of its jobs completes, so one chatty tenant cannot occupy every
-//!    worker while others wait.
-//! 3. **Drain on shutdown** — after [`Scheduler::shutdown`], submits
-//!    are rejected but already-admitted jobs still run; `next` returns
-//!    `None` once the queues are empty, letting workers exit.
+//! 1. **Admission** — [`Scheduler::admit`] counts a job as waiting;
+//!    beyond [`SchedulerConfig::queue_capacity`] waiting (admitted, not
+//!    yet running) jobs it is rejected with [`AdmitError::QueueFull`]
+//!    (the `Overloaded` error frame), so a flood degrades into fast
+//!    failures instead of unbounded memory growth.
+//! 2. **Fair share** — [`Scheduler::acquire`] blocks until it is
+//!    granted an execution slot. At most `slots` jobs run at once and
+//!    no tenant runs more than [`SchedulerConfig::tenant_inflight`];
+//!    while slots are scarce, grants round-robin over the tenants that
+//!    have waiters (FIFO within a tenant), so one chatty tenant cannot
+//!    occupy every slot while others wait. [`Scheduler::release`] frees
+//!    the slot and grants it on.
+//! 3. **Drain on shutdown** — after [`Scheduler::shutdown`], admission
+//!    is refused but already-admitted jobs are still granted slots.
 //!
 //! The scheduler is purely a data structure (a mutex-guarded state and
 //! a condvar) — it owns no threads, which keeps it unit-testable and
@@ -31,7 +33,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// Admission and fairness knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Maximum queued (admitted, not yet running) jobs across all
+    /// Maximum waiting (admitted, not yet running) jobs across all
     /// tenants.
     pub queue_capacity: usize,
     /// Maximum concurrently *running* jobs per tenant.
@@ -47,10 +49,10 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Why a submit was refused at admission.
+/// Why a job was refused at admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitError {
-    /// The global run queue is at capacity.
+    /// As many jobs as the queue capacity are already waiting.
     QueueFull,
     /// The scheduler is shutting down.
     ShuttingDown,
@@ -67,73 +69,101 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// Per-tenant queue and in-flight accounting.
+/// Per-tenant waiters and running count.
 #[derive(Default)]
-struct Tenant<T> {
-    queue: VecDeque<T>,
-    inflight: usize,
+struct Tenant {
+    /// Tickets of this tenant's blocked `acquire` calls, oldest first.
+    waiting: VecDeque<u64>,
+    running: usize,
 }
 
-struct State<T> {
-    /// Tenants keyed by name; entries persist for the scheduler's
-    /// lifetime (tenant cardinality is small — it is a client-supplied
-    /// *name*, not a connection).
-    tenants: HashMap<String, Tenant<T>>,
-    /// Round-robin order over tenant names, extended on first submit.
-    order: Vec<String>,
-    /// Next position in `order` to consider.
+struct State {
+    /// Tenants in round-robin order, in order of first admission;
+    /// entries persist for the scheduler's lifetime (tenant cardinality
+    /// is small — it is a client-supplied *name*, not a connection).
+    tenants: Vec<Tenant>,
+    /// Tenant name → position in `tenants`.
+    index: HashMap<String, usize>,
+    /// Next position in `tenants` to consider for a grant.
     cursor: usize,
-    /// Total queued jobs (admission bound).
+    /// Admitted jobs not yet granted a slot (admission bound).
     queued: usize,
+    /// Slots granted and not yet released.
+    running: usize,
+    /// Blocked `acquire` calls across all tenants.
+    waiters: usize,
+    next_ticket: u64,
+    /// Tickets granted a slot whose `acquire` has not returned yet.
+    granted: Vec<u64>,
     shutdown: bool,
+}
+
+impl State {
+    /// `tenant`'s position, registering it on first sight.
+    fn tenant(&mut self, tenant: &str) -> usize {
+        if let Some(&i) = self.index.get(tenant) {
+            return i;
+        }
+        let i = self.tenants.len();
+        self.tenants.push(Tenant::default());
+        self.index.insert(tenant.to_string(), i);
+        i
+    }
 }
 
 /// Counters for the `stats` opcode, snapshot under the lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Jobs currently admitted and waiting.
+    /// Jobs currently admitted and waiting for a slot.
     pub queued: usize,
-    /// Jobs currently running on workers.
+    /// Jobs currently holding a slot.
     pub inflight: usize,
     /// Tenants seen since start.
     pub tenants: usize,
 }
 
-/// The bounded, tenant-fair run queue. `T` is the job payload; the
-/// server uses one scheduler of connection-tagged query jobs.
-pub struct Scheduler<T> {
-    state: Mutex<State<T>>,
-    ready: Condvar,
+/// Admission control plus tenant-fair execution slots.
+pub struct Scheduler {
+    state: Mutex<State>,
+    granted: Condvar,
     cfg: SchedulerConfig,
+    slots: usize,
 }
 
-impl<T> Scheduler<T> {
-    /// An empty scheduler with the given knobs (capacities are clamped
-    /// to at least 1).
-    pub fn new(cfg: SchedulerConfig) -> Scheduler<T> {
+impl Scheduler {
+    /// A scheduler granting at most `slots` concurrent executions, with
+    /// the given knobs (`slots` and both capacities are clamped to at
+    /// least 1).
+    pub fn new(cfg: SchedulerConfig, slots: usize) -> Scheduler {
         let cfg = SchedulerConfig {
             queue_capacity: cfg.queue_capacity.max(1),
             tenant_inflight: cfg.tenant_inflight.max(1),
         };
         Scheduler {
             state: Mutex::new(State {
-                tenants: HashMap::new(),
-                order: Vec::new(),
+                tenants: Vec::new(),
+                index: HashMap::new(),
                 cursor: 0,
                 queued: 0,
+                running: 0,
+                waiters: 0,
+                next_ticket: 0,
+                granted: Vec::new(),
                 shutdown: false,
             }),
-            ready: Condvar::new(),
+            granted: Condvar::new(),
             cfg,
+            slots: slots.max(1),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Admits one job for `tenant`, or rejects it at the door.
-    pub fn submit(&self, tenant: &str, job: T) -> Result<(), AdmitError> {
+    /// Admits one job for `tenant`, or rejects it at the door. Every
+    /// admitted job must later [`acquire`](Scheduler::acquire) a slot.
+    pub fn admit(&self, tenant: &str) -> Result<(), AdmitError> {
         let mut s = self.lock();
         if s.shutdown {
             return Err(AdmitError::ShuttingDown);
@@ -141,85 +171,84 @@ impl<T> Scheduler<T> {
         if s.queued >= self.cfg.queue_capacity {
             return Err(AdmitError::QueueFull);
         }
-        if !s.tenants.contains_key(tenant) {
-            s.order.push(tenant.to_string());
-        }
-        s.tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| Tenant {
-                queue: VecDeque::new(),
-                inflight: 0,
-            })
-            .queue
-            .push_back(job);
+        s.tenant(tenant);
         s.queued += 1;
-        drop(s);
-        self.ready.notify_one();
         Ok(())
     }
 
-    /// Picks the next runnable job, round-robin over tenants under
-    /// their in-flight cap. Blocks while the queues are empty; returns
-    /// `None` only when shut down *and* drained.
-    pub fn next(&self) -> Option<(String, T)> {
+    /// Blocks until one of `tenant`'s admitted jobs is granted a slot.
+    /// The caller runs the job, then calls [`Scheduler::release`].
+    pub fn acquire(&self, tenant: &str) {
         let mut s = self.lock();
+        let ticket = s.next_ticket;
+        s.next_ticket += 1;
+        let t = s.tenant(tenant);
+        s.tenants[t].waiting.push_back(ticket);
+        s.waiters += 1;
+        self.grant(&mut s);
+        if s.granted.iter().any(|&g| g != ticket) {
+            self.granted.notify_all();
+        }
         loop {
-            // One full rotation over the tenant order, starting at the
-            // cursor, picking the first tenant with queued work and
-            // in-flight headroom.
-            let n = s.order.len();
-            for i in 0..n {
-                let pos = (s.cursor + i) % n;
-                let name = s.order[pos].clone();
-                let Some(t) = s.tenants.get_mut(&name) else {
-                    continue;
-                };
-                if t.inflight >= self.cfg.tenant_inflight || t.queue.is_empty() {
-                    continue;
-                }
-                let job = t.queue.pop_front()?; // non-empty by the check above
-                t.inflight += 1;
-                s.queued -= 1;
-                s.cursor = (pos + 1) % n;
-                return Some((name, job));
+            if let Some(i) = s.granted.iter().position(|&g| g == ticket) {
+                s.granted.swap_remove(i);
+                return;
             }
-            if s.shutdown && s.queued == 0 {
-                return None;
-            }
-            s = self.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
+            s = self.granted.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Marks one of `tenant`'s running jobs complete, freeing its
-    /// in-flight slot.
-    pub fn done(&self, tenant: &str) {
+    /// Frees the slot a job of `tenant` held, granting it to the next
+    /// waiter in round-robin order.
+    pub fn release(&self, tenant: &str) {
         let mut s = self.lock();
-        if let Some(t) = s.tenants.get_mut(tenant) {
-            t.inflight = t.inflight.saturating_sub(1);
+        if let Some(&t) = s.index.get(tenant) {
+            let t = &mut s.tenants[t];
+            t.running = t.running.saturating_sub(1);
         }
-        drop(s);
-        // A freed slot can unblock a worker waiting on this tenant's
-        // queued jobs — and shutdown waits for inflight to drain.
-        self.ready.notify_all();
+        s.running = s.running.saturating_sub(1);
+        self.grant(&mut s);
+        if !s.granted.is_empty() {
+            self.granted.notify_all();
+        }
     }
 
-    /// Stops admission; queued jobs still drain through `next`.
+    /// Grants free slots to waiters: one full rotation over the tenants
+    /// per grant, starting at the cursor, picking the first tenant with
+    /// a waiter and in-flight headroom.
+    fn grant(&self, s: &mut State) {
+        while s.running < self.slots && s.waiters > 0 {
+            let n = s.tenants.len();
+            let Some(pos) = (0..n).map(|i| (s.cursor + i) % n).find(|&p| {
+                let t = &s.tenants[p];
+                !t.waiting.is_empty() && t.running < self.cfg.tenant_inflight
+            }) else {
+                return;
+            };
+            let t = &mut s.tenants[pos];
+            let Some(ticket) = t.waiting.pop_front() else {
+                return; // non-empty by the check above
+            };
+            t.running += 1;
+            s.running += 1;
+            s.waiters -= 1;
+            s.queued = s.queued.saturating_sub(1);
+            s.granted.push(ticket);
+            s.cursor = (pos + 1) % n;
+        }
+    }
+
+    /// Stops admission; admitted jobs are still granted slots.
     pub fn shutdown(&self) {
         self.lock().shutdown = true;
-        self.ready.notify_all();
     }
 
-    /// True after [`Scheduler::shutdown`].
-    pub fn is_shutdown(&self) -> bool {
-        self.lock().shutdown
-    }
-
-    /// Snapshot of queue depth and in-flight totals.
+    /// Snapshot of waiting and running totals.
     pub fn stats(&self) -> SchedulerStats {
         let s = self.lock();
         SchedulerStats {
             queued: s.queued,
-            inflight: s.tenants.values().map(|t| t.inflight).sum(),
+            inflight: s.running,
             tenants: s.tenants.len(),
         }
     }
@@ -228,88 +257,161 @@ impl<T> Scheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
-    fn sched(queue: usize, inflight: usize) -> Scheduler<u32> {
-        Scheduler::new(SchedulerConfig {
-            queue_capacity: queue,
-            tenant_inflight: inflight,
+    fn sched(queue: usize, inflight: usize, slots: usize) -> Scheduler {
+        Scheduler::new(
+            SchedulerConfig {
+                queue_capacity: queue,
+                tenant_inflight: inflight,
+            },
+            slots,
+        )
+    }
+
+    /// Spins until `n` `acquire` calls are blocked.
+    fn until_waiters(s: &Scheduler, n: usize) {
+        let since = Instant::now();
+        while s.lock().waiters != n {
+            assert!(since.elapsed() < Duration::from_secs(10), "no {n} waiters");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Blocks one `acquire(tenant)` per `(tenant, tag)`, in order, on a
+    /// scheduler whose slots are all held; then releases the holder
+    /// `holder` and returns the tags in the order their grants ran.
+    /// Each granted job releases its own slot once it has reported.
+    fn grant_order(s: &Scheduler, holder: &str, jobs: &[(&str, u32)]) -> Vec<u32> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for (k, &(tenant, tag)) in jobs.iter().enumerate() {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    s.acquire(tenant);
+                    tx.send(tag).unwrap();
+                    s.release(tenant);
+                });
+                until_waiters(s, k + 1);
+            }
+            s.release(holder);
+            (0..jobs.len()).map(|_| rx.recv().unwrap()).collect()
         })
     }
 
     #[test]
     fn fifo_within_one_tenant() {
-        let s = sched(8, 4);
-        for j in 0..3 {
-            s.submit("a", j).unwrap();
+        let s = sched(8, 4, 1);
+        for _ in 0..4 {
+            s.admit("a").unwrap();
         }
-        for j in 0..3 {
-            assert_eq!(s.next(), Some(("a".into(), j)));
-        }
+        s.acquire("a");
+        assert_eq!(
+            grant_order(&s, "a", &[("a", 1), ("a", 2), ("a", 3)]),
+            [1, 2, 3]
+        );
     }
 
     #[test]
     fn round_robin_across_tenants() {
-        let s = sched(16, 4);
-        for j in 0..2 {
-            s.submit("a", j).unwrap();
-            s.submit("b", 10 + j).unwrap();
+        let s = sched(16, 4, 1);
+        for t in ["x", "a", "a", "a", "b", "b"] {
+            s.admit(t).unwrap();
         }
-        let order: Vec<String> = (0..4).map(|_| s.next().unwrap().0).collect();
-        assert_eq!(order, ["a", "b", "a", "b"]);
+        s.acquire("x");
+        // "a" queued three before "b" queued any; grants still alternate.
+        let order = grant_order(
+            &s,
+            "x",
+            &[("a", 1), ("a", 2), ("a", 3), ("b", 10), ("b", 11)],
+        );
+        assert_eq!(order, [1, 10, 2, 11, 3]);
     }
 
     #[test]
     fn inflight_cap_skips_saturated_tenant() {
-        let s = sched(16, 1);
-        s.submit("a", 1).unwrap();
-        s.submit("a", 2).unwrap();
-        s.submit("b", 3).unwrap();
-        assert_eq!(s.next(), Some(("a".into(), 1)));
-        // "a" is at its cap: its second job must wait behind "b".
-        assert_eq!(s.next(), Some(("b".into(), 3)));
-        s.done("a");
-        assert_eq!(s.next(), Some(("a".into(), 2)));
+        let s = &sched(16, 1, 2);
+        for t in ["a", "a", "b"] {
+            s.admit(t).unwrap();
+        }
+        s.acquire("a");
+        // A free slot, but "a" is at its cap: its second job waits…
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let tx2 = tx.clone();
+            scope.spawn(move || {
+                s.acquire("a");
+                tx2.send("a").unwrap();
+            });
+            until_waiters(s, 1);
+            // …while "b" is granted the free slot at once.
+            s.acquire("b");
+            assert!(rx.try_recv().is_err(), "capped tenant granted");
+            s.release("a");
+            assert_eq!(rx.recv().unwrap(), "a");
+        });
+        assert_eq!(s.stats().inflight, 2);
     }
 
     #[test]
     fn queue_capacity_rejects_at_admission() {
-        let s = sched(2, 4);
-        s.submit("a", 1).unwrap();
-        s.submit("b", 2).unwrap();
-        assert_eq!(s.submit("c", 3), Err(AdmitError::QueueFull));
-        // Dispatching (not completing) frees queue space: admission
+        let s = sched(2, 4, 4);
+        s.admit("a").unwrap();
+        s.admit("b").unwrap();
+        assert_eq!(s.admit("c"), Err(AdmitError::QueueFull));
+        // Granting (not completing) frees queue space: admission
         // bounds *waiting* jobs.
-        s.next().unwrap();
-        s.submit("c", 3).unwrap();
+        s.acquire("a");
+        s.admit("c").unwrap();
+        assert_eq!(s.admit("c"), Err(AdmitError::QueueFull));
     }
 
     #[test]
-    fn shutdown_rejects_submits_but_drains_queue() {
-        let s = sched(8, 4);
-        s.submit("a", 1).unwrap();
+    fn shutdown_rejects_admission_but_grants_admitted_work() {
+        let s = sched(8, 4, 1);
+        s.admit("a").unwrap();
+        s.admit("a").unwrap();
         s.shutdown();
-        assert_eq!(s.submit("a", 2), Err(AdmitError::ShuttingDown));
-        assert_eq!(s.next(), Some(("a".into(), 1)));
-        assert_eq!(s.next(), None);
-        assert_eq!(s.next(), None, "drained shutdown stays terminal");
+        assert_eq!(s.admit("a"), Err(AdmitError::ShuttingDown));
+        s.acquire("a");
+        s.release("a");
+        s.acquire("a");
+        s.release("a");
+        assert_eq!(
+            s.stats(),
+            SchedulerStats {
+                queued: 0,
+                inflight: 0,
+                tenants: 1
+            }
+        );
     }
 
     #[test]
-    fn next_blocks_until_submit() {
-        let s = sched(8, 4);
+    fn acquire_blocks_until_release() {
+        let s = sched(8, 4, 1);
+        s.admit("a").unwrap();
+        s.admit("b").unwrap();
+        s.acquire("a");
+        let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
-            let h = scope.spawn(|| s.next());
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            s.submit("a", 7).unwrap();
-            assert_eq!(h.join().unwrap(), Some(("a".into(), 7)));
+            scope.spawn(|| {
+                s.acquire("b");
+                tx.send(()).unwrap();
+            });
+            until_waiters(&s, 1);
+            assert!(rx.try_recv().is_err(), "granted past the slot limit");
+            s.release("a");
+            rx.recv().unwrap();
         });
     }
 
     #[test]
     fn stats_snapshot_tracks_counts() {
-        let s = sched(8, 4);
-        s.submit("a", 1).unwrap();
-        s.submit("b", 2).unwrap();
+        let s = sched(8, 4, 2);
+        s.admit("a").unwrap();
+        s.admit("b").unwrap();
         assert_eq!(
             s.stats(),
             SchedulerStats {
@@ -318,7 +420,7 @@ mod tests {
                 tenants: 2
             }
         );
-        s.next().unwrap();
+        s.acquire("a");
         let st = s.stats();
         assert_eq!((st.queued, st.inflight), (1, 1));
     }

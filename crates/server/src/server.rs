@@ -4,12 +4,25 @@
 //! [`std::thread::scope`]):
 //!
 //! * the **accept loop** (the calling thread) polls a non-blocking
-//!   listener, handing each connection to a reader thread;
-//! * one **reader thread per connection** decodes frames and either
-//!   answers control frames (`ping`, `stats`, `cancel`, `shutdown`)
-//!   in-line or submits query jobs to the [`Scheduler`];
-//! * a fixed pool of **executor workers** pulls jobs tenant-fairly and
-//!   runs them on the submitting connection's [`Session`].
+//!   listener and gives each connection **two threads** running one
+//!   loop, `serve_connection`;
+//! * whichever of the two holds the connection's read half reads the
+//!   next frame. Control frames (`ping`, `stats`, `cancel`,
+//!   `shutdown`) are answered by that thread in-line. A query job is
+//!   admitted by the [`Scheduler`]; if none of the connection's jobs is
+//!   running, the thread releases the read half and runs the job
+//!   itself, so the other thread reads on and `cancel` frames and
+//!   disconnects are still seen at once. Otherwise the job joins the
+//!   connection's FIFO, which the running thread drains in request
+//!   order;
+//! * the scheduler holds no jobs: before running one, a thread blocks
+//!   in [`Scheduler::acquire`] until granted an execution slot —
+//!   round-robin over waiting tenants, under the per-tenant in-flight
+//!   cap, at most [`ServerConfig::workers`] at once.
+//!
+//! A request thus runs on the thread that read it, with no hand-off to
+//! a worker on its critical path, while one connection still never
+//! runs two of its jobs at once.
 //!
 //! Every connection shares one `Arc<Graph>` (e.g. an mmap-loaded
 //! snapshot) and owns its session, so plan caches are per-connection
@@ -18,17 +31,17 @@
 //! (unless configured off), so one connection's completed CTP searches
 //! answer any connection's repeats; its counters ride the `stats`
 //! opcode. Responses are written under a per-connection writer lock —
-//! control replies from the reader thread and query replies from
-//! workers interleave as whole frames.
+//! control replies from the reading thread and query replies from the
+//! running thread interleave as whole frames.
 //!
 //! **Live graphs** are served by *epoch swap*: the current graph sits
 //! behind an `RwLock<Arc<Graph>>`, and a `mutate` request clones it,
 //! applies the batch (one generation bump), and swaps the `Arc` —
 //! readers running against the old epoch finish undisturbed on their
-//! pinned `Arc`. Each connection's worker notices the swap by
-//! `Arc::ptr_eq` before its next job and rebuilds the session over the
-//! new epoch (dropping its plan cache; the shared result cache needs
-//! no flush because entries are keyed by graph generation).
+//! pinned `Arc`. Each connection notices the swap by `Arc::ptr_eq`
+//! before its next job and rebuilds the session over the new epoch
+//! (dropping its plan cache; the shared result cache needs no flush
+//! because entries are keyed by graph generation).
 //! `subscribe` registers a standing query ([`cs_eql::Watch`]) on the
 //! connection; `poll` re-emits its result delta, riding the watch's
 //! generation / label-footprint / reach-probe skip layers. Writers are
@@ -36,13 +49,15 @@
 //! other's clones.
 //!
 //! Deadlines and cancellation ride the typed path built into the
-//! engine: the worker arms [`ExecOptions::deadline`] /
-//! [`ExecOptions::cancel`], the search's cooperative checks stop it
-//! mid-flight, and the resulting [`EqlError::DeadlineExceeded`] /
-//! [`EqlError::Cancelled`] becomes an error frame with the matching
-//! [`ErrorCode`]. A `cancel` frame only raises the target's
-//! [`CancelFlag`] — the *cancelled request itself* answers with the
-//! error frame, so the client never waits on a dropped reply.
+//! engine: a deadline is fixed at admission, the running thread arms
+//! [`ExecOptions::deadline`] / [`ExecOptions::cancel`], the search's
+//! cooperative checks stop it mid-flight, and the resulting
+//! [`EqlError::DeadlineExceeded`] / [`EqlError::Cancelled`] becomes an
+//! error frame with the matching [`ErrorCode`]. A `cancel` frame only
+//! raises the target's [`CancelFlag`] — the *cancelled request itself*
+//! answers with the error frame, so the client never waits on a dropped
+//! reply. A disconnect raises the flags of every job the connection
+//! still has, running or waiting.
 
 use crate::proto::{
     read_frame, write_frame, BatchRequest, Cursor, DeltaReply, ErrorCode, ErrorReply, Frame,
@@ -56,22 +71,24 @@ use cs_eql::{
     WatchSkip,
 };
 use cs_graph::{Graph, Mutation, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// How long the accept loop sleeps between polls, and the granularity
-/// at which idle reader threads notice shutdown.
+/// at which a thread blocked reading a connection notices shutdown.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Executor worker threads (clamped to at least 1).
+    /// Maximum concurrent executions across all connections (clamped
+    /// to at least 1). Jobs run on their connections' threads; this
+    /// bounds how many of them run at once.
     pub workers: usize,
     /// Admission control and tenant fairness knobs.
     pub scheduler: SchedulerConfig,
@@ -124,12 +141,12 @@ impl ServerCounters {
     }
 }
 
-/// One admitted query job.
+/// One admitted query job, held by the connection that admitted it.
 struct Job {
-    conn: Arc<ConnShared>,
     request_id: u64,
+    tenant: String,
     kind: JobKind,
-    /// Absolute deadline, fixed at admission so queueing time counts
+    /// Absolute deadline, fixed at admission so waiting time counts
     /// against the budget.
     deadline: Option<Instant>,
     cancel: CancelFlag,
@@ -152,6 +169,16 @@ enum ReplyKind {
     Delta(DeltaReply),
 }
 
+/// What the reading thread does after dispatching a frame.
+enum Dispatch {
+    /// Read the next frame.
+    Continue,
+    /// Release the read half and run this job.
+    Run(Job),
+    /// Close the connection.
+    Close,
+}
+
 /// A connection's session pinned to the graph epoch it was built over,
 /// plus its standing queries. Watches outlive session rebuilds — a
 /// rebuilt session serves a *clone-descendant* of the same graph, and
@@ -167,28 +194,72 @@ struct ConnState {
     next_sub: u64,
 }
 
-/// Per-connection state shared between its reader thread and the
-/// executor workers.
-struct ConnShared {
-    writer: Mutex<TcpStream>,
-    /// The connection's session and subscriptions. `Session` is `!Sync`
-    /// (its plan cache sits behind a `RefCell`), so workers take it
-    /// under a mutex for the duration of a query; queries *within* one
-    /// connection are serialised, queries across connections run
-    /// concurrently.
-    state: Mutex<ConnState>,
-    /// Cancel flags of this connection's admitted-but-unfinished
-    /// requests, keyed by request id — the `cancel` opcode's target
-    /// registry.
-    inflight: Mutex<HashMap<u64, CancelFlag>>,
+/// The connection's read half. `open` turns false once a reading
+/// thread meets a disconnect, a protocol desync, a `shutdown` frame or
+/// server shutdown; the other thread then exits instead of reading.
+struct ReadHalf {
+    stream: TcpStream,
+    open: bool,
 }
 
-impl ConnShared {
+/// The connection's admitted jobs: the one running and those waiting
+/// behind it. Their ids and flags are the `cancel` opcode's targets.
+#[derive(Default)]
+struct ConnJobs {
+    /// Id and cancel flag of the job running now, if any.
+    running: Option<(u64, CancelFlag)>,
+    /// Jobs admitted while one was running, in request order.
+    waiting: VecDeque<Job>,
+}
+
+impl ConnJobs {
+    /// Every admitted job's id and cancel flag.
+    fn flags(&self) -> impl Iterator<Item = (u64, &CancelFlag)> {
+        let running = self.running.iter().map(|(id, flag)| (*id, flag));
+        running.chain(self.waiting.iter().map(|j| (j.request_id, &j.cancel)))
+    }
+
+    /// Raises the flags of every job with id `request_id`.
+    fn cancel(&self, request_id: u64) {
+        for (_, flag) in self.flags().filter(|(id, _)| *id == request_id) {
+            flag.cancel();
+        }
+    }
+
+    /// Raises every flag: the connection is gone, so whatever it still
+    /// has is for nobody, and the searches can stop early instead of
+    /// computing into a closed socket.
+    fn cancel_all(&self) {
+        for (_, flag) in self.flags() {
+            flag.cancel();
+        }
+    }
+}
+
+/// Per-connection state shared by the connection's two threads.
+struct Conn {
+    reader: Mutex<ReadHalf>,
+    writer: Mutex<TcpStream>,
+    /// The connection's session and subscriptions. `Session` is `!Sync`
+    /// (its plan cache sits behind a `RefCell`), so the running thread
+    /// takes it under a mutex; `jobs` already keeps one connection's
+    /// jobs from running at once, so the lock is never contended.
+    state: Mutex<ConnState>,
+    jobs: Mutex<ConnJobs>,
+}
+
+/// Locks `m`, absorbing poisoning: every update under the server's
+/// locks leaves its data valid, so a panicked peer leaves nothing
+/// half-done.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Conn {
     fn send(&self, frame: &Frame) {
-        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        // A failed write means the client is gone; its reader thread
+        // A failed write means the client is gone; the reading thread
         // notices on its next read and tears the connection down.
-        let _ = write_frame(&mut *w, frame);
+        let _ = write_frame(&mut *lock(&self.writer), frame);
     }
 
     fn send_error(&self, request_id: u64, code: ErrorCode, message: impl Into<String>) {
@@ -315,17 +386,18 @@ impl Server {
     /// arrives, then drains and returns. Blocks the calling thread.
     pub fn run(&self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let sched: Scheduler<Job> = Scheduler::new(self.cfg.scheduler.clone());
-        let workers = self.cfg.workers.max(1);
+        let sched = &Scheduler::new(self.cfg.scheduler.clone(), self.cfg.workers);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| self.worker_loop(&sched));
-            }
             while !self.shutting_down() {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
                         ServerCounters::bump(&self.counters.connections);
-                        scope.spawn(|| self.serve_connection(stream, &sched));
+                        if let Some(conn) = self.open_connection(stream) {
+                            let conn = Arc::new(conn);
+                            let other = Arc::clone(&conn);
+                            scope.spawn(move || self.serve_connection(&conn, sched));
+                            scope.spawn(move || self.serve_connection(&other, sched));
+                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(POLL_INTERVAL);
@@ -340,31 +412,92 @@ impl Server {
         Ok(())
     }
 
-    /// Executor worker: pulls tenant-fair jobs until drained shutdown.
-    fn worker_loop(&self, sched: &Scheduler<Job>) {
-        while let Some((tenant, job)) = sched.next() {
-            self.execute(job);
-            sched.done(&tenant);
+    /// Sets up a fresh connection's halves and session; `None` if the
+    /// socket cannot be configured (the client is already gone).
+    fn open_connection(&self, stream: TcpStream) -> Option<Conn> {
+        stream.set_read_timeout(Some(READ_TIMEOUT)).ok()?;
+        let writer = stream.try_clone().ok()?;
+        let epoch = self.current_graph();
+        Some(Conn {
+            reader: Mutex::new(ReadHalf { stream, open: true }),
+            writer: Mutex::new(writer),
+            state: Mutex::new(ConnState {
+                session: Session::from_shared_with(Arc::clone(&epoch), self.cfg.exec.clone()),
+                epoch,
+                subs: HashMap::new(),
+                next_sub: 1,
+            }),
+            jobs: Mutex::new(ConnJobs::default()),
+        })
+    }
+
+    /// The loop both of a connection's threads run, until the
+    /// connection closes: take the read half, read and dispatch one
+    /// frame, and run the job it admitted (plus the jobs admitted
+    /// behind it) after releasing the read half.
+    fn serve_connection(&self, conn: &Conn, sched: &Scheduler) {
+        loop {
+            let mut read = lock(&conn.reader);
+            if !read.open {
+                return;
+            }
+            let mut frames = InterruptibleReader {
+                stream: &read.stream,
+                shutdown: &self.shutdown,
+            };
+            let dispatch = match read_frame(&mut frames) {
+                Ok(frame) => self.handle_frame(conn, frame, sched),
+                // Disconnect (or shutdown): tear this connection down.
+                Err(ProtoError::Io(_)) => Dispatch::Close,
+                // Framing desync: the byte stream is unrecoverable, so
+                // report once and close — but only this connection.
+                Err(e) => {
+                    conn.send_error(0, ErrorCode::Protocol, e.to_string());
+                    Dispatch::Close
+                }
+            };
+            match dispatch {
+                Dispatch::Continue => {}
+                Dispatch::Run(job) => {
+                    drop(read);
+                    self.run_jobs(conn, job, sched);
+                }
+                Dispatch::Close => {
+                    read.open = false;
+                    lock(&conn.jobs).cancel_all();
+                    return;
+                }
+            }
         }
     }
 
-    /// Runs one job on its connection's session and writes the reply.
-    fn execute(&self, job: Job) {
-        let frame = self.run_job(&job);
-        job.conn
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&job.request_id);
-        job.conn.send(&frame);
+    /// Runs `job`, then the connection's waiting jobs in request order,
+    /// each in a scheduler slot, until none is left.
+    fn run_jobs(&self, conn: &Conn, mut job: Job, sched: &Scheduler) {
+        loop {
+            sched.acquire(&job.tenant);
+            let frame = self.run_job(conn, &job);
+            sched.release(&job.tenant);
+            // Reply before giving up the running role, so a job the
+            // other thread starts next cannot overtake this reply.
+            conn.send(&frame);
+            let mut jobs = lock(&conn.jobs);
+            match jobs.waiting.pop_front() {
+                Some(next) => {
+                    jobs.running = Some((next.request_id, next.cancel.clone()));
+                    job = next;
+                }
+                None => {
+                    jobs.running = None;
+                    return;
+                }
+            }
+        }
     }
 
-    fn run_job(&self, job: &Job) -> Frame {
-        let mut state = job
-            .conn
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+    /// Runs one job on the connection's session and builds its reply.
+    fn run_job(&self, conn: &Conn, job: &Job) -> Frame {
+        let mut state = lock(&conn.state);
         // Epoch check: a mutation may have swapped the graph since this
         // connection's last job. Rebuild the session over the current
         // epoch (subscriptions carry over — generations survive the
@@ -375,7 +508,7 @@ impl Server {
             state.epoch = current;
         }
         // Overlay the per-request controls; the remaining budget is
-        // measured from *now*, so time spent queued has already been
+        // measured from *now*, so time spent waiting has already been
         // charged against the absolute deadline.
         let opts = state.session.options_mut();
         opts.cancel = Some(job.cancel.clone());
@@ -524,10 +657,7 @@ impl Server {
     /// Serialised by the mutate lock; resolution failures reject the
     /// whole batch before anything is applied.
     fn apply_mutations(&self, ops: &[WireMutation]) -> Result<MutateReply, EqlError> {
-        let _writer = self
-            .mutate_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _writer = lock(&self.mutate_lock);
         let base = self.current_graph();
         let resolved = resolve_wire_ops(&base, ops).map_err(EqlError::Mutate)?;
         let mut g: Graph = (*base).clone();
@@ -543,163 +673,33 @@ impl Server {
         })
     }
 
-    /// Per-connection reader: decodes frames until disconnect, protocol
-    /// desync, or shutdown.
-    fn serve_connection(&self, stream: TcpStream, sched: &Scheduler<Job>) {
-        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
-            return;
-        }
-        let writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let epoch = self.current_graph();
-        let conn = Arc::new(ConnShared {
-            writer: Mutex::new(writer),
-            state: Mutex::new(ConnState {
-                session: Session::from_shared_with(Arc::clone(&epoch), self.cfg.exec.clone()),
-                epoch,
-                subs: HashMap::new(),
-                next_sub: 1,
-            }),
-            inflight: Mutex::new(HashMap::new()),
-        });
-        let mut reader = InterruptibleReader {
-            stream: &stream,
-            shutdown: &self.shutdown,
-        };
-        loop {
-            match read_frame(&mut reader) {
-                Ok(frame) => {
-                    if !self.handle_frame(&conn, frame, sched) {
-                        break;
-                    }
-                }
-                // Disconnect (or shutdown): tear this connection down.
-                Err(ProtoError::Io(_)) => break,
-                // Framing desync: the byte stream is unrecoverable, so
-                // report once and close — but only this connection.
-                Err(e) => {
-                    conn.send_error(0, ErrorCode::Protocol, e.to_string());
-                    break;
-                }
-            }
-        }
-        // Whatever this connection still has running is for nobody
-        // now; raising the flags lets the searches stop early instead
-        // of computing into a closed socket.
-        for flag in conn
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-        {
-            flag.cancel();
-        }
-    }
-
-    /// Dispatches one decoded frame. Returns `false` to close the
-    /// connection.
-    fn handle_frame(&self, conn: &Arc<ConnShared>, frame: Frame, sched: &Scheduler<Job>) -> bool {
-        match frame.opcode {
-            Opcode::Query | Opcode::Ask => {
-                let req = match QueryRequest::decode(&frame.payload) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        conn.send_error(frame.request_id, ErrorCode::Protocol, e.to_string());
-                        return true;
-                    }
-                };
-                let kind = if frame.opcode == Opcode::Query {
-                    JobKind::Query(req.text)
-                } else {
-                    JobKind::Ask(req.text)
-                };
-                self.admit(conn, frame.request_id, &req.header, kind, sched);
-                true
-            }
-            Opcode::Batch => {
-                let req = match BatchRequest::decode(&frame.payload) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        conn.send_error(frame.request_id, ErrorCode::Protocol, e.to_string());
-                        return true;
-                    }
-                };
-                self.admit(
-                    conn,
-                    frame.request_id,
-                    &req.header,
-                    JobKind::Batch(req.queries),
-                    sched,
-                );
-                true
-            }
-            Opcode::Mutate => {
-                let req = match MutateRequest::decode(&frame.payload) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        conn.send_error(frame.request_id, ErrorCode::Protocol, e.to_string());
-                        return true;
-                    }
-                };
-                self.admit(
-                    conn,
-                    frame.request_id,
-                    &req.header,
-                    JobKind::Mutate(req.ops),
-                    sched,
-                );
-                true
-            }
-            Opcode::Subscribe => {
-                let req = match QueryRequest::decode(&frame.payload) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        conn.send_error(frame.request_id, ErrorCode::Protocol, e.to_string());
-                        return true;
-                    }
-                };
-                self.admit(
-                    conn,
-                    frame.request_id,
-                    &req.header,
-                    JobKind::Subscribe(req.text),
-                    sched,
-                );
-                true
-            }
+    /// Dispatches one decoded frame: answers control frames in-line,
+    /// and admits job frames.
+    fn handle_frame(&self, conn: &Conn, frame: Frame, sched: &Scheduler) -> Dispatch {
+        let job = match frame.opcode {
+            Opcode::Query | Opcode::Ask | Opcode::Subscribe => QueryRequest::decode(&frame.payload)
+                .map(|req| {
+                    let kind = match frame.opcode {
+                        Opcode::Query => JobKind::Query(req.text),
+                        Opcode::Ask => JobKind::Ask(req.text),
+                        _ => JobKind::Subscribe(req.text),
+                    };
+                    (req.header, kind)
+                }),
+            Opcode::Batch => BatchRequest::decode(&frame.payload)
+                .map(|req| (req.header, JobKind::Batch(req.queries))),
+            Opcode::Mutate => MutateRequest::decode(&frame.payload)
+                .map(|req| (req.header, JobKind::Mutate(req.ops))),
             Opcode::Poll => {
-                let req = match PollRequest::decode(&frame.payload) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        conn.send_error(frame.request_id, ErrorCode::Protocol, e.to_string());
-                        return true;
-                    }
-                };
-                self.admit(
-                    conn,
-                    frame.request_id,
-                    &req.header,
-                    JobKind::Poll(req.sub),
-                    sched,
-                );
-                true
+                PollRequest::decode(&frame.payload).map(|req| (req.header, JobKind::Poll(req.sub)))
             }
             Opcode::Cancel => {
                 // Fire-and-forget: the cancelled request itself answers
                 // with its Cancelled error frame.
                 if let Ok(target) = Cursor::new(&frame.payload).u64() {
-                    if let Some(flag) = conn
-                        .inflight
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get(&target)
-                    {
-                        flag.cancel();
-                    }
+                    lock(&conn.jobs).cancel(target);
                 }
-                true
+                return Dispatch::Continue;
             }
             Opcode::Ping => {
                 conn.send(&Frame {
@@ -707,7 +707,7 @@ impl Server {
                     opcode: Opcode::Pong,
                     payload: frame.payload,
                 });
-                true
+                return Dispatch::Continue;
             }
             Opcode::Stats => {
                 conn.send(&Frame {
@@ -715,12 +715,12 @@ impl Server {
                     opcode: Opcode::StatsReply,
                     payload: self.stats_text(sched).into_bytes(),
                 });
-                true
+                return Dispatch::Continue;
             }
             Opcode::Shutdown => {
                 conn.send(&Frame::empty(frame.request_id, Opcode::ShutdownAck));
                 self.request_shutdown();
-                false
+                return Dispatch::Close;
             }
             // A client sending response opcodes is off-protocol.
             Opcode::Reply
@@ -736,53 +736,61 @@ impl Server {
                     ErrorCode::Protocol,
                     "response opcode sent by client",
                 );
-                false
+                return Dispatch::Close;
+            }
+        };
+        match job {
+            Ok((header, kind)) => self.admit(conn, frame.request_id, header, kind, sched),
+            Err(e) => {
+                conn.send_error(frame.request_id, ErrorCode::Protocol, e.to_string());
+                Dispatch::Continue
             }
         }
     }
 
-    /// Admission: registers the cancel flag and submits the job, or
-    /// answers with the typed rejection.
+    /// Admission: fixes the deadline and admits the job, or answers
+    /// with the typed rejection. An admitted job runs on this thread if
+    /// none of the connection's jobs is running, else it waits in the
+    /// connection's FIFO.
     fn admit(
         &self,
-        conn: &Arc<ConnShared>,
+        conn: &Conn,
         request_id: u64,
-        header: &crate::proto::RequestHeader,
+        header: crate::proto::RequestHeader,
         kind: JobKind,
-        sched: &Scheduler<Job>,
-    ) {
-        let deadline_ms = if header.deadline_ms > 0 {
-            Some(Duration::from_millis(u64::from(header.deadline_ms)))
-        } else {
-            self.cfg.default_deadline
-        };
-        let cancel = CancelFlag::new();
-        conn.inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(request_id, cancel.clone());
-        let job = Job {
-            conn: Arc::clone(conn),
-            request_id,
-            kind,
-            deadline: deadline_ms.map(|d| Instant::now() + d),
-            cancel,
-        };
-        if let Err(e) = sched.submit(&header.tenant, job) {
+        sched: &Scheduler,
+    ) -> Dispatch {
+        if let Err(e) = sched.admit(&header.tenant) {
             ServerCounters::bump(&self.counters.rejected);
-            conn.inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&request_id);
             let code = match e {
                 AdmitError::QueueFull => ErrorCode::Overloaded,
                 AdmitError::ShuttingDown => ErrorCode::ShuttingDown,
             };
             conn.send_error(request_id, code, e.to_string());
+            return Dispatch::Continue;
         }
+        let deadline = if header.deadline_ms > 0 {
+            Some(Duration::from_millis(u64::from(header.deadline_ms)))
+        } else {
+            self.cfg.default_deadline
+        };
+        let job = Job {
+            request_id,
+            tenant: header.tenant,
+            kind,
+            deadline: deadline.map(|d| Instant::now() + d),
+            cancel: CancelFlag::new(),
+        };
+        let mut jobs = lock(&conn.jobs);
+        if jobs.running.is_some() {
+            jobs.waiting.push_back(job);
+            return Dispatch::Continue;
+        }
+        jobs.running = Some((request_id, job.cancel.clone()));
+        Dispatch::Run(job)
     }
 
-    fn stats_text(&self, sched: &Scheduler<Job>) -> String {
+    fn stats_text(&self, sched: &Scheduler) -> String {
         let s = sched.stats();
         let c = &self.counters;
         let (rc, rc_entries) = match &self.result_cache {

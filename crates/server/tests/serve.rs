@@ -1,12 +1,14 @@
 //! End-to-end tests of `csqd`: concurrent-client parity against a
 //! local [`Session`], server-side deadlines and cooperative
-//! cancellation, admission control, and the shutdown drain.
+//! cancellation, admission control, per-connection request order, and
+//! the shutdown drain.
 
 use cs_eql::Session;
 use cs_graph::generate::random_connected;
 use cs_graph::Graph;
-use cs_server::{Client, ClientError, ErrorCode, RequestHeader, Server, ServerConfig};
-use std::net::SocketAddr;
+use cs_server::proto::{read_frame, write_frame, ErrorReply, Frame, Opcode, QueryRequest};
+use cs_server::{Client, ClientError, ErrorCode, QueryReply, RequestHeader, Server, ServerConfig};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -19,6 +21,13 @@ fn graph() -> Arc<Graph> {
 }
 
 const LONG_QUERY: &str = r#"SELECT w WHERE { CONNECT("n0", "n63" -> w) MAX 5 }"#;
+
+/// A search that stays slow in optimised builds too (about a second
+/// untimed, where `LONG_QUERY` takes tens of milliseconds, no longer
+/// than the 25–30 ms these tests give a deadline or a cancel): the
+/// target of every test that needs a query still running when its
+/// deadline, cancel, probe or disconnect arrives.
+const SLOW_QUERY: &str = r#"SELECT w WHERE { CONNECT("n0", "n63" -> w) MAX 6 }"#;
 
 /// Binds an ephemeral-port server and runs it on a background thread.
 fn start(cfg: ServerConfig) -> (Arc<Server>, SocketAddr, JoinHandle<()>) {
@@ -173,7 +182,7 @@ fn server_deadline_exceeded_well_before_untimed_runtime() {
     let g = graph();
     let t0 = Instant::now();
     let full = Session::from_shared(Arc::clone(&g))
-        .run(LONG_QUERY)
+        .run(SLOW_QUERY)
         .expect("untimed local run");
     let untimed = t0.elapsed();
     assert!(full.rows() > 0);
@@ -183,7 +192,7 @@ fn server_deadline_exceeded_well_before_untimed_runtime() {
     let t = Instant::now();
     let err = client
         .query(
-            LONG_QUERY,
+            SLOW_QUERY,
             &RequestHeader {
                 tenant: String::new(),
                 deadline_ms: 25,
@@ -215,7 +224,7 @@ fn default_deadline_applies_to_unmarked_requests() {
     });
     let mut client = Client::connect(addr).expect("connect");
     let err = client
-        .query(LONG_QUERY, &RequestHeader::default())
+        .query(SLOW_QUERY, &RequestHeader::default())
         .expect_err("default deadline must fail the query");
     match err {
         ClientError::Server(e) => assert_eq!(e.code, ErrorCode::DeadlineExceeded),
@@ -231,7 +240,7 @@ fn cancel_frame_stops_running_query() {
     let (server, addr, handle) = start(ServerConfig::default());
     let mut client = Client::connect(addr).expect("connect");
     let id = client
-        .send_query(LONG_QUERY, &RequestHeader::default())
+        .send_query(SLOW_QUERY, &RequestHeader::default())
         .expect("send");
     let mut canceller = client.canceller().expect("canceller");
     let killer = std::thread::spawn(move || {
@@ -281,7 +290,7 @@ fn full_run_queue_rejects_with_overloaded() {
     // worker has taken the first off the queue: were the first still
     // queued, the second would bounce instead, and the third could be
     // admitted after the worker drains the first.
-    let _id1 = client.send_query(LONG_QUERY, &header).expect("send 1");
+    let _id1 = client.send_query(SLOW_QUERY, &header).expect("send 1");
     let mut probe = Client::connect(addr).expect("connect probe");
     let since = Instant::now();
     while !probe
@@ -295,8 +304,8 @@ fn full_run_queue_rejects_with_overloaded() {
         );
         std::thread::yield_now();
     }
-    let _id2 = client.send_query(LONG_QUERY, &header).expect("send 2");
-    let id3 = client.send_query(LONG_QUERY, &header).expect("send 3");
+    let _id2 = client.send_query(SLOW_QUERY, &header).expect("send 2");
+    let id3 = client.send_query(SLOW_QUERY, &header).expect("send 3");
     let err = client.wait_query(id3).expect_err("admission must reject");
     match err {
         ClientError::Server(e) => assert_eq!(e.code, ErrorCode::Overloaded, "{}", e.message),
@@ -576,4 +585,140 @@ fn tenants_share_the_worker_fairly() {
         let _ = flood.wait_query(id);
     }
     stop(&server, handle);
+}
+
+/// A raw connection, for tests that pipeline frames or read replies in
+/// arrival order (the blocking [`Client`] waits for one id at a time).
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    // A server that never answers fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    stream
+}
+
+fn send_raw(stream: &mut TcpStream, request_id: u64, opcode: Opcode, payload: Vec<u8>) {
+    write_frame(
+        stream,
+        &Frame {
+            request_id,
+            opcode,
+            payload,
+        },
+    )
+    .expect("send frame");
+}
+
+fn query_payload(text: &str) -> Vec<u8> {
+    QueryRequest {
+        header: RequestHeader::default(),
+        text: text.to_string(),
+    }
+    .encode()
+}
+
+/// A `stats` frame on a connection whose own query is still running is
+/// answered before that query ends: the thread running the query has
+/// left the socket to the connection's other thread.
+#[test]
+fn stats_answered_while_the_connection_runs_a_query() {
+    let (server, addr, handle) = start(ServerConfig::default());
+    let mut stream = raw_connect(addr);
+    send_raw(&mut stream, 1, Opcode::Query, query_payload(SLOW_QUERY));
+    send_raw(&mut stream, 2, Opcode::Stats, Vec::new());
+
+    let first = read_frame(&mut stream).expect("first frame");
+    assert_eq!(
+        (first.request_id, first.opcode),
+        (2, Opcode::StatsReply),
+        "the stats reply must overtake the running query"
+    );
+    let stats = String::from_utf8(first.payload).expect("utf-8 stats");
+    assert!(
+        stats.contains("served: 0 ok, 0 failed, 0 cancelled"),
+        "{stats}"
+    );
+
+    // End the query early: it answers with its own Cancelled frame.
+    send_raw(&mut stream, 3, Opcode::Cancel, 1u64.to_le_bytes().to_vec());
+    let second = read_frame(&mut stream).expect("second frame");
+    assert_eq!((second.request_id, second.opcode), (1, Opcode::Error));
+    let err = ErrorReply::decode(&second.payload).expect("error reply");
+    assert_eq!(err.code, ErrorCode::Cancelled, "{}", err.message);
+    stop(&server, handle);
+}
+
+/// Queries pipelined on one connection reply in request order, each
+/// with the local session's answer — a slow first query included.
+#[test]
+fn pipelined_queries_reply_in_request_order() {
+    let (server, addr, handle) = start(ServerConfig::default());
+    let mut queries = vec![LONG_QUERY.to_string()];
+    queries.extend((1..6).map(|k| {
+        format!(
+            r#"SELECT w WHERE {{ CONNECT("n{k}", "n{}" -> w) MAX 3 }}"#,
+            60 - k
+        )
+    }));
+    let g = graph();
+    let session = Session::from_shared(Arc::clone(&g));
+    let expected: Vec<(u64, String)> = queries
+        .iter()
+        .map(|q| {
+            let r = session.run(q).expect("local run");
+            (r.rows() as u64, r.render(&g))
+        })
+        .collect();
+
+    let mut stream = raw_connect(addr);
+    for (id, q) in (1u64..).zip(&queries) {
+        send_raw(&mut stream, id, Opcode::Query, query_payload(q));
+    }
+    for (id, (rows, text)) in (1u64..).zip(&expected) {
+        let frame = read_frame(&mut stream).expect("reply frame");
+        assert_eq!((frame.request_id, frame.opcode), (id, Opcode::Reply));
+        let reply = QueryReply::decode(&frame.payload).expect("query reply");
+        assert_eq!((&reply.rows, &reply.text), (rows, text), "query {id}");
+    }
+    stop(&server, handle);
+}
+
+/// A disconnect while one of the connection's jobs runs and another
+/// waits behind it raises both cancel flags, and the server still stops
+/// promptly.
+#[test]
+fn disconnect_cancels_running_and_waiting_jobs() {
+    let (server, addr, handle) = start(ServerConfig::default());
+    let header = RequestHeader::default();
+    let mut client = Client::connect(addr).expect("connect");
+    client.send_query(SLOW_QUERY, &header).expect("send 1");
+    client.send_query(SLOW_QUERY, &header).expect("send 2");
+    let mut probe = Client::connect(addr).expect("connect probe");
+    let wait_for = |probe: &mut Client, want: &str| {
+        let since = Instant::now();
+        loop {
+            let stats = probe.stats().expect("stats");
+            if stats.contains(want) {
+                return;
+            }
+            assert!(
+                since.elapsed() < Duration::from_secs(10),
+                "never saw {want:?}: {stats}"
+            );
+            std::thread::yield_now();
+        }
+    };
+    wait_for(&mut probe, "scheduler: 1 queued, 1 inflight");
+    drop(client);
+    wait_for(&mut probe, "0 ok, 0 failed, 2 cancelled");
+    drop(probe);
+
+    let t = Instant::now();
+    stop(&server, handle);
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "stop took {:?}",
+        t.elapsed()
+    );
 }
