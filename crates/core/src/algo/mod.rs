@@ -213,8 +213,10 @@ fn gam_config(algo: Algorithm) -> GamConfig {
         Algorithm::MoEsp => GamConfig::MOESP,
         Algorithm::Lesp => GamConfig::LESP,
         Algorithm::MoLesp => GamConfig::MOLESP,
-        // cs-lint: allow(L002): documented `# Panics` contract — the
-        // batch-only BFT variants have no streaming configuration.
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract: the batch-only BFT variants have no streaming configuration"
+        )]
         other => panic!("streaming evaluation requires a GAM-family algorithm, got {other}"),
     }
 }

@@ -86,8 +86,10 @@ pub fn greedy_gstp(g: &Graph, seeds: &SeedSets, directed: bool) -> Option<Approx
         covered[gi] = true;
         // Walk the BFS parents back to the tree, adding the path.
         while !tree_nodes.contains(&at) {
-            // cs-lint: allow(L002): `at` descends the BFS parent chain
-            // from `hit`, and every visited node recorded its parent.
+            #[expect(
+                clippy::expect_used,
+                reason = "`at` descends the BFS parent chain from `hit`, and every visited node recorded its parent"
+            )]
             let e = parent_edge[at.index()].expect("path to tree exists");
             tree_edges.insert(e);
             tree_nodes.insert(at);

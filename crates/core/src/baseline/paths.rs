@@ -160,7 +160,10 @@ pub fn enumerate_paths(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the DFS carries its whole search state"
+)]
 fn dfs(
     g: &Graph,
     cur: NodeId,

@@ -83,6 +83,10 @@ pub fn evaluate_ctps_parallel(g: &Graph, jobs: &[CtpJob], threads: usize) -> Vec
     let slots: Vec<Mutex<Option<SearchOutcome>>> =
         (0..jobs.len()).map(|_| Mutex::new(None)).collect();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L004: cs_core::parallel is one of the two modules that spawn threads"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -93,19 +97,27 @@ pub fn evaluate_ctps_parallel(g: &Graph, jobs: &[CtpJob], threads: usize) -> Vec
                 if i >= jobs.len() {
                     break;
                 }
-                // cs-lint: allow(L002): one writer per slot, so the
-                // lock is never poisoned; a panic here aborts the run.
-                *slots[i].lock().unwrap() = Some(evaluate_job(g, &jobs[i]));
+                let outcome = evaluate_job(g, &jobs[i]);
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "one writer per slot, so the lock is never poisoned; a panic here aborts the run"
+                )]
+                let mut slot = slots[i].lock().unwrap();
+                *slot = Some(outcome);
             });
         }
     });
 
-    slots
+    #[expect(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        reason = "a worker panic already propagated via the scope join, so every slot is unpoisoned and filled here"
+    )]
+    let outcomes = slots
         .into_iter()
-        // cs-lint: allow(L002): a worker panic already propagated via
-        // the scope join, so every slot is unpoisoned and filled here.
         .map(|m| m.into_inner().unwrap().expect("job completed"))
-        .collect()
+        .collect();
+    outcomes
 }
 
 #[cfg(test)]

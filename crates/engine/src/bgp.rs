@@ -424,8 +424,7 @@ pub fn eval_bgp_with_plan(g: &Graph, bgp: &Bgp, plan: &BgpPlan) -> Table {
 }
 
 /// Evaluates a BGP with the pre-planner strategy: materialise every
-/// pattern table eagerly, then join greedily by actual table size
-/// (smallest first, preferring join partners that share a variable).
+/// pattern table eagerly, then join them with [`join_all`].
 /// Kept as the reference implementation the planner is property-tested
 /// against, and as an A/B baseline for benchmarks.
 pub fn eval_bgp_greedy(g: &Graph, bgp: &Bgp) -> Table {
@@ -433,10 +432,7 @@ pub fn eval_bgp_greedy(g: &Graph, bgp: &Bgp) -> Table {
         bgp.is_connected(),
         "BGP violates Def 2.4: patterns must be connected"
     );
-    if bgp.patterns.is_empty() {
-        return Table::new(Vec::new());
-    }
-    let mut tables: Vec<Table> = bgp
+    let tables: Vec<Table> = bgp
         .patterns
         .iter()
         .map(|p| {
@@ -444,20 +440,31 @@ pub fn eval_bgp_greedy(g: &Graph, bgp: &Bgp) -> Table {
             eval_pattern_access(g, p, &access, &BoundSets::default())
         })
         .collect();
+    join_all(tables)
+}
 
-    // Pick the smallest to start.
+/// Greedy natural join of all tables: smallest first, preferring
+/// join partners that share variables.
+pub fn join_all(mut tables: Vec<Table>) -> Table {
+    if tables.is_empty() {
+        return Table::new(Vec::new());
+    }
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the empty case returned above, so the minimum exists"
+    )]
     let start = tables
         .iter()
         .enumerate()
         .min_by_key(|(_, t)| t.len())
         .map(|(i, _)| i)
-        // cs-lint: allow(L002): `tables` is non-empty — the empty-BGP
-        // case returned above — so the minimum exists.
         .unwrap();
     let mut acc = tables.swap_remove(start);
-
     while !tables.is_empty() {
-        // Prefer a table sharing a variable with acc.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the while-guard keeps `tables` non-empty, so the unfiltered fallback always finds one"
+        )]
         let pos = tables
             .iter()
             .enumerate()
@@ -471,24 +478,9 @@ pub fn eval_bgp_greedy(g: &Graph, bgp: &Bgp) -> Table {
                     .min_by_key(|(_, t)| t.len())
                     .map(|(i, _)| i)
             })
-            // cs-lint: allow(L002): the while-guard keeps `tables`
-            // non-empty, so the unfiltered fallback always finds one.
             .unwrap();
         let next = tables.swap_remove(pos);
         acc = acc.natural_join(&next);
-        if acc.is_empty() {
-            // Short-circuit: the join result can only stay empty, but
-            // the schema must still include every pattern variable.
-            let mut vars = acc.vars().to_vec();
-            for t in &tables {
-                for v in t.vars() {
-                    if !vars.contains(v) {
-                        vars.push(v.clone());
-                    }
-                }
-            }
-            return Table::new(vars);
-        }
     }
     acc
 }

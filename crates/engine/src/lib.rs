@@ -26,6 +26,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// L002: library code reports failures as typed errors, never by
+// panicking. A justified exception is a scoped
+// `#[expect(clippy::…, reason = "…")]`; tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 mod bgp;
@@ -35,7 +40,8 @@ mod plan;
 mod table;
 
 pub use bgp::{
-    eval_bgp, eval_bgp_greedy, eval_bgp_with_plan, pattern_components, Bgp, Term, TriplePattern,
+    eval_bgp, eval_bgp_greedy, eval_bgp_with_plan, join_all, pattern_components, Bgp, Term,
+    TriplePattern,
 };
 pub use binding::Binding;
 pub use cache::{bgp_shape, PlanCache};

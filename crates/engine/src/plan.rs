@@ -428,14 +428,16 @@ pub fn plan_bgp(g: &Graph, bgp: &Bgp) -> BgpPlan {
         };
         // Most selective connected pattern, else cheapest overall
         // (first step, or disconnected input).
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the while-guard keeps `remaining` non-empty, so the unfiltered fallback always finds one"
+        )]
         let pick = remaining
             .iter()
             .copied()
             .filter(|&i| bound.is_empty() || connected(i))
             .min_by_key(|&i| (join_rows(i), choices[i].1, i))
             .or_else(|| remaining.iter().copied().min_by_key(|&i| (choices[i].1, i)))
-            // cs-lint: allow(L002): the while-guard keeps `remaining`
-            // non-empty, so the unfiltered fallback always finds one.
             .unwrap();
         remaining.retain(|&i| i != pick);
         let rows = join_rows(pick);

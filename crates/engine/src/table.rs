@@ -99,13 +99,14 @@ impl Table {
     /// # Panics
     /// Panics if a requested variable is absent.
     pub fn project(&self, keep: &[&str]) -> Table {
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` contract: projecting an absent variable is a caller bug, not a runtime condition"
+        )]
         let cols: Vec<usize> = keep
             .iter()
             .map(|v| {
                 self.col(v)
-                    // cs-lint: allow(L002): documented `# Panics`
-                    // contract — projecting an absent variable is a
-                    // caller bug, not a runtime condition.
                     .unwrap_or_else(|| panic!("unknown variable {v}"))
             })
             .collect();

@@ -16,7 +16,7 @@ use cs_core::{
     Algorithm, Filters, QueueOrder, QueuePolicy, ResultTree, SearchOutcome, SearchStats, SeedError,
     SeedSets, SeedSpec,
 };
-use cs_engine::{plan_bgp, Bgp, BgpPlan, Binding, Table, Term, TriplePattern};
+use cs_engine::{pattern_components, plan_bgp, Bgp, BgpPlan, Binding, Table, Term, TriplePattern};
 use cs_graph::fxhash::FxHashMap;
 use cs_graph::{matching_nodes, Graph, NodeId};
 use std::fmt;
@@ -379,8 +379,7 @@ pub(crate) fn build_ctp_jobs(
     let mut per_ctp: Vec<(Vec<SeedSpec>, Vec<Option<String>>)> = q
         .ctps
         .iter()
-        .enumerate()
-        .map(|(ci, ctp)| seed_specs(g, ctp, ci, bgp_tables))
+        .map(|ctp| seed_specs(g, ctp, bgp_tables))
         .collect();
     let (exclusions, narrowings) = narrow_shared_seed_sets(q, &mut per_ctp);
 
@@ -634,8 +633,10 @@ pub(crate) fn materialise_ctps(
         // on the canonical edge set, so TOP-k is a function of the
         // result *set* alone — no engine or thread count can change it.
         if let Some((sigma_name, top)) = &ctp.filters.score {
-            // cs-lint: allow(L002): the parser already rejected
-            // queries naming an unknown scorer, so lookup succeeds.
+            #[expect(
+                clippy::expect_used,
+                reason = "the parser already rejected queries naming an unknown scorer, so lookup succeeds"
+            )]
             let sigma = by_name(sigma_name).expect("validated by the parser");
             let mut scored: Vec<(f64, ResultTree)> = result_trees
                 .into_iter()
@@ -696,19 +697,11 @@ pub(crate) fn lower_patterns(q: &QueryAst) -> Vec<TriplePattern> {
         .collect()
 }
 
-/// Groups pattern indices into maximal components connected by shared
-/// variables — each component is one BGP (Def. 2.4). Delegates to the
-/// engine's union-find ([`cs_engine::pattern_components`]), the same
-/// implementation backing [`Bgp::is_connected`].
-pub(crate) fn connected_components(patterns: &[TriplePattern]) -> Vec<Vec<usize>> {
-    cs_engine::pattern_components(patterns)
-}
-
 /// Lowers a query's edge patterns and groups them into their BGP
 /// components (Def. 2.4), in first-pattern order.
 pub(crate) fn query_bgps(q: &QueryAst) -> Vec<Bgp> {
     let lowered = lower_patterns(q);
-    connected_components(&lowered)
+    pattern_components(&lowered)
         .into_iter()
         .map(|comp| {
             let mut bgp = Bgp::new();
@@ -752,7 +745,6 @@ pub(crate) fn ctp_shares_variables(q: &QueryAst, ci: usize, bgp_tables: &[Table]
 pub(crate) fn seed_specs(
     g: &Graph,
     ctp: &CtpAst,
-    _ci: usize,
     bgp_tables: &[Table],
 ) -> (Vec<SeedSpec>, Vec<Option<String>>) {
     let mut specs = Vec::with_capacity(ctp.terms.len());
@@ -813,44 +805,6 @@ pub(crate) fn pick_policy(seeds: &SeedSets, ratio: usize) -> QueuePolicy {
     } else {
         QueuePolicy::Single
     }
-}
-
-/// Greedy natural join of all tables: smallest first, preferring
-/// join partners that share variables.
-pub(crate) fn join_all(mut tables: Vec<Table>) -> Table {
-    if tables.is_empty() {
-        return Table::new(Vec::new());
-    }
-    let start = tables
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, t)| t.len())
-        .map(|(i, _)| i)
-        // cs-lint: allow(L002): the empty case returned above, so the
-        // minimum exists.
-        .unwrap();
-    let mut acc = tables.swap_remove(start);
-    while !tables.is_empty() {
-        let pos = tables
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.vars().iter().any(|v| acc.col(v).is_some()))
-            .min_by_key(|(_, t)| t.len())
-            .map(|(i, _)| i)
-            .or_else(|| {
-                tables
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, t)| t.len())
-                    .map(|(i, _)| i)
-            })
-            // cs-lint: allow(L002): the while-guard keeps `tables`
-            // non-empty, so the unfiltered fallback always finds one.
-            .unwrap();
-        let next = tables.swap_remove(pos);
-        acc = acc.natural_join(&next);
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -1033,7 +987,7 @@ mod tests {
         )
         .unwrap();
         let lowered = lower_patterns(&q);
-        let comps = connected_components(&lowered);
+        let comps = pattern_components(&lowered);
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0], vec![0, 1]);
         assert_eq!(comps[1], vec![2]);

@@ -38,6 +38,11 @@
 //! deltas (see the [`watch`] module).
 
 #![forbid(unsafe_code)]
+// L002: library code reports failures as typed errors, never by
+// panicking. A justified exception is a scoped
+// `#[expect(clippy::…, reason = "…")]`; tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -49,7 +49,7 @@
 
 use crate::ast::{QueryAst, QueryForm};
 use crate::exec::{
-    ask_truncated, build_ctp_jobs, enforce_exclusions, grow_ask_limits, join_all, materialise_ctps,
+    ask_truncated, build_ctp_jobs, enforce_exclusions, grow_ask_limits, materialise_ctps,
     query_bgps, CtpMaterialisation, EqlError, ExecOptions, ExecStats, QueryControl, QueryResult,
 };
 use crate::parser::parse;
@@ -59,7 +59,7 @@ use crate::result_cache::{
 };
 use cs_core::parallel::{evaluate_ctps_parallel, CtpJob};
 use cs_core::{stream_ctp, Algorithm, CtpStream, ResultTree, SearchOutcome, SearchStats};
-use cs_engine::{eval_bgp_with_plan, Bgp, PlanCache, Table};
+use cs_engine::{eval_bgp_with_plan, join_all, Bgp, PlanCache, Table};
 use cs_graph::{Applied, Graph, Mutation, NodeId};
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -419,15 +419,20 @@ impl<'g> Session<'g> {
             });
             let mut fresh = outs.into_iter();
             for &i in &miss_idx {
-                // cs-lint: allow(L002): `fresh` holds exactly one
-                // outcome per miss index by construction.
-                slots[i] = Some(fresh.next().expect("one dispatched outcome per miss"));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`fresh` holds exactly one outcome per miss index by construction"
+                )]
+                let outcome = fresh.next().expect("one dispatched outcome per miss");
+                slots[i] = Some(outcome);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "every index is either a probe hit or a member of exactly one round's miss set"
+        )]
         let outcomes = slots
             .into_iter()
-            // cs-lint: allow(L002): every index is either a probe hit
-            // or a member of exactly one round's miss set.
             .map(|s| s.expect("every job slot filled after two rounds"))
             .collect();
         (outcomes, events)
@@ -576,11 +581,15 @@ impl<'g> Session<'g> {
     /// and finishing them (classification, materialisation and, for
     /// `ASK`, any deepening rounds).
     pub fn execute(&self, q: &PreparedQuery) -> Result<QueryResult, EqlError> {
-        self.execute_staged(std::iter::once(Ok(q)))
+        #[expect(
+            clippy::expect_used,
+            reason = "the pipeline returns exactly one result per query it was given"
+        )]
+        let result = self
+            .execute_staged(std::iter::once(Ok(q)))
             .pop()
-            // cs-lint: allow(L002): the pipeline returns exactly one
-            // result per query it was given.
-            .expect("one result per staged query")
+            .expect("one result per staged query");
+        result
     }
 
     /// Parses and executes an `ASK` query, returning its boolean
@@ -815,8 +824,10 @@ impl<'g> Session<'g> {
         // was narrowed and the job needs no exclusion pass.
         let control = QueryControl::begin(&self.opts);
         let (staged, mut jobs) = self.stage(q, &control)?;
-        // cs-lint: allow(L002): the query was checked above to hold
-        // exactly one CTP, and `build_ctp_jobs` builds one job per CTP.
+        #[expect(
+            clippy::expect_used,
+            reason = "the query was checked above to hold exactly one CTP, and `build_ctp_jobs` builds one job per CTP"
+        )]
         let job = jobs.pop().expect("one job for the one CTP");
         Ok(ResultStream {
             stream: stream_ctp(

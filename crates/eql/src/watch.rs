@@ -222,7 +222,7 @@ impl Watch {
         let g = session.graph();
         let mut visited = 0usize;
         for ctp in &self.prepared.ast().ctps {
-            let (specs, _) = seed_specs(g, ctp, 0, &[]);
+            let (specs, _) = seed_specs(g, ctp, &[]);
             let Ok(seeds) = SeedSets::new(specs) else {
                 return None;
             };
@@ -437,12 +437,6 @@ fn label_footprint(ast: &QueryAst) -> (Vec<String>, bool) {
     (labels, wildcard)
 }
 
-/// Public handle for the CLI/server: a query's label footprint, used
-/// to pre-compute whether a mutation script can ever wake a watch.
-pub fn query_label_footprint(ast: &QueryAst) -> (Vec<String>, bool) {
-    label_footprint(ast)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,20 +580,20 @@ mod tests {
 
     #[test]
     fn footprint_classifies_queries() {
-        let (labels, wildcard) = query_label_footprint(&parse(CITIZENS).unwrap());
+        let (labels, wildcard) = label_footprint(&parse(CITIZENS).unwrap());
         assert!(!wildcard);
         assert!(labels.iter().any(|l| l == "citizenOf"));
         assert!(labels.iter().any(|l| l == "France"));
 
         // A CTP without LABEL observes everything.
         let ast = parse(r#"SELECT w WHERE { CONNECT("Alice", "Bob" -> w) }"#).unwrap();
-        let (_, wildcard) = query_label_footprint(&ast);
+        let (_, wildcard) = label_footprint(&ast);
         assert!(wildcard);
 
         // A labelled CONNECT with constant seeds is closed.
         let ast =
             parse(r#"SELECT w WHERE { CONNECT("Alice", "Bob" -> w) LABEL "knows" }"#).unwrap();
-        let (labels, wildcard) = query_label_footprint(&ast);
+        let (labels, wildcard) = label_footprint(&ast);
         assert!(!wildcard);
         assert_eq!(labels, ["Alice", "Bob", "knows"]);
     }

@@ -74,6 +74,10 @@ fn cancel_mid_search_returns_cancelled() {
         },
     );
     let t = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the flag is raised from a second thread while the search runs"
+    )]
     let err = std::thread::scope(|scope| {
         scope.spawn(|| {
             std::thread::sleep(Duration::from_millis(15));

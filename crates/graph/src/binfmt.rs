@@ -36,6 +36,10 @@
 //! which is what lets [`crate::snapshot::load_from`] back the columns
 //! directly by a memory-mapped file without copying.
 
+// L006: no narrowing casts in the snapshot codec; convert with
+// `try_from`/`try_into` and report a typed error instead.
+#![deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+
 use crate::ids::LabelId;
 use crate::interner::Interner;
 use crate::model::{Graph, GraphParts, PropTable};
@@ -167,17 +171,21 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Wire-width count narrowing. Every count the format stores narrower
 // than the host's `usize` goes through one of these, so an oversized
 // graph fails loudly instead of truncating into a silently corrupt
-// snapshot (cs-lint L006 bans plain `as` narrowing in this file).
+// snapshot (L006 bans `as` narrowing in this file).
 
 /// Narrows a count to the format's `u32` wire width.
 ///
 /// # Panics
 /// Panics when `n` does not fit — encoding must never truncate.
 fn wire_u32(n: usize, what: &str) -> u32 {
-    n.try_into()
-        // cs-lint: allow(L002): documented `# Panics` contract — a
-        // count beyond the wire width must fail loudly, not truncate.
-        .unwrap_or_else(|_| panic!("{what} count {n} exceeds the CSG u32 wire limit"))
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` contract: a count beyond the wire width must fail loudly, not truncate"
+    )]
+    let wire = n
+        .try_into()
+        .unwrap_or_else(|_| panic!("{what} count {n} exceeds the CSG u32 wire limit"));
+    wire
 }
 
 // ---------------------------------------------------------------------------
@@ -377,6 +385,11 @@ impl<'a> Reader<'a> {
         Ok(self.buf.get_u64_le())
     }
 
+    /// A `u64` count that must fit the host's `usize`.
+    fn count(&mut self) -> Result<usize, DecodeError> {
+        usize::try_from(self.u64()?).map_err(|_| DecodeError::Truncated)
+    }
+
     fn i64(&mut self) -> Result<i64, DecodeError> {
         self.need(8)?;
         Ok(self.buf.get_i64_le())
@@ -427,8 +440,8 @@ fn decode_stats(
     n_nodes: usize,
     n_edges: usize,
 ) -> Result<Cardinalities, DecodeError> {
-    let nodes = r.u64()? as usize;
-    let edges = r.u64()? as usize;
+    let nodes = r.count()?;
+    let edges = r.count()?;
     // Statistics describing a different graph than the one in the
     // CSR section are corruption the checksum cannot see
     // (e.g. a stats section spliced in from another snapshot).
@@ -454,9 +467,9 @@ fn decode_stats(
     for _ in 0..n_edge_labels {
         let l = check(r.u32()?)?;
         let card = LabelCard {
-            edges: r.u64()? as usize,
-            distinct_src: r.u64()? as usize,
-            distinct_dst: r.u64()? as usize,
+            edges: r.count()?,
+            distinct_src: r.count()?,
+            distinct_dst: r.count()?,
         };
         c.edge_labels.insert(l, card);
     }
@@ -467,7 +480,7 @@ fn decode_stats(
         }
         for _ in 0..n {
             let l = check(r.u32()?)?;
-            map.insert(l, r.u64()? as usize);
+            map.insert(l, r.count()?);
         }
     }
     Ok(c)
@@ -547,8 +560,10 @@ pub fn peek_csr_header(payload: &[u8]) -> Result<CsrHeader, DecodeError> {
     if payload.len() < 32 {
         return Err(DecodeError::Truncated);
     }
-    // cs-lint: allow(L002): the length guard above makes every 4-byte
-    // window of the 32-byte header in-bounds, so try_into cannot fail.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the length guard above makes every 4-byte window of the 32-byte header in-bounds, so try_into cannot fail"
+    )]
     let word = |i: usize| u32::from_le_bytes(payload[4 * i..4 * i + 4].try_into().unwrap());
     let h = CsrHeader {
         version: word(0),
@@ -737,8 +752,10 @@ fn decode_csr_graph(
     };
 
     let mut next = ranges.into_iter().map(&mut storage_for);
-    // cs-lint: allow(L002): `csr_array_ranges` returns exactly the
-    // fourteen ranges the fourteen take() calls below consume.
+    #[expect(
+        clippy::expect_used,
+        reason = "`csr_array_ranges` returns exactly the fourteen ranges the fourteen take() calls below consume"
+    )]
     let mut take = || next.next().expect("fourteen CSR arrays");
     let parts = GraphParts {
         interner,
@@ -785,15 +802,15 @@ fn decode_csr_graph(
 
 /// Copies a little-endian byte range into an owned `u32` column.
 fn owned_column(payload: &[u8], range: std::ops::Range<usize>) -> Storage {
-    let bytes = &payload[range];
-    Storage::from_vec(
-        bytes
-            .chunks_exact(4)
-            // cs-lint: allow(L002): chunks_exact(4) yields only
-            // 4-byte slices, so the array conversion cannot fail.
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
+    #[expect(
+        clippy::unwrap_used,
+        reason = "chunks_exact(4) yields only 4-byte slices, so the array conversion cannot fail"
+    )]
+    let words: Vec<u32> = payload[range]
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    Storage::from_vec(words)
 }
 
 /// Decodes a CSG2 buffer that is backed by a live memory mapping,
@@ -990,7 +1007,7 @@ pub(crate) mod tests {
         let sections: Vec<_> = sections.into_iter().collect();
         let mut buf = Vec::new();
         buf.extend_from_slice(b"CSG2");
-        buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&u32::try_from(sections.len()).unwrap().to_le_bytes());
         for (id, payload) in sections {
             buf.extend_from_slice(&section_header(*id, payload));
             buf.extend_from_slice(payload);
@@ -1071,7 +1088,7 @@ pub(crate) mod tests {
         sections.push((999, Bytes::from_vec(b"future data".to_vec())));
         let mut buf = Vec::new();
         buf.extend_from_slice(b"CSG2");
-        buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&u32::try_from(sections.len()).unwrap().to_le_bytes());
         for (id, payload) in &sections {
             buf.extend_from_slice(&section_header(*id, payload));
             buf.extend_from_slice(payload);

@@ -15,6 +15,13 @@
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
+// L001: every unsafe block and impl carries a `// SAFETY:` comment.
+#![deny(clippy::undocumented_unsafe_blocks)]
+// L002: library code reports failures as typed errors, never by
+// panicking. A justified exception is a scoped
+// `#[expect(clippy::…, reason = "…")]`; tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 pub mod binfmt;

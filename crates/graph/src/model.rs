@@ -256,7 +256,8 @@ pub struct Graph {
 macro_rules! cast_words {
     ($slice:expr, $ty:ty, $words:expr) => {{
         let s: &[u32] = $slice;
-        #[allow(clippy::modulo_one)] // $words is 1 for single-word ids
+        // `allow`, not `expect`: the lint fires only where $words is 1.
+        #[allow(clippy::modulo_one, reason = "$words is 1 for single-word ids")]
         {
             debug_assert_eq!(s.len() % $words, 0);
         }

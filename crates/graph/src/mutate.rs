@@ -436,21 +436,21 @@ impl Graph {
             let run = &d.fwd[&lid.0];
             run.partition_point(|e| self.edge_in(d, *e).src.0 <= src.0)
         };
-        // cs-lint: allow(L002): `touch_fwd` seeded this run just above
+        #[expect(clippy::expect_used, reason = "`touch_fwd` seeded this run just above")]
         d.fwd.get_mut(&lid.0).expect("touched").insert(pos, id);
         self.touch_rev(d, lid);
         let pos = {
             let run = &d.rev[&lid.0];
             run.partition_point(|e| self.edge_in(d, *e).dst.0 <= dst.0)
         };
-        // cs-lint: allow(L002): `touch_rev` seeded this run just above
+        #[expect(clippy::expect_used, reason = "`touch_rev` seeded this run just above")]
         d.rev.get_mut(&lid.0).expect("touched").insert(pos, id);
         self.m += 1;
         if let Some(c) = cards {
             c.edges += 1;
             let lc = c.edge_labels.entry(lid).or_default();
             lc.edges += 1;
-            // cs-lint: allow(L002): `ensure_endpoints` ran before the push
+            #[expect(clippy::expect_used, reason = "`ensure_endpoints` ran before the push")]
             let ep = d.endpoints.get_mut(&lid.0).expect("seeded above");
             let s = ep.src.entry(src.0).or_insert(0);
             if *s == 0 {
@@ -489,37 +489,46 @@ impl Graph {
         }
         self.patched_elab(d, ed.label).retain(|x| *x != e);
         self.touch_fwd(d, ed.label);
+        #[expect(clippy::expect_used, reason = "`touch_fwd` seeded this run just above")]
         d.fwd
             .get_mut(&ed.label.0)
-            // cs-lint: allow(L002): `touch_fwd` seeded this run just above
             .expect("touched")
             .retain(|x| *x != e);
         self.touch_rev(d, ed.label);
+        #[expect(clippy::expect_used, reason = "`touch_rev` seeded this run just above")]
         d.rev
             .get_mut(&ed.label.0)
-            // cs-lint: allow(L002): `touch_rev` seeded this run just above
             .expect("touched")
             .retain(|x| *x != e);
         d.removed.insert(e.0);
         self.m -= 1;
         if let Some(c) = cards {
             c.edges -= 1;
-            // cs-lint: allow(L002): the removed edge was live, so its
-            // label has a per-label count
+            #[expect(
+                clippy::expect_used,
+                reason = "the removed edge was live, so its label has a per-label count"
+            )]
             let lc = c.edge_labels.get_mut(&ed.label).expect("label had edges");
             lc.edges -= 1;
-            // cs-lint: allow(L002): `ensure_endpoints` ran before the removal
+            #[expect(
+                clippy::expect_used,
+                reason = "`ensure_endpoints` ran before the removal"
+            )]
             let ep = d.endpoints.get_mut(&ed.label.0).expect("seeded above");
-            // cs-lint: allow(L002): the live edge's endpoints are in the
-            // seeded multiset by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "the live edge's endpoints are in the seeded multiset by construction"
+            )]
             let s = ep.src.get_mut(&ed.src.0).expect("endpoint counted");
             *s -= 1;
             if *s == 0 {
                 ep.src.remove(&ed.src.0);
                 lc.distinct_src -= 1;
             }
-            // cs-lint: allow(L002): the live edge's endpoints are in the
-            // seeded multiset by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "the live edge's endpoints are in the seeded multiset by construction"
+            )]
             let t = ep.dst.get_mut(&ed.dst.0).expect("endpoint counted");
             *t -= 1;
             if *t == 0 {

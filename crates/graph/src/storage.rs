@@ -11,6 +11,10 @@
 //! dependency) and is compiled on Unix only; other platforms fall back
 //! to owned buffers at load time.
 
+// L006: no narrowing casts in the snapshot codec; convert with
+// `try_from`/`try_into` and report a typed error instead.
+#![deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+
 use std::fmt;
 use std::sync::Arc;
 

@@ -31,6 +31,11 @@
 //! [`Session`]: cs_eql::Session
 
 #![forbid(unsafe_code)]
+// L002: library code reports failures as typed errors, never by
+// panicking. A justified exception is a scoped
+// `#[expect(clippy::…, reason = "…")]`; tests are exempt (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod client;
 pub mod latency;

@@ -285,6 +285,10 @@ mod tests {
     /// Each granted job releases its own slot once it has reported.
     fn grant_order(s: &Scheduler, holder: &str, jobs: &[(&str, u32)]) -> Vec<u32> {
         let (tx, rx) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test blocks acquirers on threads to observe grant order"
+        )]
         std::thread::scope(|scope| {
             for (k, &(tenant, tag)) in jobs.iter().enumerate() {
                 let tx = tx.clone();
@@ -338,6 +342,10 @@ mod tests {
         s.acquire("a");
         // A free slot, but "a" is at its cap: its second job waits…
         let (tx, rx) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test blocks acquirers on threads to observe grant order"
+        )]
         std::thread::scope(|scope| {
             let tx2 = tx.clone();
             scope.spawn(move || {
@@ -395,6 +403,10 @@ mod tests {
         s.admit("b").unwrap();
         s.acquire("a");
         let (tx, rx) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test blocks acquirers on threads to observe grant order"
+        )]
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 s.acquire("b");

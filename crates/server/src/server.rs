@@ -387,6 +387,10 @@ impl Server {
     pub fn run(&self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let sched = &Scheduler::new(self.cfg.scheduler.clone(), self.cfg.workers);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "L004: cs_server::server is one of the two modules that spawn threads"
+        )]
         std::thread::scope(|scope| {
             while !self.shutting_down() {
                 match self.listener.accept() {

@@ -97,6 +97,10 @@ fn start_server() -> (Arc<Server>, SocketAddr, std::thread::JoinHandle<()>) {
     let server =
         Arc::new(Server::bind("127.0.0.1:0", graph, ServerConfig::default()).expect("bind"));
     let addr = server.local_addr().expect("local addr");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test runs the server loop on a background thread"
+    )]
     let handle = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
@@ -167,6 +171,10 @@ fn mid_frame_disconnect_does_not_poison_other_connections() {
     let (server, addr, handle) = start_server();
     // A client that was mid-query when it vanished must not stall a
     // reader thread or hurt its neighbours.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a healthy client runs beside the vanishing one"
+    )]
     let healthy_before = std::thread::spawn(move || assert_healthy(addr));
     {
         let mut flaky = TcpStream::connect(addr).expect("connect");

@@ -33,6 +33,10 @@ const SLOW_QUERY: &str = r#"SELECT w WHERE { CONNECT("n0", "n63" -> w) MAX 6 }"#
 fn start(cfg: ServerConfig) -> (Arc<Server>, SocketAddr, JoinHandle<()>) {
     let server = Arc::new(Server::bind("127.0.0.1:0", graph(), cfg).expect("bind"));
     let addr = server.local_addr().expect("local addr");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test runs the server loop on a background thread"
+    )]
     let handle = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
@@ -90,6 +94,10 @@ fn eight_concurrent_clients_match_local_session() {
         })
         .collect();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one client thread per connection drives the concurrent load"
+    )]
     std::thread::scope(|scope| {
         for (c, (qs, exp)) in queries.iter().zip(&expected).enumerate() {
             scope.spawn(move || {
@@ -243,6 +251,10 @@ fn cancel_frame_stops_running_query() {
         .send_query(SLOW_QUERY, &RequestHeader::default())
         .expect("send");
     let mut canceller = client.canceller().expect("canceller");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the cancel frame is sent from a timer thread while the query runs"
+    )]
     let killer = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(30));
         canceller.cancel(id).expect("cancel frame");

@@ -604,7 +604,7 @@ fn main() -> ExitCode {
             }
             "--algorithm" => {
                 let Some(name) = args.get(i + 1) else {
-                    return usage();
+                    return fail("--algorithm expects a name, but none was given");
                 };
                 match name.parse::<Algorithm>() {
                     Ok(a) => opts.default_algorithm = a,
@@ -899,6 +899,10 @@ fn connect_command(args: &[String]) -> ExitCode {
                     Ok(c) => c,
                     Err(e) => return fail(e),
                 };
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "--cancel-after-ms fires the cancel frame from a timer thread"
+                )]
                 let handle = std::thread::spawn(move || {
                     std::thread::sleep(Duration::from_millis(ms));
                     let _ = canceller.cancel(id);
@@ -1035,6 +1039,10 @@ fn bench_serve_command(args: &[String]) -> ExitCode {
         failed: usize,
     }
     let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench-serve drives one load lane per client connection"
+    )]
     let lanes: Vec<LaneResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = clients
             .into_iter()

@@ -40,6 +40,10 @@
 //! assert!(result.rows() > 0);
 //! ```
 
+// L002: library code never panics (see the library crates' roots).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub use cs_bench as bench;
 pub use cs_core as core;
 pub use cs_engine as engine;

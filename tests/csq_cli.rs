@@ -133,10 +133,16 @@ fn numeric_flags_reject_garbage_with_one_line_error() {
 
 #[test]
 fn numeric_flags_reject_missing_value() {
-    for flag in ["--threads", "--timeout", "--timeout-ms"] {
+    // `--algorithm` takes a name, not a number, but fails the same way.
+    for flag in ["--threads", "--timeout", "--timeout-ms", "--algorithm"] {
         let out = csq(&["--demo", DEMO_CTP, flag]);
-        assert!(!out.status.success(), "bare {flag} must fail");
+        assert_eq!(out.status.code(), Some(1), "bare {flag} must exit 1");
         let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.lines().count(),
+            1,
+            "{flag}: one line, not usage: {stderr}"
+        );
         assert!(
             stderr.contains(flag) && stderr.contains("none was given"),
             "{flag}: unclear error: {stderr}"
@@ -169,6 +175,9 @@ fn usage_lists_every_flag() {
         "--qps",
         "--duration-ms",
         "--connections",
+        "--result-cache",
+        "--result-cache-capacity",
+        "--script",
     ] {
         assert!(stderr.contains(flag), "usage misses {flag}: {stderr}");
     }
