@@ -487,3 +487,175 @@ fn bench_serve_oversized_arguments_are_one_line_errors() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("too large"), "{stderr}");
 }
+
+// ---------------------------------------------------------------------------
+// The flags of `watch`, `connect` and `bench-serve`. Every case fails
+// while parsing, before a graph loads or a socket connects: a missing or
+// garbage value is one `error:` line and exit 1, an unknown flag prints
+// the usage and exits 2, and of two bad flags the first in argv order is
+// the one reported.
+
+const WATCH: &[&str] = &["watch", "--demo", DEMO_CTP];
+const CONNECT: &[&str] = &["connect", "127.0.0.1:1", DEMO_CTP];
+const BENCH_SERVE: &[&str] = &["bench-serve", "127.0.0.1:1", DEMO_CTP];
+
+/// Runs `csq` on `prefix` followed by `flags`.
+fn csq_with(prefix: &[&str], flags: &[&str]) -> Output {
+    csq(&[prefix, flags].concat())
+}
+
+/// Asserts that `prefix flags` fails with exactly the line `error: {want}`
+/// and exit 1.
+fn assert_flag_error(prefix: &[&str], flags: &[&str], want: &str) {
+    let out = csq_with(prefix, flags);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+    assert_eq!(stderr, format!("error: {want}\n"), "{prefix:?} {flags:?}");
+    assert!(out.stdout.is_empty(), "{flags:?}: {out:?}");
+}
+
+/// Asserts that `prefix flags` prints the usage and exits 2.
+fn assert_usage(prefix: &[&str], flags: &[&str]) {
+    let out = csq_with(prefix, flags);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+    assert!(stderr.starts_with("usage: csq"), "{flags:?}: {stderr}");
+}
+
+#[test]
+fn subcommand_flags_reject_missing_and_garbage_values() {
+    // (argv prefix, flag, noun in the error, whether a garbage value
+    // exists at all — any tenant name or script path parses).
+    let cases: &[(&[&str], &str, &str, bool)] = &[
+        (WATCH, "--threads", "a number", true),
+        (WATCH, "--script", "a file path (or -)", false),
+        (WATCH, "--result-cache", "on|off", true),
+        (CONNECT, "--tenant", "a name", false),
+        (CONNECT, "--timeout-ms", "a number", true),
+        (CONNECT, "--cancel-after-ms", "a number", true),
+        (BENCH_SERVE, "--qps", "a number", true),
+        (BENCH_SERVE, "--duration-ms", "a number", true),
+        (BENCH_SERVE, "--connections", "a number", true),
+        (BENCH_SERVE, "--timeout-ms", "a number", true),
+        (BENCH_SERVE, "--tenant", "a name", false),
+    ];
+    for &(prefix, flag, noun, has_garbage) in cases {
+        assert_flag_error(
+            prefix,
+            &[flag],
+            &format!("{flag} expects {noun}, but none was given"),
+        );
+        if has_garbage {
+            assert_flag_error(
+                prefix,
+                &[flag, "x1"],
+                &format!("{flag} expects {noun}, got \"x1\""),
+            );
+        }
+    }
+    // A deadline travels as a 32-bit millisecond count on the wire.
+    for prefix in [CONNECT, BENCH_SERVE] {
+        assert_flag_error(
+            prefix,
+            &["--timeout-ms", "4294967296"],
+            "--timeout-ms expects a number, got \"4294967296\"",
+        );
+    }
+}
+
+#[test]
+fn bench_serve_counts_must_be_positive() {
+    for flag in ["--qps", "--duration-ms", "--connections"] {
+        assert_flag_error(
+            BENCH_SERVE,
+            &[flag, "0"],
+            &format!("{flag} must be positive"),
+        );
+    }
+}
+
+#[test]
+fn subcommand_unknown_flags_print_usage() {
+    for prefix in [WATCH, CONNECT, BENCH_SERVE] {
+        assert_usage(prefix, &["--bogus"]);
+        // A third positional is a usage error too.
+        assert_usage(prefix, &["extra"]);
+    }
+    // `--demo` names a graph source, so it is no flag for the commands
+    // that take an address.
+    assert_usage(&["connect", "--demo", DEMO_CTP], &[]);
+    assert_usage(&["bench-serve", "--demo", DEMO_CTP], &[]);
+    // Too few positionals.
+    assert_usage(&["watch", "--demo"], &[]);
+    assert_usage(&["connect", "127.0.0.1:1"], &[]);
+    assert_usage(&["bench-serve"], &[]);
+}
+
+#[test]
+fn subcommand_reports_the_first_bad_flag_in_argv_order() {
+    let pairs = [
+        (
+            WATCH,
+            ["--threads", "x1"],
+            ["--result-cache", "x2"],
+            "--threads expects a number, got \"x1\"",
+            "--result-cache expects on|off, got \"x2\"",
+        ),
+        (
+            CONNECT,
+            ["--timeout-ms", "x1"],
+            ["--cancel-after-ms", "x2"],
+            "--timeout-ms expects a number, got \"x1\"",
+            "--cancel-after-ms expects a number, got \"x2\"",
+        ),
+        (
+            BENCH_SERVE,
+            ["--qps", "0"],
+            ["--duration-ms", "x2"],
+            "--qps must be positive",
+            "--duration-ms expects a number, got \"x2\"",
+        ),
+    ];
+    for (prefix, a, b, a_err, b_err) in pairs {
+        assert_flag_error(prefix, &[a[0], a[1], b[0], b[1]], a_err);
+        assert_flag_error(prefix, &[b[0], b[1], a[0], a[1]], b_err);
+        assert_flag_error(prefix, &[a[0], a[1], "--bogus"], a_err);
+        assert_usage(prefix, &["--bogus", a[0], a[1]]);
+    }
+}
+
+#[test]
+fn watch_script_prints_deltas_and_names_the_bad_line() {
+    let script = TmpFile::new("watch-script.txt");
+    std::fs::write(
+        &script.0,
+        "# a new citizen of France\n\
+         node Zed person\n\
+         edge Zed citizenOf France\n\
+         commit\n\
+         del Bob citizenOf France\n",
+    )
+    .unwrap();
+    let out = csq(&[
+        "watch",
+        "--demo",
+        r#"SELECT x WHERE { (x, "citizenOf", "France") }"#,
+        "--script",
+        script.as_str(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "-- generation 1 (+1 node(s), +1 edge(s), -0 edge(s)) --\n\
+         watch 0 + x=Zed(n12)\n"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 2, "{stderr}");
+    assert_eq!(lines[0], "watch 0: 3 baseline row(s) at generation 0");
+    assert!(
+        lines[1].starts_with("error: script line 5: ")
+            && lines[1].ends_with(" edge Bob -citizenOf-> France"),
+        "{stderr}"
+    );
+}
