@@ -35,6 +35,7 @@ mod model;
 pub mod mutate;
 pub mod ntriples;
 mod predicate;
+pub mod resolve;
 pub mod snapshot;
 mod source;
 pub mod stats;
@@ -49,6 +50,7 @@ pub use interner::Interner;
 pub use model::{Adj, EdgeData, Graph, NodeRef};
 pub use mutate::{Applied, Mutation, MutationRecord, DEFAULT_COMPACT_THRESHOLD};
 pub use predicate::{glob_match, matching_nodes, CmpOp, Condition, Predicate, PropRef};
+pub use resolve::MutationBatch;
 pub use source::load_graph;
 pub use stats::{Cardinalities, LabelCard};
 pub use subgraph::extract_subgraph;

@@ -11,8 +11,7 @@
 //! * [`scheduler`] — bounded, tenant-fair admission and execution slots;
 //! * [`server`] — the accept and per-connection threading around them;
 //! * [`client`] — the blocking client (`csq connect`, `csq
-//!   bench-serve`, tests);
-//! * [`latency`] — the exact percentile histogram behind `bench-serve`.
+//!   bench-serve`, tests).
 //!
 //! Per-query **deadlines** and **cooperative cancellation** ride the
 //! typed path in `cs-eql` ([`cs_eql::ExecOptions::deadline`] /
@@ -38,13 +37,11 @@
 #![deny(clippy::allow_attributes_without_reason)]
 
 pub mod client;
-pub mod latency;
 pub mod proto;
 pub mod scheduler;
 pub mod server;
 
 pub use client::{Canceller, Client, ClientError};
-pub use latency::LatencyHistogram;
 pub use proto::{
     DeltaReply, ErrorCode, ErrorReply, MutateReply, PollSkip, QueryReply, RequestHeader,
     SubscribeReply, WireMutation,

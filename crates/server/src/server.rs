@@ -70,7 +70,7 @@ use cs_eql::{
     CacheCounters, EqlError, ExecOptions, ResultCacheMode, Session, SharedResultCache, Watch,
     WatchSkip,
 };
-use cs_graph::{Graph, Mutation, NodeId};
+use cs_graph::{Graph, Mutation, MutationBatch};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -830,83 +830,16 @@ impl Server {
     }
 }
 
-/// Resolves a symbolic node reference — an exact node label or a raw
-/// `n<ID>` id — against `g`, extended by `extra` nodes the current
-/// batch inserts (via `names` for labels introduced in-batch).
-fn resolve_wire_node(
-    g: &Graph,
-    names: &HashMap<&str, NodeId>,
-    extra: usize,
-    tok: &str,
-) -> Result<NodeId, String> {
-    if let Some(&n) = names.get(tok) {
-        return Ok(n);
-    }
-    if let Some(raw) = tok.strip_prefix('n') {
-        if let Ok(idx) = raw.parse::<u32>() {
-            return if (idx as usize) < g.node_count() + extra {
-                Ok(NodeId(idx))
-            } else {
-                Err(format!(
-                    "node id n{idx} out of range (graph has {} nodes)",
-                    g.node_count() + extra
-                ))
-            };
-        }
-    }
-    g.node_by_label(tok)
-        .ok_or_else(|| format!("no node labelled {tok:?} (and not an n<ID> reference)"))
-}
-
 /// Translates wire mutations into [`cs_graph::Mutation`]s against the
-/// current epoch: in-batch node labels resolve to their predicted ids
-/// (node ids are assigned sequentially), and each `RemoveEdge` picks
-/// one live matching edge not already claimed by this batch.
+/// current epoch, one op at a time ([`MutationBatch`]).
 fn resolve_wire_ops(g: &Graph, ops: &[WireMutation]) -> Result<Vec<Mutation>, String> {
-    let mut out = Vec::with_capacity(ops.len());
-    let mut names: HashMap<&str, NodeId> = HashMap::new();
-    let mut inserted = 0usize;
-    let mut claimed: std::collections::HashSet<cs_graph::EdgeId> = std::collections::HashSet::new();
+    let mut batch = MutationBatch::new(g);
     for op in ops {
         match op {
-            WireMutation::InsertNode { label, types } => {
-                names.insert(label, NodeId::new(g.node_count() + inserted));
-                inserted += 1;
-                out.push(Mutation::InsertNode {
-                    label: label.clone(),
-                    types: types.clone(),
-                });
-            }
-            WireMutation::InsertEdge { src, label, dst } => {
-                let src = resolve_wire_node(g, &names, inserted, src)?;
-                let dst = resolve_wire_node(g, &names, inserted, dst)?;
-                out.push(Mutation::InsertEdge {
-                    src,
-                    label: label.clone(),
-                    dst,
-                });
-            }
-            WireMutation::RemoveEdge { src, label, dst } => {
-                let s = resolve_wire_node(g, &names, inserted, src)?;
-                let d = resolve_wire_node(g, &names, inserted, dst)?;
-                let lid = g.label_id(label);
-                let edge = lid.and_then(|lid| {
-                    g.outgoing(s).map(|a| a.edge()).find(|&e| {
-                        let ed = g.edge(e);
-                        ed.label == lid && ed.dst == d && !claimed.contains(&e)
-                    })
-                });
-                match edge {
-                    Some(e) => {
-                        claimed.insert(e);
-                        out.push(Mutation::RemoveEdge { edge: e });
-                    }
-                    None => {
-                        return Err(format!("no live edge {src} -{label}-> {dst}"));
-                    }
-                }
-            }
+            WireMutation::InsertNode { label, types } => batch.insert_node(label, types.clone()),
+            WireMutation::InsertEdge { src, label, dst } => batch.insert_edge(src, label, dst)?,
+            WireMutation::RemoveEdge { src, label, dst } => batch.remove_edge(src, label, dst)?,
         }
     }
-    Ok(out)
+    Ok(batch.into_ops())
 }

@@ -14,6 +14,7 @@
 //! * [`core`] — CTP search algorithms and baselines
 //! * [`eql`] — the extended query language: parser, planner, executor
 //! * [`server`] — `csqd`, the multi-tenant query server and its client
+//! * [`args`] — the flag parser shared by the `csq` and `csqd` binaries
 //!
 //! ## Quickstart
 //!
@@ -43,6 +44,8 @@
 // L002: library code never panics (see the library crates' roots).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::allow_attributes_without_reason)]
+
+pub mod args;
 
 pub use cs_bench as bench;
 pub use cs_core as core;
