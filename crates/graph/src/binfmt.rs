@@ -1,5 +1,4 @@
-//! The compact binary snapshot format for graphs (CSG2), built on
-//! `bytes`.
+//! The compact binary snapshot format for graphs (CSG2).
 //!
 //! Benchmarks over generated multi-million-edge graphs re-load far
 //! faster from a binary snapshot than by re-generating or re-parsing
@@ -48,7 +47,6 @@ use crate::stats::{Cardinalities, LabelCard};
 use crate::storage::MmapFile;
 use crate::storage::Storage;
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 #[cfg(all(unix, target_endian = "little"))]
 use std::sync::Arc;
 
@@ -191,58 +189,58 @@ fn wire_u32(n: usize, what: &str) -> u32 {
 // ---------------------------------------------------------------------------
 // Payload encoders.
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Str(s) => {
-            buf.put_u8(0);
-            buf.put_u32_le(wire_u32(s.len(), "string byte"));
-            buf.put_slice(s.as_bytes());
+            buf.push(0);
+            buf.extend_from_slice(&wire_u32(s.len(), "string byte").to_le_bytes());
+            buf.extend_from_slice(s.as_bytes());
         }
         Value::Int(i) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*i);
+            buf.push(1);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Float(x) => {
-            buf.put_u8(2);
-            buf.put_f64_le(*x);
+            buf.push(2);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
     }
 }
 
-fn encode_interner_payload(g: &Graph) -> Bytes {
+fn encode_interner_payload(g: &Graph) -> Vec<u8> {
     let interner = g.interner();
-    let mut buf = BytesMut::with_capacity(8 + interner.len() * 12);
-    buf.put_u32_le(wire_u32(interner.len(), "interned string"));
+    let mut buf = Vec::with_capacity(8 + interner.len() * 12);
+    buf.extend_from_slice(&wire_u32(interner.len(), "interned string").to_le_bytes());
     for (_, s) in interner.iter() {
-        buf.put_u32_le(wire_u32(s.len(), "interned string byte"));
-        buf.put_slice(s.as_bytes());
+        buf.extend_from_slice(&wire_u32(s.len(), "interned string byte").to_le_bytes());
+        buf.extend_from_slice(s.as_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Appends a `u32` column as little-endian words (a straight copy on
 /// little-endian hosts).
-fn put_u32_slice_le(buf: &mut BytesMut, words: &[u32]) {
+fn put_u32_slice_le(buf: &mut Vec<u8>, words: &[u32]) {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: u32 has no padding; reinterpreting the words as
         // bytes is exactly their little-endian encoding on this host.
         let bytes =
             unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 4) };
-        buf.put_slice(bytes);
+        buf.extend_from_slice(bytes);
     }
     #[cfg(not(target_endian = "little"))]
     for &w in words {
-        buf.put_u32_le(w);
+        buf.extend_from_slice(&w.to_le_bytes());
     }
 }
 
 /// Serialises the CSR columns: a 32-byte header (`layout version, n,
 /// m, t, l, 0, 0, 0`) followed by the fourteen arrays back to back.
-fn encode_csr_payload(g: &Graph) -> Bytes {
+fn encode_csr_payload(g: &Graph) -> Vec<u8> {
     let cols = g.csr_columns();
     let words: usize = cols.arrays.iter().map(|a| a.len()).sum();
-    let mut buf = BytesMut::with_capacity(32 + words * 4);
+    let mut buf = Vec::with_capacity(32 + words * 4);
     put_u32_slice_le(
         &mut buf,
         &[CSR_LAYOUT_VERSION, cols.n, cols.m, cols.t, cols.l, 0, 0, 0],
@@ -250,16 +248,16 @@ fn encode_csr_payload(g: &Graph) -> Bytes {
     for a in cols.arrays {
         put_u32_slice_le(&mut buf, a);
     }
-    buf.freeze()
+    buf
 }
 
-fn put_prop_table(buf: &mut BytesMut, table: &PropTable) {
-    buf.put_u32_le(wire_u32(table.len(), "property-table entry"));
+fn put_prop_table(buf: &mut Vec<u8>, table: &PropTable) {
+    buf.extend_from_slice(&wire_u32(table.len(), "property-table entry").to_le_bytes());
     for (id, props) in table.iter() {
-        buf.put_u32_le(*id);
-        buf.put_u32_le(wire_u32(props.len(), "entry property"));
+        buf.extend_from_slice(&id.to_le_bytes());
+        buf.extend_from_slice(&wire_u32(props.len(), "entry property").to_le_bytes());
         for (k, v) in props.iter() {
-            buf.put_u32_le(k.0);
+            buf.extend_from_slice(&k.0.to_le_bytes());
             put_value(buf, v);
         }
     }
@@ -267,40 +265,40 @@ fn put_prop_table(buf: &mut BytesMut, table: &PropTable) {
 
 /// Serialises the sparse node/edge property side tables (entries in
 /// ascending entity-id order, keys sorted within an entry).
-fn encode_props_payload(g: &Graph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+fn encode_props_payload(g: &Graph) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
     put_prop_table(&mut buf, g.node_prop_table());
     put_prop_table(&mut buf, g.edge_prop_table());
-    buf.freeze()
+    buf
 }
 
 /// Serialises a [`Cardinalities`] snapshot. Map entries are sorted by
 /// label id so encoding is deterministic (snapshots diff byte-for-byte).
-fn encode_stats_payload(c: &Cardinalities) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + c.edge_labels.len() * 28);
-    buf.put_u64_le(c.nodes as u64);
-    buf.put_u64_le(c.edges as u64);
+fn encode_stats_payload(c: &Cardinalities) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(32 + c.edge_labels.len() * 28);
+    buf.extend_from_slice(&(c.nodes as u64).to_le_bytes());
+    buf.extend_from_slice(&(c.edges as u64).to_le_bytes());
 
     let mut edge_labels: Vec<(&LabelId, &LabelCard)> = c.edge_labels.iter().collect();
     edge_labels.sort_by_key(|(l, _)| l.0);
-    buf.put_u32_le(wire_u32(edge_labels.len(), "edge-label statistic"));
+    buf.extend_from_slice(&wire_u32(edge_labels.len(), "edge-label statistic").to_le_bytes());
     for (l, card) in edge_labels {
-        buf.put_u32_le(l.0);
-        buf.put_u64_le(card.edges as u64);
-        buf.put_u64_le(card.distinct_src as u64);
-        buf.put_u64_le(card.distinct_dst as u64);
+        buf.extend_from_slice(&l.0.to_le_bytes());
+        buf.extend_from_slice(&(card.edges as u64).to_le_bytes());
+        buf.extend_from_slice(&(card.distinct_src as u64).to_le_bytes());
+        buf.extend_from_slice(&(card.distinct_dst as u64).to_le_bytes());
     }
 
     for map in [&c.node_labels, &c.node_types] {
         let mut entries: Vec<(&LabelId, &usize)> = map.iter().collect();
         entries.sort_by_key(|(l, _)| l.0);
-        buf.put_u32_le(wire_u32(entries.len(), "label statistic"));
+        buf.extend_from_slice(&wire_u32(entries.len(), "label statistic").to_le_bytes());
         for (l, n) in entries {
-            buf.put_u32_le(l.0);
-            buf.put_u64_le(*n as u64);
+            buf.extend_from_slice(&l.0.to_le_bytes());
+            buf.extend_from_slice(&(*n as u64).to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Encodes the CSG2 sections of `g` in file order, without framing —
@@ -311,7 +309,7 @@ fn encode_stats_payload(c: &Cardinalities) -> Bytes {
 /// file offset 24 and mapped loads need no re-alignment. The
 /// statistics sidecar (computing the graph's [`Cardinalities`] if they
 /// are not cached yet) comes last.
-pub fn encode_sections(g: &Graph) -> Vec<(u32, Bytes)> {
+pub fn encode_sections(g: &Graph) -> Vec<(u32, Vec<u8>)> {
     if g.has_delta() {
         // Snapshots persist dense base columns only. Fold the mutation
         // overlay into fresh columns on a clone — the caller's graph
@@ -341,17 +339,17 @@ pub fn section_header(id: u32, payload: &[u8]) -> [u8; 16] {
 }
 
 /// Encodes a graph into a CSG2 snapshot, statistics sidecar included.
-pub fn encode_graph(g: &Graph) -> Bytes {
+pub fn encode_graph(g: &Graph) -> Vec<u8> {
     let sections = encode_sections(g);
     let total: usize = sections.iter().map(|(_, p)| 16 + p.len()).sum();
-    let mut buf = BytesMut::with_capacity(8 + total);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(wire_u32(sections.len(), "section"));
+    let mut buf = Vec::with_capacity(8 + total);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&wire_u32(sections.len(), "section").to_le_bytes());
     for (id, payload) in &sections {
-        buf.put_slice(&section_header(*id, payload));
-        buf.put_slice(payload);
+        buf.extend_from_slice(&section_header(*id, payload));
+        buf.extend_from_slice(payload);
     }
-    buf.freeze()
+    buf
 }
 
 // ---------------------------------------------------------------------------
@@ -362,27 +360,33 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> Result<(), DecodeError> {
-        if self.buf.remaining() < n {
-            Err(DecodeError::Truncated)
-        } else {
-            Ok(())
-        }
+    /// Consumes the next `n` bytes.
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self.buf.split_at_checked(n).ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// Consumes the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// A `u64` count that must fit the host's `usize`.
@@ -391,23 +395,19 @@ impl<'a> Reader<'a> {
     }
 
     fn i64(&mut self) -> Result<i64, DecodeError> {
-        self.need(8)?;
-        Ok(self.buf.get_i64_le())
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64, DecodeError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     fn string(&mut self) -> Result<String, DecodeError> {
         let len = self.u32()? as usize;
-        self.need(len)?;
-        let s = std::str::from_utf8(&self.buf[..len])
+        let bytes = self.bytes(len)?;
+        Ok(std::str::from_utf8(bytes)
             .map_err(|_| DecodeError::BadUtf8)?
-            .to_string();
-        self.buf.advance(len);
-        Ok(s)
+            .to_string())
     }
 
     fn value(&mut self) -> Result<Value, DecodeError> {
@@ -424,7 +424,7 @@ fn decode_strings(r: &mut Reader<'_>) -> Result<Vec<String>, DecodeError> {
     let n_strings = r.u32()? as usize;
     // Guard against absurd preallocation from corrupt counts: each
     // string costs at least its 4-byte length prefix.
-    if n_strings > r.buf.remaining() / 4 + 1 {
+    if n_strings > r.buf.len() / 4 + 1 {
         return Err(DecodeError::Truncated);
     }
     let mut strings = Vec::with_capacity(n_strings);
@@ -461,7 +461,7 @@ fn decode_stats(
         }
     };
     let n_edge_labels = r.u32()? as usize;
-    if n_edge_labels > r.buf.remaining() / 28 + 1 {
+    if n_edge_labels > r.buf.len() / 28 + 1 {
         return Err(DecodeError::Truncated);
     }
     for _ in 0..n_edge_labels {
@@ -475,7 +475,7 @@ fn decode_stats(
     }
     for map in [&mut c.node_labels, &mut c.node_types] {
         let n = r.u32()? as usize;
-        if n > r.buf.remaining() / 12 + 1 {
+        if n > r.buf.len() / 12 + 1 {
             return Err(DecodeError::Truncated);
         }
         for _ in 0..n {
@@ -499,14 +499,12 @@ pub struct RawSection<'a> {
 /// anything other than a well-formed CSG2 buffer.
 pub fn read_sections(bytes: &[u8]) -> Result<Vec<RawSection<'_>>, DecodeError> {
     let mut r = Reader { buf: bytes };
-    r.need(4)?;
-    if &r.buf[..4] != MAGIC {
+    if r.array()? != *MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    r.buf.advance(4);
     let n_sections = r.u32()? as usize;
     // Each section costs at least its 16-byte header.
-    if n_sections > r.buf.remaining() / 16 + 1 {
+    if n_sections > r.buf.len() / 16 + 1 {
         return Err(DecodeError::Truncated);
     }
     let mut sections = Vec::with_capacity(n_sections);
@@ -515,12 +513,10 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<RawSection<'_>>, DecodeError> {
         let len = r.u64()?;
         let stored_crc = r.u32()?;
         let len = usize::try_from(len).map_err(|_| DecodeError::Truncated)?;
-        r.need(len)?;
-        let payload = &r.buf[..len];
+        let payload = r.bytes(len)?;
         if crc32(payload) != stored_crc {
             return Err(DecodeError::BadChecksum { section: id });
         }
-        r.buf.advance(len);
         sections.push(RawSection { id, payload });
     }
     Ok(sections)
@@ -648,7 +644,7 @@ fn decode_prop_table(
     n_strings: usize,
 ) -> Result<PropTable, DecodeError> {
     let n_entries = r.u32()? as usize;
-    if n_entries > r.buf.remaining() / 8 + 1 {
+    if n_entries > r.buf.len() / 8 + 1 {
         return Err(DecodeError::Truncated);
     }
     let mut table = Vec::with_capacity(n_entries);
@@ -662,7 +658,7 @@ fn decode_prop_table(
         }
         last_id = Some(id);
         let n_props = r.u32()? as usize;
-        if n_props == 0 || n_props > r.buf.remaining() / 5 + 1 {
+        if n_props == 0 || n_props > r.buf.len() / 5 + 1 {
             return Err(DecodeError::Truncated);
         }
         let mut props = Vec::with_capacity(n_props);
@@ -743,7 +739,7 @@ fn decode_csr_graph(
             let mut r = Reader { buf: s.payload };
             let nodes = decode_prop_table(&mut r, header.nodes, strings.len())?;
             let edges = decode_prop_table(&mut r, header.edges, strings.len())?;
-            if r.buf.remaining() > 0 {
+            if !r.buf.is_empty() {
                 return Err(DecodeError::Truncated);
             }
             (nodes, edges)
@@ -1003,7 +999,7 @@ pub(crate) mod tests {
     }
 
     /// Frames `sections` into a CSG2 file the way the encoder does.
-    pub(crate) fn reframe<'a>(sections: impl IntoIterator<Item = &'a (u32, Bytes)>) -> Vec<u8> {
+    pub(crate) fn reframe<'a>(sections: impl IntoIterator<Item = &'a (u32, Vec<u8>)>) -> Vec<u8> {
         let sections: Vec<_> = sections.into_iter().collect();
         let mut buf = Vec::new();
         buf.extend_from_slice(b"CSG2");
@@ -1062,7 +1058,7 @@ pub(crate) mod tests {
         let mut payload = sections[0].1.to_vec();
         assert_eq!(sections[0].0, SECTION_CSR_GRAPH);
         payload[0..4].copy_from_slice(&99u32.to_le_bytes());
-        sections[0].1 = Bytes::from_vec(payload);
+        sections[0].1 = payload;
         let buf = reframe(sections.iter());
         assert_eq!(
             decode_graph(&buf).unwrap_err(),
@@ -1076,7 +1072,7 @@ pub(crate) mod tests {
         let mut sections = encode_sections(&g);
         let mut payload = sections[0].1.to_vec();
         payload.extend_from_slice(&[0u8; 4]); // one stray trailing word
-        sections[0].1 = Bytes::from_vec(payload);
+        sections[0].1 = payload;
         let buf = reframe(sections.iter());
         assert_eq!(decode_graph(&buf).unwrap_err(), DecodeError::Truncated);
     }
@@ -1085,7 +1081,7 @@ pub(crate) mod tests {
     fn unknown_sections_are_skipped() {
         let g = figure1();
         let mut sections = encode_sections(&g);
-        sections.push((999, Bytes::from_vec(b"future data".to_vec())));
+        sections.push((999, b"future data".to_vec()));
         let mut buf = Vec::new();
         buf.extend_from_slice(b"CSG2");
         buf.extend_from_slice(&u32::try_from(sections.len()).unwrap().to_le_bytes());
