@@ -713,12 +713,6 @@ impl CtpStream<'_> {
         self.start.elapsed()
     }
 
-    /// True once the underlying search is exhausted (no further `next`
-    /// can yield).
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted && self.emitted >= self.engine.results.len()
-    }
-
     /// Drains the rest of the search and returns the complete
     /// [`SearchOutcome`] (all results, including the already-streamed
     /// prefix, in discovery order).

@@ -232,11 +232,6 @@ impl SearchOutcome {
     pub fn complete(&self) -> bool {
         !self.stats.timed_out && !self.stats.budget_exhausted && !self.stats.cancelled
     }
-
-    /// Optional seed-mask accessor used by tests.
-    pub fn result_count(&self) -> usize {
-        self.results.len()
-    }
 }
 
 /// Verifies that a result is a minimal connecting tree per Def. 2.8:

@@ -2,7 +2,7 @@
 
 use crate::seedmask::{SeedMask, MAX_SEED_SETS};
 use cs_graph::fxhash::FxHashMap;
-use cs_graph::{Graph, NodeId};
+use cs_graph::NodeId;
 
 /// One seed-set position of a CTP: an explicit node set, or `All`
 /// (the paper's `N` seed set, §4.9), which every graph node matches.
@@ -172,11 +172,6 @@ impl SeedSets {
             })
             .max()
             .unwrap_or(0)
-    }
-
-    /// Validates the seed specs against a graph (node ids in range).
-    pub fn check_against(&self, g: &Graph) -> bool {
-        self.membership.keys().all(|n| n.index() < g.node_count())
     }
 }
 

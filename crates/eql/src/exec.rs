@@ -89,10 +89,6 @@ pub struct ExecOptions {
     /// sequential engine. `1` (the default) evaluates in-line on the
     /// calling thread; `0` uses the available parallelism.
     pub threads: usize,
-    /// Capacity of the per-[`Session`](crate::Session) BGP plan cache
-    /// (plans keyed by pattern shape, the Fig. 13 per-label plan-cache
-    /// idea). `0` disables caching.
-    pub plan_cache_capacity: usize,
     /// Hard per-query wall-clock budget. Unlike
     /// [`ExecOptions::default_timeout`] (the per-CTP soft `TIMEOUT`
     /// clause, which returns the partial results found in time), an
@@ -124,7 +120,6 @@ impl Default for ExecOptions {
             default_timeout: None,
             balance_ratio: 64,
             threads: 1,
-            plan_cache_capacity: 128,
             deadline: None,
             cancel: None,
             result_cache: ResultCacheMode::On,

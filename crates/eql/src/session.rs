@@ -65,6 +65,10 @@ use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
+/// Capacity of each session's BGP plan cache (plans keyed by pattern
+/// shape, the Fig. 13 per-label plan-cache idea).
+const PLAN_CACHE_CAPACITY: usize = 128;
+
 /// A stateful query-execution context over one graph.
 ///
 /// Sessions are cheap to create but meant to be held: the plan cache
@@ -185,11 +189,6 @@ impl PreparedQuery {
         self.ast.form
     }
 
-    /// Number of BGP components step (A) will evaluate.
-    pub fn bgp_count(&self) -> usize {
-        self.bgps.len()
-    }
-
     /// Executes this query on `session` — sugar for
     /// [`Session::execute`].
     pub fn execute(&self, session: &Session<'_>) -> Result<QueryResult, EqlError> {
@@ -207,14 +206,7 @@ impl Session<'static> {
 
     /// An owning session with explicit options.
     pub fn from_graph_with(graph: Graph, opts: ExecOptions) -> Session<'static> {
-        let cache = RefCell::new(PlanCache::new(opts.plan_cache_capacity));
-        let results = ResultCacheHandle::from_opts(&opts);
-        Session {
-            graph: GraphHandle::Owned(Box::new(graph)),
-            opts,
-            cache,
-            results,
-        }
+        Session::with_handle(GraphHandle::Owned(Box::new(graph)), opts)
     }
 
     /// Opens a session over a `.csg` snapshot file
@@ -241,14 +233,7 @@ impl Session<'static> {
     /// every connection's session probe and feed one cross-session
     /// result cache over the shared graph.
     pub fn from_shared_with(graph: std::sync::Arc<Graph>, opts: ExecOptions) -> Session<'static> {
-        let cache = RefCell::new(PlanCache::new(opts.plan_cache_capacity));
-        let results = ResultCacheHandle::from_opts(&opts);
-        Session {
-            graph: GraphHandle::Shared(graph),
-            opts,
-            cache,
-            results,
-        }
+        Session::with_handle(GraphHandle::Shared(graph), opts)
     }
 
     /// [`Session::open_snapshot`] with explicit options.
@@ -262,6 +247,15 @@ impl Session<'static> {
 }
 
 impl<'g> Session<'g> {
+    fn with_handle(graph: GraphHandle<'g>, opts: ExecOptions) -> Self {
+        Session {
+            graph,
+            cache: RefCell::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
+            results: ResultCacheHandle::from_opts(&opts),
+            opts,
+        }
+    }
+
     /// A session over `g` with default [`ExecOptions`].
     pub fn new(graph: &'g Graph) -> Self {
         Session::with_options(graph, ExecOptions::default())
@@ -269,14 +263,7 @@ impl<'g> Session<'g> {
 
     /// A session over `g` with explicit options.
     pub fn with_options(graph: &'g Graph, opts: ExecOptions) -> Self {
-        let cache = RefCell::new(PlanCache::new(opts.plan_cache_capacity));
-        let results = ResultCacheHandle::from_opts(&opts);
-        Session {
-            graph: GraphHandle::Borrowed(graph),
-            opts,
-            cache,
-            results,
-        }
+        Session::with_handle(GraphHandle::Borrowed(graph), opts)
     }
 
     /// The graph this session queries.
@@ -290,8 +277,7 @@ impl<'g> Session<'g> {
     }
 
     /// Mutable access to the options (e.g. to change `threads` between
-    /// queries). The plan cache is kept — except that changing
-    /// `plan_cache_capacity` takes effect only for new sessions.
+    /// queries). The plan cache is kept.
     pub fn options_mut(&mut self) -> &mut ExecOptions {
         &mut self.opts
     }
@@ -327,11 +313,6 @@ impl<'g> Session<'g> {
     /// CTP searches the result cache could not answer.
     pub fn result_cache_misses(&self) -> u64 {
         self.result_cache_counters().misses
-    }
-
-    /// CTP searches answered by filtering a dominating cached entry.
-    pub fn result_cache_subsumed_hits(&self) -> u64 {
-        self.result_cache_counters().subsumed
     }
 
     /// Number of entries in the result cache.
