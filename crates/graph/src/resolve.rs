@@ -8,16 +8,6 @@
 //! committed node label. A removal claims one live matching edge of the
 //! committed graph that no earlier removal of the batch has claimed, so
 //! two identical removals take two parallel edges.
-//!
-//! ```
-//! use cs_graph::{figure1, Mutation, MutationBatch};
-//! let g = figure1();
-//! let mut batch = MutationBatch::new(&g);
-//! batch.insert_node("Zed", vec![]);
-//! batch.insert_edge("Zed", "citizenOf", "France").unwrap();
-//! assert!(batch.remove_edge("Bob", "citizenOf", "France").is_err());
-//! assert_eq!(batch.into_ops().len(), 2);
-//! ```
 
 use crate::ids::{EdgeId, NodeId};
 use crate::model::Graph;
@@ -139,85 +129,73 @@ mod tests {
     fn references_resolve_by_batch_name_then_id_then_label() {
         let g = parallel();
         let mut batch = MutationBatch::new(&g);
-        batch.insert_node("c", vec!["t".into()]);
-        // `c` is an in-batch name, `n2` the inserted node's predicted
-        // id, and `a` a committed label.
+        batch.insert_node("c", vec![]);
+        // `c` is an in-batch name, `a` a committed label, and `n2` the
+        // inserted node's predicted id.
         batch.insert_edge("c", "s", "a").unwrap();
         batch.insert_edge("n2", "s", "n1").unwrap();
         // A name introduced in the batch wins over an `n<ID>` reading.
         batch.insert_node("n0", vec![]);
         batch.insert_edge("n0", "s", "b").unwrap();
-        let edge = |src, dst| Mutation::InsertEdge {
-            src: NodeId(src),
-            label: "s".into(),
-            dst: NodeId(dst),
-        };
-        let ops = batch.into_ops();
-        assert_eq!(ops[1], edge(2, 0));
-        assert_eq!(ops[2], edge(2, 1));
-        assert_eq!(ops[4], edge(3, 1));
+        let ends: Vec<(u32, u32)> = batch
+            .into_ops()
+            .into_iter()
+            .filter_map(|op| match op {
+                Mutation::InsertEdge { src, dst, .. } => Some((src.0, dst.0)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ends, [(2, 0), (2, 1), (3, 1)]);
     }
 
     #[test]
-    fn bad_references_name_themselves() {
+    fn bad_references_fail_and_leave_the_batch_as_it_was() {
         let g = parallel();
         let mut batch = MutationBatch::new(&g);
-        assert_eq!(
-            batch.insert_edge("n2", "s", "a").unwrap_err(),
-            "node id n2 out of range (graph has 2 nodes)"
-        );
-        assert_eq!(
-            batch.remove_edge("a", "r", "nope").unwrap_err(),
-            "no node labelled \"nope\" (and not an n<ID> reference)"
-        );
-        batch.insert_node("c", vec![]);
-        batch.insert_edge("a", "s", "n2").unwrap();
-        // The failed ops left nothing behind.
-        assert_eq!(batch.into_ops().len(), 2);
+        for (err, want) in [
+            (
+                batch.insert_edge("n2", "s", "a"),
+                "node id n2 out of range (graph has 2 nodes)",
+            ),
+            (
+                batch.remove_edge("a", "r", "zz"),
+                "no node labelled \"zz\" (and not an n<ID> reference)",
+            ),
+            (
+                batch.remove_edge("a", "nolabel", "b"),
+                "no live edge a -nolabel-> b",
+            ),
+        ] {
+            assert_eq!(err.unwrap_err(), want);
+        }
+        assert!(batch.into_ops().is_empty());
     }
 
     #[test]
-    fn identical_removals_claim_parallel_edges_then_fail() {
-        let g = parallel();
+    fn removals_claim_distinct_live_committed_edges() {
+        let mut g = parallel();
         let mut batch = MutationBatch::new(&g);
+        // Two identical removals take the two parallel edges; a third
+        // finds none left.
         batch.remove_edge("a", "r", "b").unwrap();
         batch.remove_edge("n0", "r", "n1").unwrap();
         assert_eq!(
             batch.remove_edge("a", "r", "b").unwrap_err(),
             "no live edge a -r-> b"
         );
-        let ops = batch.into_ops();
-        assert_eq!(
-            ops,
-            vec![
-                Mutation::RemoveEdge { edge: EdgeId(0) },
-                Mutation::RemoveEdge { edge: EdgeId(1) },
-            ]
-        );
-    }
-
-    #[test]
-    fn removal_without_a_matching_live_edge_fails() {
-        let mut g = parallel();
-        let mut batch = MutationBatch::new(&g);
-        // An unknown label; then an edge the batch itself adds, to a
-        // node the batch adds: neither is a committed edge.
-        assert_eq!(
-            batch.remove_edge("a", "nolabel", "b").unwrap_err(),
-            "no live edge a -nolabel-> b"
-        );
+        // An edge the batch adds, to a node the batch adds, is not
+        // committed.
         batch.insert_node("c", vec![]);
         batch.insert_edge("a", "r", "c").unwrap();
         assert_eq!(
             batch.remove_edge("a", "r", "c").unwrap_err(),
             "no live edge a -r-> c"
         );
+        let removed = [EdgeId(0), EdgeId(1)].map(|edge| Mutation::RemoveEdge { edge });
+        assert_eq!(batch.into_ops()[..2], removed);
         // A removed edge is no longer live.
         g.apply(vec![Mutation::RemoveEdge { edge: EdgeId(2) }]);
-        let mut batch = MutationBatch::new(&g);
-        assert_eq!(
-            batch.remove_edge("b", "r", "a").unwrap_err(),
-            "no live edge b -r-> a"
-        );
+        let err = MutationBatch::new(&g).remove_edge("b", "r", "a");
+        assert_eq!(err.unwrap_err(), "no live edge b -r-> a");
     }
 }

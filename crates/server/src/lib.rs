@@ -1,4 +1,6 @@
-//! `cs-server` — the `csqd` multi-tenant query server.
+//! `cs-server` — the library behind `csqd`, the multi-tenant query
+//! server. The `csqd` binary lives in the root package
+//! (`src/bin/csqd.rs`), beside `csq`; this crate has no binary.
 //!
 //! Everything the paper's engine computes in-process, served over TCP:
 //! N clients share one loaded graph (an mmap snapshot or generated
@@ -20,12 +22,13 @@
 //! mid-search and its connection receives a typed error frame instead
 //! of a result.
 //!
-//! **Live graphs**: the `mutate` opcode applies a [`WireMutation`]
-//! batch by *epoch swap* (clone the shared graph, apply under one
-//! generation bump, swap the `Arc`), `subscribe` registers a standing
-//! query, and `poll` re-emits its result delta — with the watch's
-//! generation / label-footprint / reach-probe layers deciding when
-//! nothing needs to re-run (reported as [`PollSkip`]).
+//! **Live graphs**: the `mutate` opcode resolves a [`WireMutation`]
+//! batch with [`cs_graph::MutationBatch`] (the rule `csq watch` scripts
+//! use too) and applies it by *epoch swap* (clone the shared graph,
+//! apply under one generation bump, swap the `Arc`), `subscribe`
+//! registers a standing query, and `poll` re-emits its result delta —
+//! with the watch's generation / label-footprint / reach-probe layers
+//! deciding when nothing needs to re-run (reported as [`PollSkip`]).
 //!
 //! [`Session`]: cs_eql::Session
 

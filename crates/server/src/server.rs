@@ -70,7 +70,7 @@ use cs_eql::{
     CacheCounters, EqlError, ExecOptions, ResultCacheMode, Session, SharedResultCache, Watch,
     WatchSkip,
 };
-use cs_graph::{Graph, Mutation, MutationBatch};
+use cs_graph::{Graph, MutationBatch};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -655,17 +655,29 @@ impl Server {
         }
     }
 
-    /// Applies one mutation batch by epoch swap: clone the current
-    /// graph, resolve the symbolic node references, apply (one
-    /// generation bump), and publish the clone as the new epoch.
+    /// Applies one mutation batch by epoch swap: resolve the symbolic
+    /// references against the current graph ([`MutationBatch`]), clone
+    /// it, apply (one generation bump), and publish the clone as the
+    /// new epoch.
     /// Serialised by the mutate lock; resolution failures reject the
     /// whole batch before anything is applied.
     fn apply_mutations(&self, ops: &[WireMutation]) -> Result<MutateReply, EqlError> {
         let _writer = lock(&self.mutate_lock);
         let base = self.current_graph();
-        let resolved = resolve_wire_ops(&base, ops).map_err(EqlError::Mutate)?;
+        let mut batch = MutationBatch::new(&base);
+        for op in ops {
+            match op {
+                WireMutation::InsertNode { label, types } => {
+                    batch.insert_node(label, types.clone());
+                    Ok(())
+                }
+                WireMutation::InsertEdge { src, label, dst } => batch.insert_edge(src, label, dst),
+                WireMutation::RemoveEdge { src, label, dst } => batch.remove_edge(src, label, dst),
+            }
+            .map_err(EqlError::Mutate)?;
+        }
         let mut g: Graph = (*base).clone();
-        let applied = g.apply(resolved);
+        let applied = g.apply(batch.into_ops());
         *self.epoch.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(g);
         ServerCounters::bump(&self.counters.mutations);
         Ok(MutateReply {
@@ -828,18 +840,4 @@ impl Server {
             ServerCounters::get(&c.connections),
         )
     }
-}
-
-/// Translates wire mutations into [`cs_graph::Mutation`]s against the
-/// current epoch, one op at a time ([`MutationBatch`]).
-fn resolve_wire_ops(g: &Graph, ops: &[WireMutation]) -> Result<Vec<Mutation>, String> {
-    let mut batch = MutationBatch::new(g);
-    for op in ops {
-        match op {
-            WireMutation::InsertNode { label, types } => batch.insert_node(label, types.clone()),
-            WireMutation::InsertEdge { src, label, dst } => batch.insert_edge(src, label, dst)?,
-            WireMutation::RemoveEdge { src, label, dst } => batch.remove_edge(src, label, dst)?,
-        }
-    }
-    Ok(batch.into_ops())
 }

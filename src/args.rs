@@ -1,26 +1,13 @@
-//! The command-line front end shared by `csq` and `csqd`: one flag
-//! parser and the execution-option flags both binaries accept.
+//! The flag parser shared by `csq` and `csqd`.
 //!
-//! A command declares its flags in a table of [`Flag`]s and pulls them
-//! with [`Args::next_flag`] in argv order, applying each as it comes.
-//! The parser enforces the rules every command shares: an unknown
-//! `--flag` or one positional too many is a usage error; a flag without
-//! its value is a one-line failure naming the value it expects; and
-//! `--demo`, where a table lists it as [`Flag::positional`], is a
-//! positional argument (the built-in graph source). Because flags are
-//! applied as they are pulled, of two bad flags the first in argv order
-//! is the one reported.
-//!
-//! ```
-//! use connection_search::args::{Args, CliError, Flag};
-//! const FLAGS: &[Flag] = &[Flag::positional("--demo"), Flag::number("--threads")];
-//! let argv: Vec<String> = ["--demo", "--threads", "x"].map(String::from).into();
-//! let mut args = Args::new(&argv, FLAGS, 1);
-//! let arg = args.next_flag().unwrap().unwrap();
-//! let err = arg.number::<usize>().unwrap_err();
-//! assert_eq!(args.positionals, ["--demo"]);
-//! assert!(matches!(err, CliError::Fail(m) if m == "--threads expects a number, got \"x\""));
-//! ```
+//! A command lists its flags in a table and pulls them with
+//! [`Args::next_flag`] in argv order, applying each as it comes, so of
+//! two bad flags the first in argv order is the one reported. The
+//! parser enforces the rules every command shares: an unknown `--flag`
+//! or one positional too many is a usage error, a flag without its
+//! value is a one-line failure naming the value it expects, and a
+//! [`Flag::Positional`] (`--demo`, the built-in graph) is a positional
+//! argument.
 
 use cs_eql::{ExecOptions, ResultCacheMode};
 use std::fmt::Display;
@@ -59,62 +46,26 @@ pub fn exit(outcome: Result<ExitCode, CliError>, usage: &str) -> ExitCode {
     }
 }
 
-/// What follows a flag on the command line.
-#[derive(Debug, Clone, Copy)]
-enum Takes {
-    /// Nothing: a switch.
-    Nothing,
-    /// One value, described in errors by its noun (`a file path`,
-    /// `HOST:PORT`, `on|off`).
-    Value(&'static str),
-    /// Nothing, and the flag itself is a positional argument.
-    Positional,
-}
+/// The noun of a flag whose value is a number ([`Arg::number`]).
+pub const NUMBER: &str = "a number";
 
 /// One entry of a command's flag table.
 #[derive(Debug, Clone, Copy)]
-pub struct Flag {
-    name: &'static str,
-    takes: Takes,
-}
-
-impl Flag {
-    /// A flag that takes no value.
-    pub const fn switch(name: &'static str) -> Flag {
-        Flag {
-            name,
-            takes: Takes::Nothing,
-        }
-    }
-
-    /// A flag followed by a value, named by `noun` in errors. A noun of
-    /// words joined by `|` (`on|off`) lists the accepted values
-    /// ([`Arg::choice`]).
-    pub const fn value(name: &'static str, noun: &'static str) -> Flag {
-        Flag {
-            name,
-            takes: Takes::Value(noun),
-        }
-    }
-
-    /// A flag followed by a number ([`Arg::number`]).
-    pub const fn number(name: &'static str) -> Flag {
-        Flag::value(name, "a number")
-    }
-
-    /// A flag-like word that is a positional argument (`--demo`).
-    pub const fn positional(name: &'static str) -> Flag {
-        Flag {
-            name,
-            takes: Takes::Positional,
-        }
-    }
+pub enum Flag {
+    /// A flag without a value.
+    Switch(&'static str),
+    /// A flag and its value, named by a noun in errors (`a file path`,
+    /// [`NUMBER`]). A noun of words joined by `|` (`on|off`) lists the
+    /// accepted values ([`Arg::choice`]).
+    Value(&'static str, &'static str),
+    /// A positional argument spelled like a flag.
+    Positional(&'static str),
 }
 
 /// One flag as given on the command line.
 #[derive(Debug, Clone, Copy)]
 pub struct Arg<'a> {
-    /// The flag's name, as spelled in its table.
+    /// The flag's name.
     pub flag: &'static str,
     noun: &'static str,
     /// The value that followed the flag (empty for a switch).
@@ -122,12 +73,9 @@ pub struct Arg<'a> {
 }
 
 impl Arg<'_> {
-    /// The error for a value the flag does not accept.
-    pub fn bad(&self) -> CliError {
-        CliError::Fail(format!(
-            "{} expects {}, got {:?}",
-            self.flag, self.noun, self.value
-        ))
+    fn bad(&self) -> CliError {
+        let Arg { flag, noun, value } = self;
+        CliError::Fail(format!("{flag} expects {noun}, got {value:?}"))
     }
 
     /// The value as a number of type `T`.
@@ -137,11 +85,8 @@ impl Arg<'_> {
 
     /// The value, if it is one of the `|`-separated words of the noun.
     pub fn choice(&self) -> Result<&str, CliError> {
-        if self.noun.split('|').any(|w| w == self.value) {
-            Ok(self.value)
-        } else {
-            Err(self.bad())
-        }
+        let listed = self.noun.split('|').any(|w| w == self.value);
+        listed.then_some(self.value).ok_or_else(|| self.bad())
     }
 }
 
@@ -181,35 +126,32 @@ impl<'a> Args<'a> {
     /// before it; `None` at the end of the arguments.
     pub fn next_flag(&mut self) -> Result<Option<Arg<'a>>, CliError> {
         while let Some(word) = self.rest.next() {
-            let Some(&Flag { name, takes }) = self.table.iter().find(|f| f.name == word) else {
-                if word.starts_with("--") {
-                    return Err(CliError::Usage);
-                }
-                self.push_positional(word)?;
-                continue;
-            };
-            let (noun, value) = match takes {
-                Takes::Positional => {
+            let (flag, noun) = match self.table.iter().find(|f| f.name() == word) {
+                Some(&Flag::Switch(flag)) => (flag, ""),
+                Some(&Flag::Value(flag, noun)) => (flag, noun),
+                None if word.starts_with("--") => return Err(CliError::Usage),
+                Some(Flag::Positional(_)) | None => {
                     self.push_positional(word)?;
                     continue;
                 }
-                Takes::Nothing => ("", ""),
-                Takes::Value(noun) => match self.rest.next() {
-                    Some(value) => (noun, value.as_str()),
-                    None => {
-                        return Err(CliError::Fail(format!(
-                            "{name} expects {noun}, but none was given"
-                        )))
-                    }
-                },
             };
-            return Ok(Some(Arg {
-                flag: name,
-                noun,
-                value,
-            }));
+            let value = match noun {
+                "" => "",
+                _ => self.rest.next().ok_or_else(|| {
+                    CliError::Fail(format!("{flag} expects {noun}, but none was given"))
+                })?,
+            };
+            return Ok(Some(Arg { flag, noun, value }));
         }
         Ok(None)
+    }
+}
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        match *self {
+            Flag::Switch(name) | Flag::Value(name, _) | Flag::Positional(name) => name,
+        }
     }
 }
 
@@ -222,12 +164,8 @@ pub fn exec_flag(opts: &mut ExecOptions, arg: &Arg<'_>) -> Result<(), CliError> 
         "--timeout" => opts.default_timeout = Some(Duration::from_millis(arg.number()?)),
         "--timeout-ms" => opts.deadline = Some(Duration::from_millis(arg.number()?)),
         "--threads" => opts.threads = arg.number()?,
-        "--result-cache" => {
-            opts.result_cache = match arg.choice()? {
-                "off" => ResultCacheMode::Off,
-                _ => ResultCacheMode::On,
-            }
-        }
+        "--result-cache" if arg.choice()? == "off" => opts.result_cache = ResultCacheMode::Off,
+        "--result-cache" => opts.result_cache = ResultCacheMode::On,
         "--result-cache-capacity" => opts.result_cache_capacity = arg.number()?,
         _ => return Err(CliError::Usage),
     }

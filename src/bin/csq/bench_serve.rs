@@ -4,27 +4,26 @@
 //! up as rising latency, not a lower request rate), and every request's
 //! latency is kept, so the reported percentiles are exact.
 
-use crate::{header_flag, read_query_arg};
-use connection_search::args::{Arg, Args, CliError, Flag};
+use crate::{header_flag, target_and_query};
+use connection_search::args::{Arg, Args, CliError, Flag, NUMBER};
 use connection_search::server::{Client, ClientError, ErrorCode, RequestHeader};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const FLAGS: &[Flag] = &[
-    Flag::value("--tenant", "a name"),
-    Flag::number("--timeout-ms"),
-    Flag::number("--qps"),
-    Flag::number("--duration-ms"),
-    Flag::number("--connections"),
+    Flag::Value("--tenant", "a name"),
+    Flag::Value("--timeout-ms", NUMBER),
+    Flag::Value("--qps", NUMBER),
+    Flag::Value("--duration-ms", NUMBER),
+    Flag::Value("--connections", NUMBER),
 ];
 
 /// The value of a count flag that must be at least 1.
 fn positive<T: std::str::FromStr + Default + PartialEq>(arg: &Arg<'_>) -> Result<T, CliError> {
-    let n = arg.number()?;
-    if n == T::default() {
-        return Err(format!("{} must be positive", arg.flag).into());
+    match arg.number()? {
+        n if n == T::default() => Err(format!("{} must be positive", arg.flag).into()),
+        n => Ok(n),
     }
-    Ok(n)
 }
 
 /// Runs `csq bench-serve`.
@@ -42,10 +41,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             _ => header_flag(&mut header, &arg)?,
         }
     }
-    let [addr, query_arg] = args.positionals[..] else {
-        return Err(CliError::Usage);
-    };
-    let query = read_query_arg(query_arg)?;
+    let (addr, query) = target_and_query(&args)?;
 
     let Some(total) = qps
         .checked_mul(duration_ms)
@@ -68,7 +64,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     struct LaneResult {
         /// Latencies of the successful requests, in nanoseconds.
         latencies: Vec<u64>,
-        ok: usize,
         deadline_exceeded: usize,
         rejected: usize,
         failed: usize,
@@ -96,10 +91,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
                         }
                         let sent = Instant::now();
                         match client.query(query, &header) {
-                            Ok(_) => {
-                                r.ok += 1;
-                                r.latencies.push(sent.elapsed().as_nanos() as u64);
-                            }
+                            Ok(_) => r.latencies.push(sent.elapsed().as_nanos() as u64),
                             Err(ClientError::Server(e)) => match e.code {
                                 ErrorCode::DeadlineExceeded | ErrorCode::Cancelled => {
                                     r.deadline_exceeded += 1;
@@ -125,17 +117,12 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     });
     let elapsed = t0.elapsed();
 
-    let mut latencies = Vec::new();
-    let (mut ok, mut deadline_exceeded, mut rejected, mut failed) =
-        (0usize, 0usize, 0usize, 0usize);
-    for lane in lanes {
-        ok += lane.ok;
-        deadline_exceeded += lane.deadline_exceeded;
-        rejected += lane.rejected;
-        failed += lane.failed;
-        latencies.extend(lane.latencies);
-    }
+    let sum = |count: fn(&LaneResult) -> usize| lanes.iter().map(count).sum::<usize>();
+    let deadline_exceeded = sum(|lane| lane.deadline_exceeded);
+    let (rejected, failed) = (sum(|lane| lane.rejected), sum(|lane| lane.failed));
+    let mut latencies: Vec<u64> = lanes.into_iter().flat_map(|lane| lane.latencies).collect();
 
+    let ok = latencies.len();
     if ok == 0 {
         return Err("bench-serve: no request succeeded".into());
     }

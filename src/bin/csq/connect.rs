@@ -1,18 +1,20 @@
-//! `csq connect <addr> <query|@query-file>`: runs queries against a
-//! `csqd` server, printing results identically to local mode.
+//! `csq connect <addr> <query|@query-file>` runs queries against a
+//! `csqd` server ([`Client`]), printing results identically to local
+//! mode; `--cancel-after-ms N` fires a cooperative cancel frame
+//! mid-query from a second socket handle.
 
-use crate::{header_flag, read_query_arg, split_queries};
-use connection_search::args::{Args, CliError, Flag};
+use crate::{header_flag, split_queries, target_and_query};
+use connection_search::args::{Args, CliError, Flag, NUMBER};
 use connection_search::server::{Client, ClientError, ErrorCode, RequestHeader};
 use std::process::ExitCode;
 use std::time::Duration;
 
 const FLAGS: &[Flag] = &[
-    Flag::value("--tenant", "a name"),
-    Flag::number("--timeout-ms"),
-    Flag::number("--cancel-after-ms"),
-    Flag::switch("--batch"),
-    Flag::switch("--stats"),
+    Flag::Value("--tenant", "a name"),
+    Flag::Value("--timeout-ms", NUMBER),
+    Flag::Value("--cancel-after-ms", NUMBER),
+    Flag::Switch("--batch"),
+    Flag::Switch("--stats"),
 ];
 
 /// Runs `csq connect`.
@@ -29,10 +31,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             _ => header_flag(&mut header, &arg)?,
         }
     }
-    let [addr, query_arg] = args.positionals[..] else {
-        return Err(CliError::Usage);
-    };
-    let query = read_query_arg(query_arg)?;
+    let (addr, query) = target_and_query(&args)?;
     let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
 
     let reply = if batch {
@@ -43,43 +42,38 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         client.batch(&queries, &header)
     } else if let Some(ms) = cancel_after_ms {
         // Two-phase: send, arm the canceller against the id, wait.
-        match client.send_query(&query, &header) {
-            Ok(id) => {
-                let mut canceller = client.canceller()?;
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "--cancel-after-ms fires the cancel frame from a timer thread"
-                )]
-                let handle = std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(ms));
-                    let _ = canceller.cancel(id);
-                });
-                let r = client.wait_query(id);
-                let _ = handle.join();
-                r
-            }
-            Err(e) => Err(e),
-        }
+        client.send_query(&query, &header).and_then(|id| {
+            let mut canceller = client.canceller()?;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "--cancel-after-ms fires the cancel frame from a timer thread"
+            )]
+            let handle = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(ms));
+                let _ = canceller.cancel(id);
+            });
+            let reply = client.wait_query(id);
+            let _ = handle.join();
+            reply
+        })
     } else {
         client.query(&query, &header)
     };
 
-    match reply {
-        Ok(r) => {
-            print!("{}", r.text);
-            eprintln!("{} row(s)", r.rows);
-            if show_stats {
-                // The server-side view: scheduler occupancy, served
-                // counters, and the shared result-cache counters.
-                match client.stats() {
-                    Ok(text) => eprint!("{text}"),
-                    Err(e) => return Ok(report_client_error(&e)),
-                }
-            }
-            Ok(ExitCode::SUCCESS)
+    let shown = reply.and_then(|r| {
+        print!("{}", r.text);
+        eprintln!("{} row(s)", r.rows);
+        if show_stats {
+            // The server-side view: scheduler occupancy, served
+            // counters, and the shared result-cache counters.
+            eprint!("{}", client.stats()?);
         }
-        Err(e) => Ok(report_client_error(&e)),
-    }
+        Ok(())
+    });
+    Ok(match shown {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => report_client_error(&e),
+    })
 }
 
 /// Prints a server-side failure the way local mode would: typed

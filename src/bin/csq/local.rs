@@ -1,8 +1,20 @@
 //! Local mode: `csq <graph-source> <query|@query-file> [flags]` runs
-//! queries in-process through one [`Session`].
+//! queries in-process through one [`Session`], so every query (and
+//! every `--batch` member) shares its plan and result caches.
+//!
+//! The README's `csq` flags list describes `--threads`, `--explain`,
+//! `--stats`, `--batch`, `--graph` and `--stream`. `--result-cache off`
+//! disables the cross-query result cache and `--result-cache-capacity
+//! N` sizes its LRU; `--stats` then reports its hit / miss / subsumed /
+//! trees-filtered counters per query, and `--explain` prints one
+//! `magic seeds:` line per seed set narrowed by shared-variable
+//! intersection. `--timeout-ms N` is the *hard* per-query deadline
+//! ([`ExecOptions::deadline`]): unlike the per-CTP soft `--timeout`,
+//! which keeps the partial results found in time, an exceeded deadline
+//! fails the query with a one-line `error: deadline exceeded`.
 
-use crate::{read_query_arg, report_query_error, split_queries};
-use connection_search::args::{exec_flag, Args, CliError, Flag};
+use crate::{report_query_error, split_queries, target_and_query};
+use connection_search::args::{exec_flag, Args, CliError, Flag, NUMBER};
 use connection_search::core::SearchStats;
 use connection_search::eql::{ExecOptions, ExecStats, QueryResult};
 use connection_search::graph::{load_graph, Graph};
@@ -11,18 +23,18 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const FLAGS: &[Flag] = &[
-    Flag::positional("--demo"),
-    Flag::value("--graph", "a file path"),
-    Flag::value("--algorithm", "a name"),
-    Flag::number("--timeout"),
-    Flag::number("--timeout-ms"),
-    Flag::number("--threads"),
-    Flag::value("--result-cache", "on|off"),
-    Flag::number("--result-cache-capacity"),
-    Flag::switch("--stats"),
-    Flag::switch("--explain"),
-    Flag::switch("--batch"),
-    Flag::switch("--stream"),
+    Flag::Positional("--demo"),
+    Flag::Value("--graph", "a file path"),
+    Flag::Value("--algorithm", "a name"),
+    Flag::Value("--timeout", NUMBER),
+    Flag::Value("--timeout-ms", NUMBER),
+    Flag::Value("--threads", NUMBER),
+    Flag::Value("--result-cache", "on|off"),
+    Flag::Value("--result-cache-capacity", NUMBER),
+    Flag::Switch("--stats"),
+    Flag::Switch("--explain"),
+    Flag::Switch("--batch"),
+    Flag::Switch("--stream"),
 ];
 
 /// Runs local mode. The graph source is the first positional argument
@@ -50,58 +62,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     if batch && stream {
         return Err("--stream streams a single query and cannot be combined with --batch".into());
     }
-    let [source, query_arg] = args.positionals[..] else {
-        return Err(CliError::Usage);
-    };
-    let query = read_query_arg(query_arg)?;
+    let (source, query) = target_and_query(&args)?;
 
-    // One session for the whole invocation: every query (and every
-    // batch member) shares the plan cache.
     let session = Session::from_graph_with(load_graph(source)?, opts);
     let graph = session.graph();
-
-    if batch {
-        let queries = split_queries(&query);
-        if queries.is_empty() {
-            return Err("--batch input contains no queries".into());
-        }
-        let results = session.execute_batch(&queries);
-        let mut failed = false;
-        for (qi, (text, result)) in queries.iter().zip(&results).enumerate() {
-            eprintln!("-- query {} of {} --", qi + 1, results.len());
-            match result {
-                Ok(r) => report(graph, r, show_plan, show_stats),
-                Err(e) => {
-                    report_query_error(e);
-                    eprintln!("  in: {}", text.trim());
-                    failed = true;
-                }
-            }
-        }
-        if show_stats || show_plan {
-            eprintln!(
-                "session plan cache: {} hit(s), {} miss(es), {} cached plan(s)",
-                session.plan_cache_hits(),
-                session.plan_cache_misses(),
-                session.plan_cache_len()
-            );
-            let rc = session.result_cache_counters();
-            eprintln!(
-                "session result cache: {} hit(s), {} miss(es), {} subsumed, \
-                 {} tree(s) filtered, {} cached result(s)",
-                rc.hits,
-                rc.misses,
-                rc.subsumed,
-                rc.trees_filtered,
-                session.result_cache_len()
-            );
-        }
-        return Ok(if failed {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        });
-    }
 
     if stream {
         let stream = session
@@ -134,16 +98,54 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    match session.run(&query) {
-        Ok(result) => {
-            report(graph, &result, show_plan, show_stats);
-            Ok(ExitCode::SUCCESS)
+    // A single query is a batch of one, without the batch's headers.
+    let queries = match batch {
+        true => split_queries(&query),
+        false => vec![query.as_str()],
+    };
+    if queries.is_empty() {
+        return Err("--batch input contains no queries".into());
+    }
+    let results = session.execute_batch(&queries);
+    let mut failed = false;
+    for (qi, (text, result)) in queries.iter().zip(&results).enumerate() {
+        if batch {
+            eprintln!("-- query {} of {} --", qi + 1, results.len());
         }
-        Err(e) => {
-            report_query_error(&e);
-            Ok(ExitCode::FAILURE)
+        match result {
+            Ok(r) => report(graph, r, show_plan, show_stats),
+            Err(e) => {
+                report_query_error(e);
+                if batch {
+                    eprintln!("  in: {}", text.trim());
+                }
+                failed = true;
+            }
         }
     }
+    if batch && (show_stats || show_plan) {
+        eprintln!(
+            "session plan cache: {} hit(s), {} miss(es), {} cached plan(s)",
+            session.plan_cache_hits(),
+            session.plan_cache_misses(),
+            session.plan_cache_len()
+        );
+        let rc = session.result_cache_counters();
+        eprintln!(
+            "session result cache: {} hit(s), {} miss(es), {} subsumed, \
+             {} tree(s) filtered, {} cached result(s)",
+            rc.hits,
+            rc.misses,
+            rc.subsumed,
+            rc.trees_filtered,
+            session.result_cache_len()
+        );
+    }
+    Ok(if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
 /// Prints a query's step-(A) plans and plan-cache counters to stderr

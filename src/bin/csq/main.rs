@@ -1,19 +1,8 @@
-//! `csq` — the connection-search query CLI.
-//!
-//! ```text
-//! csq <graph-source> <query-or-@file> [--algorithm NAME] [--timeout MS]
-//!     [--timeout-ms N] [--threads N] [--result-cache on|off]
-//!     [--result-cache-capacity N] [--stats] [--explain] [--batch] [--stream]
-//! csq --graph <file.csg> <query-or-@file> [...]   # same, source as a flag
-//! csq snapshot save <gen-spec|graph-file> <out.csg>
-//! csq snapshot inspect <file.csg>
-//! csq connect <addr> <query-or-@file> [--tenant T] [--timeout-ms N]
-//!     [--batch] [--cancel-after-ms N] [--stats]
-//! csq bench-serve <addr> <query-or-@file> [--qps N] [--duration-ms N]
-//!     [--connections K] [--tenant T] [--timeout-ms N]
-//! csq watch <graph-source> <query-or-@file> [--script FILE] [--stats]
-//!     [--threads N] [--result-cache on|off]
-//! ```
+//! `csq` — the connection-search query CLI. Run it without arguments
+//! for the synopsis of every subcommand ([`USAGE`]): local queries
+//! (`local`), `snapshot save|inspect`, `watch`, `connect` and
+//! `bench-serve`, one module each. All of them parse their flags with
+//! `connection_search::args`, the parser `csqd` shares.
 //!
 //! A *graph source* is `--demo` (the Figure 1 graph), a CSG2 binary
 //! snapshot (`cs_graph::snapshot`; a `.csg` file, or any file with the
@@ -31,69 +20,18 @@
 //! whether statistics are present; `--graph file.csg` then serves
 //! queries from the pinned dataset.
 //!
-//! `--threads N` sets the worker budget for evaluating independent
-//! CTPs in parallel (0 = available parallelism; each search itself
-//! runs sequentially); `--explain` prints the access-path plan of each
-//! BGP (with plan-cache hits) before the results; `--batch` treats
-//! the query input as several `;`-separated queries, executed through
-//! one `Session` so
-//! structurally identical BGPs share cached plans and all CTP jobs go
-//! through a single parallel dispatch; `--stream` pulls a single-CTP
-//! SELECT through `Session::execute_streaming`, printing each
-//! connecting tree as the search produces it.
-//!
-//! `--result-cache off` disables the session's cross-query result
-//! cache (`cs_eql::result_cache`); `--result-cache-capacity N` sets
-//! how many CTP result sets the LRU retains (default
-//! `DEFAULT_RESULT_CACHE_CAPACITY`). `--stats` then reports the hit
-//! / miss / subsumed / trees-filtered counters per query, and
-//! `--explain` additionally prints one `magic seeds:` line per seed
-//! set narrowed by shared-variable (magic-set) intersection.
-//!
-//! `--timeout-ms N` is the *hard* per-query deadline
-//! (`ExecOptions::deadline`): unlike the per-CTP soft `--timeout`
-//! (which keeps the partial results found in time), an exceeded
-//! deadline fails the query with a typed `DeadlineExceeded` — a
-//! one-line `error: deadline exceeded` and a non-zero exit.
-//!
-//! `csq watch` registers one or more standing `SELECT` queries
-//! (`;`-separated, like `--batch`) over a live graph and drives it
-//! with a mutation script (`--script FILE`, or stdin). Script lines —
-//! `node <label> [type…]`, `edge <src> <label> <dst>`,
-//! `del <src> <label> <dst>`, and `commit` — accumulate into batches;
-//! each `commit` applies the batch through `Session::mutate` (one
-//! generation bump), polls every watch, and prints the per-watch
-//! result deltas as `watch I + row` / `watch I - row` lines. References
-//! resolve line by line as csqd's `mutate` resolves its ops
-//! (`cs_graph::MutationBatch`): a node is a label introduced earlier in
-//! the batch, a raw `n<ID>` id, or an exact node label, and a `del`
-//! removes one live edge of the last committed state.
-//! `--stats` additionally reports on stderr how each unchanged poll
-//! was decided (generation check, label footprint, delta reach probe
-//! — see `cs_eql::watch`).
-//!
-//! `csq connect` runs the same query loop against a `csqd` server
-//! (`cs_server::Client`), printing results identically to local mode;
-//! `--cancel-after-ms N` fires a cooperative cancel frame mid-query
-//! from a second socket handle. `csq bench-serve` is an open-loop
-//! load generator: it schedules requests at a target QPS across K
-//! connections, keeps every request's latency, and reports exact
-//! p50/p95/p99 and achieved QPS.
-//!
-//! Every subcommand parses its flags with `connection_search::args`, the
-//! parser `csqd` shares.
-//!
 //! The exit code is non-zero when the graph cannot be loaded, a
 //! snapshot cannot be saved or read, a query fails to parse, or
 //! execution errors — including any query of a batch. I/O and decode
-//! failures are one-line `error:` messages, never panics.
+//! failures are one-line `error:` messages, never panics; bad usage
+//! prints the synopsis and exits 2.
 
 mod bench_serve;
 mod connect;
 mod local;
 mod watch;
 
-use connection_search::args::{self, Arg, CliError};
+use connection_search::args::{self, Arg, Args, CliError};
 use connection_search::eql::EqlError;
 use connection_search::graph::{load_graph, snapshot};
 use connection_search::server::RequestHeader;
@@ -149,14 +87,19 @@ fn report_query_error(e: &EqlError) {
     }
 }
 
-/// Reads `<query|@query-file>` input.
-fn read_query_arg(arg: &str) -> Result<String, String> {
-    match arg.strip_prefix('@') {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read query file {path}: {e}"))
-        }
-        None => Ok(arg.to_string()),
-    }
+/// The two positionals of every subcommand but `snapshot`: the target
+/// (a graph source or a server address) and the query text, read from
+/// the file named after an `@`.
+fn target_and_query<'a>(args: &Args<'a>) -> Result<(&'a str, String), CliError> {
+    let [target, query] = args.positionals[..] else {
+        return Err(CliError::Usage);
+    };
+    let query = match query.strip_prefix('@') {
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read query file {path}: {e}"))?,
+        None => query.to_string(),
+    };
+    Ok((target, query))
 }
 
 /// Applies a request-header flag of `connect` and `bench-serve`.
@@ -177,11 +120,8 @@ fn split_queries(input: &str) -> Vec<&str> {
     let mut in_string = false;
     let mut escaped = false;
     for (i, c) in input.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
         match c {
+            _ if escaped => escaped = false,
             '\\' if in_string => escaped = true,
             '"' => in_string = !in_string,
             ';' if !in_string => {

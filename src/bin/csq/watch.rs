@@ -1,8 +1,20 @@
-//! `csq watch <graph-source> <query|@query-file> [--script FILE]`:
-//! standing queries over a live graph, driven by a mutation script.
+//! `csq watch` registers one or more standing `SELECT` queries
+//! (`;`-separated, like `--batch`) over a live graph and drives it
+//! with a mutation script (`--script FILE`, or stdin). Script lines —
+//! `node <label> [type…]`, `edge <src> <label> <dst>`,
+//! `del <src> <label> <dst>`, and `commit` — accumulate into batches;
+//! each `commit` applies the batch through [`Session::mutate`] (one
+//! generation bump), polls every watch, and prints the per-watch
+//! result deltas as `watch I + row` / `watch I - row` lines. References
+//! resolve line by line as csqd's `mutate` resolves its ops
+//! ([`MutationBatch`]): a node is a label introduced earlier in the
+//! batch, a raw `n<ID>` id, or an exact node label, and a `del` removes
+//! one live edge of the last committed state. `--stats` additionally
+//! reports on stderr how each unchanged poll was decided (generation
+//! check, label footprint, delta reach probe — see `cs_eql::watch`).
 
-use crate::{read_query_arg, report_query_error, split_queries};
-use connection_search::args::{exec_flag, Args, CliError, Flag};
+use crate::{report_query_error, split_queries, target_and_query};
+use connection_search::args::{exec_flag, Args, CliError, Flag, NUMBER};
 use connection_search::eql::{ExecOptions, Watch, WatchSkip};
 use connection_search::graph::{load_graph, Mutation, MutationBatch};
 use connection_search::Session;
@@ -10,11 +22,11 @@ use std::io::BufRead;
 use std::process::ExitCode;
 
 const FLAGS: &[Flag] = &[
-    Flag::positional("--demo"),
-    Flag::value("--script", "a file path (or -)"),
-    Flag::number("--threads"),
-    Flag::value("--result-cache", "on|off"),
-    Flag::switch("--stats"),
+    Flag::Positional("--demo"),
+    Flag::Value("--script", "a file path (or -)"),
+    Flag::Value("--threads", NUMBER),
+    Flag::Value("--result-cache", "on|off"),
+    Flag::Switch("--stats"),
 ];
 
 /// Registers standing queries over a live graph and applies a mutation
@@ -31,10 +43,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
             _ => exec_flag(&mut opts, &arg)?,
         }
     }
-    let [source, query_arg] = args.positionals[..] else {
-        return Err(CliError::Usage);
-    };
-    let query = read_query_arg(query_arg)?;
+    let (source, query) = target_and_query(&args)?;
 
     // Watching mutates the graph, so the session must own it. A
     // snapshot source stays memory-mapped: mutations go to the graph's
@@ -81,32 +90,29 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let bad = |msg: String| format!("script line {}: {msg}", lineno + 1);
         let toks: Vec<&str> = line.split_whitespace().collect();
-        match toks[..] {
+        let done = match toks[..] {
             ["node", label, ref types @ ..] => {
                 batch.insert_node(label, types.iter().map(|t| t.to_string()).collect());
+                Ok(())
             }
-            ["node"] => return Err(bad("node expects: node <label> [type ...]".into()).into()),
-            ["edge", s, l, d] => batch.insert_edge(s, l, d).map_err(bad)?,
-            ["del", s, l, d] => batch.remove_edge(s, l, d).map_err(bad)?,
-            [op @ ("edge" | "del"), ..] => {
-                return Err(bad(format!("{op} expects: {op} <src> <label> <dst>")).into())
-            }
+            ["node"] => Err("node expects: node <label> [type ...]".to_string()),
+            ["edge", s, l, d] => batch.insert_edge(s, l, d),
+            ["del", s, l, d] => batch.remove_edge(s, l, d),
+            [op @ ("edge" | "del"), ..] => Err(format!("{op} expects: {op} <src> <label> <dst>")),
             ["commit"] => {
                 let ops = batch.into_ops();
-                commit_and_poll(&mut session, ops, &mut watches, show_stats).map_err(bad)?;
+                let done = commit_and_poll(&mut session, ops, &mut watches, show_stats);
                 batch = MutationBatch::new(session.graph());
+                done
             }
-            ["commit", ..] => return Err(bad("commit takes no arguments".into()).into()),
-            _ => {
-                return Err(bad(format!(
-                    "unknown op {:?} (expected node, edge, del, or commit)",
-                    toks[0]
-                ))
-                .into())
-            }
-        }
+            ["commit", ..] => Err("commit takes no arguments".to_string()),
+            [op, ..] => Err(format!(
+                "unknown op {op:?} (expected node, edge, del, or commit)"
+            )),
+            [] => Ok(()),
+        };
+        done.map_err(|msg| format!("script line {}: {msg}", lineno + 1))?;
     }
     // A trailing un-committed batch commits implicitly at EOF.
     let ops = batch.into_ops();

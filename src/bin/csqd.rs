@@ -1,31 +1,14 @@
-//! `csqd` — the connection-search query daemon.
+//! `csqd` — the connection-search query daemon, over the `cs-server`
+//! library. Run it without arguments for its synopsis ([`USAGE`]).
 //!
-//! ```text
-//! csqd <graph-source> [--addr HOST:PORT] [--workers N] [--threads N]
-//!      [--queue N] [--tenant-inflight N] [--default-deadline-ms N]
-//!      [--result-cache off|on|shared] [--result-cache-capacity N]
-//! ```
-//!
-//! A *graph source* is the same as `csq`'s: `--demo`, a `.csg`
-//! snapshot, a generator spec (`gen:scale_free:nodes=2000,seed=7`), or
-//! a tab-separated triples file, resolved by [`cs_graph::load_graph`].
-//! The graph is loaded once and shared by every connection.
-//!
-//! Each connection runs its queries on its own two threads;
-//! `--workers N` caps the concurrent executions across all connections
-//! (default 2), and `--tenant-inflight N` caps them per tenant.
-//!
-//! The cross-query result cache defaults to one cache shared by every
-//! connection (`Server::bind` upgrades the session-local `on` mode to
-//! `shared`, so `on` and `shared` are equivalent here); `--result-cache
-//! off` disables it. Its hit/miss/subsumed counters appear in the
-//! `stats` opcode's reply.
-//!
-//! The server prints `csqd listening on <addr>` once ready (the line
-//! test harnesses and the CI serve-smoke lane wait for) and runs until
-//! a client sends a `shutdown` frame.
+//! The graph source (as for `csq`, resolved by
+//! [`cs_graph::load_graph`]) is loaded once and shared by every
+//! connection. The result cache is one cache shared by every connection
+//! unless `--result-cache off`. The daemon prints `csqd listening on
+//! <addr>` once ready (the line test harnesses and the CI serve-smoke
+//! lane wait for) and runs until a client sends a `shutdown` frame.
 
-use connection_search::args::{self, exec_flag, Args, CliError, Flag};
+use connection_search::args::{self, exec_flag, Args, CliError, Flag, NUMBER};
 use connection_search::graph::load_graph;
 use connection_search::server::{Server, ServerConfig};
 use std::process::ExitCode;
@@ -40,18 +23,18 @@ const USAGE: &str = "usage: csqd <graph-source|--demo> [--addr HOST:PORT] [--wor
      --workers N: concurrent executions across all connections (default 2)";
 
 const FLAGS: &[Flag] = &[
-    Flag::positional("--demo"),
-    Flag::value("--addr", "HOST:PORT"),
-    Flag::number("--workers"),
-    Flag::number("--threads"),
-    Flag::number("--queue"),
-    Flag::number("--tenant-inflight"),
-    Flag::number("--default-deadline-ms"),
+    Flag::Positional("--demo"),
+    Flag::Value("--addr", "HOST:PORT"),
+    Flag::Value("--workers", NUMBER),
+    Flag::Value("--threads", NUMBER),
+    Flag::Value("--queue", NUMBER),
+    Flag::Value("--tenant-inflight", NUMBER),
+    Flag::Value("--default-deadline-ms", NUMBER),
     // `on` and `shared` are both one server-wide cache: `Server::bind`
     // upgrades `On` to `Shared` (with the final
     // `--result-cache-capacity`, whichever flag order was used).
-    Flag::value("--result-cache", "off|on|shared"),
-    Flag::number("--result-cache-capacity"),
+    Flag::Value("--result-cache", "off|on|shared"),
+    Flag::Value("--result-cache-capacity", NUMBER),
 ];
 
 fn main() -> ExitCode {

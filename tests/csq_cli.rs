@@ -499,34 +499,33 @@ const WATCH: &[&str] = &["watch", "--demo", DEMO_CTP];
 const CONNECT: &[&str] = &["connect", "127.0.0.1:1", DEMO_CTP];
 const BENCH_SERVE: &[&str] = &["bench-serve", "127.0.0.1:1", DEMO_CTP];
 
-/// Runs `csq` on `prefix` followed by `flags`.
-fn csq_with(prefix: &[&str], flags: &[&str]) -> Output {
-    csq(&[prefix, flags].concat())
-}
-
-/// Asserts that `prefix flags` fails with exactly the line `error: {want}`
-/// and exit 1.
-fn assert_flag_error(prefix: &[&str], flags: &[&str], want: &str) {
-    let out = csq_with(prefix, flags);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
-    assert_eq!(stderr, format!("error: {want}\n"), "{prefix:?} {flags:?}");
+/// Runs `csq` on `prefix` then `flags`, which must stop while parsing:
+/// its exit code and stderr.
+fn parse_stop(prefix: &[&str], flags: &[&str]) -> (Option<i32>, String) {
+    let out = csq(&[prefix, flags].concat());
     assert!(out.stdout.is_empty(), "{flags:?}: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
 }
 
-/// Asserts that `prefix flags` prints the usage and exits 2.
+/// Asserts exactly the line `error: {want}` and exit 1.
+fn assert_flag_error(prefix: &[&str], flags: &[&str], want: &str) {
+    let want = (Some(1), format!("error: {want}\n"));
+    assert_eq!(parse_stop(prefix, flags), want, "{prefix:?} {flags:?}");
+}
+
+/// Asserts the usage and exit 2.
 fn assert_usage(prefix: &[&str], flags: &[&str]) {
-    let out = csq_with(prefix, flags);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+    let (code, stderr) = parse_stop(prefix, flags);
+    assert_eq!(code, Some(2), "{prefix:?} {flags:?}: {stderr}");
     assert!(stderr.starts_with("usage: csq"), "{flags:?}: {stderr}");
 }
 
 #[test]
 fn subcommand_flags_reject_missing_and_garbage_values() {
-    // (argv prefix, flag, noun in the error, whether a garbage value
-    // exists at all — any tenant name or script path parses).
-    let cases: &[(&[&str], &str, &str, bool)] = &[
+    // (argv prefix, flag, noun in the error, whether any value is
+    // garbage — every tenant name and script path parses).
+    for (prefix, flag, noun, has_garbage) in [
         (WATCH, "--threads", "a number", true),
         (WATCH, "--script", "a file path (or -)", false),
         (WATCH, "--result-cache", "on|off", true),
@@ -538,54 +537,35 @@ fn subcommand_flags_reject_missing_and_garbage_values() {
         (BENCH_SERVE, "--connections", "a number", true),
         (BENCH_SERVE, "--timeout-ms", "a number", true),
         (BENCH_SERVE, "--tenant", "a name", false),
-    ];
-    for &(prefix, flag, noun, has_garbage) in cases {
-        assert_flag_error(
-            prefix,
-            &[flag],
-            &format!("{flag} expects {noun}, but none was given"),
-        );
+    ] {
+        let missing = format!("{flag} expects {noun}, but none was given");
+        assert_flag_error(prefix, &[flag], &missing);
         if has_garbage {
-            assert_flag_error(
-                prefix,
-                &[flag, "x1"],
-                &format!("{flag} expects {noun}, got \"x1\""),
-            );
+            let garbage = format!("{flag} expects {noun}, got \"x1\"");
+            assert_flag_error(prefix, &[flag, "x1"], &garbage);
         }
     }
     // A deadline travels as a 32-bit millisecond count on the wire.
+    let too_big = "--timeout-ms expects a number, got \"4294967296\"";
     for prefix in [CONNECT, BENCH_SERVE] {
-        assert_flag_error(
-            prefix,
-            &["--timeout-ms", "4294967296"],
-            "--timeout-ms expects a number, got \"4294967296\"",
-        );
+        assert_flag_error(prefix, &["--timeout-ms", "4294967296"], too_big);
     }
-}
-
-#[test]
-fn bench_serve_counts_must_be_positive() {
     for flag in ["--qps", "--duration-ms", "--connections"] {
-        assert_flag_error(
-            BENCH_SERVE,
-            &[flag, "0"],
-            &format!("{flag} must be positive"),
-        );
+        let want = format!("{flag} must be positive");
+        assert_flag_error(BENCH_SERVE, &[flag, "0"], &want);
     }
 }
 
 #[test]
-fn subcommand_unknown_flags_print_usage() {
+fn subcommand_usage_errors() {
     for prefix in [WATCH, CONNECT, BENCH_SERVE] {
         assert_usage(prefix, &["--bogus"]);
-        // A third positional is a usage error too.
-        assert_usage(prefix, &["extra"]);
+        assert_usage(prefix, &["a-third-positional"]);
     }
     // `--demo` names a graph source, so it is no flag for the commands
-    // that take an address.
+    // that take an address. Too few positionals are a usage error too.
     assert_usage(&["connect", "--demo", DEMO_CTP], &[]);
     assert_usage(&["bench-serve", "--demo", DEMO_CTP], &[]);
-    // Too few positionals.
     assert_usage(&["watch", "--demo"], &[]);
     assert_usage(&["connect", "127.0.0.1:1"], &[]);
     assert_usage(&["bench-serve"], &[]);
@@ -593,35 +573,33 @@ fn subcommand_unknown_flags_print_usage() {
 
 #[test]
 fn subcommand_reports_the_first_bad_flag_in_argv_order() {
-    let pairs = [
+    let bad = |flag: &str, noun: &str| format!("{flag} expects {noun}, got \"x\"");
+    for (prefix, [a, a_noun], [b, b_noun]) in [
         (
             WATCH,
-            ["--threads", "x1"],
-            ["--result-cache", "x2"],
-            "--threads expects a number, got \"x1\"",
-            "--result-cache expects on|off, got \"x2\"",
+            ["--threads", "a number"],
+            ["--result-cache", "on|off"],
         ),
         (
             CONNECT,
-            ["--timeout-ms", "x1"],
-            ["--cancel-after-ms", "x2"],
-            "--timeout-ms expects a number, got \"x1\"",
-            "--cancel-after-ms expects a number, got \"x2\"",
+            ["--timeout-ms", "a number"],
+            ["--cancel-after-ms", "a number"],
         ),
         (
             BENCH_SERVE,
-            ["--qps", "0"],
-            ["--duration-ms", "x2"],
-            "--qps must be positive",
-            "--duration-ms expects a number, got \"x2\"",
+            ["--connections", "a number"],
+            ["--duration-ms", "a number"],
         ),
-    ];
-    for (prefix, a, b, a_err, b_err) in pairs {
-        assert_flag_error(prefix, &[a[0], a[1], b[0], b[1]], a_err);
-        assert_flag_error(prefix, &[b[0], b[1], a[0], a[1]], b_err);
-        assert_flag_error(prefix, &[a[0], a[1], "--bogus"], a_err);
-        assert_usage(prefix, &["--bogus", a[0], a[1]]);
+    ] {
+        let (a_err, b_err) = (bad(a, a_noun), bad(b, b_noun));
+        assert_flag_error(prefix, &[a, "x", b, "x"], &a_err);
+        assert_flag_error(prefix, &[b, "x", a, "x"], &b_err);
+        assert_flag_error(prefix, &[a, "x", "--bogus"], &a_err);
+        assert_usage(prefix, &["--bogus", a, "x"]);
     }
+    // A value check that is no parse error keeps its place in the order.
+    let qps = "--qps must be positive";
+    assert_flag_error(BENCH_SERVE, &["--qps", "0", "--duration-ms", "x"], qps);
 }
 
 #[test]
@@ -649,13 +627,9 @@ fn watch_script_prints_deltas_and_names_the_bad_line() {
         "-- generation 1 (+1 node(s), +1 edge(s), -0 edge(s)) --\n\
          watch 0 + x=Zed(n12)\n"
     );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let lines: Vec<&str> = stderr.lines().collect();
-    assert_eq!(lines.len(), 2, "{stderr}");
-    assert_eq!(lines[0], "watch 0: 3 baseline row(s) at generation 0");
-    assert!(
-        lines[1].starts_with("error: script line 5: ")
-            && lines[1].ends_with(" edge Bob -citizenOf-> France"),
-        "{stderr}"
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "watch 0: 3 baseline row(s) at generation 0\n\
+         error: script line 5: no live edge Bob -citizenOf-> France\n"
     );
 }
