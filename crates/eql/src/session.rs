@@ -247,6 +247,7 @@ impl Session<'static> {
 }
 
 impl<'g> Session<'g> {
+    /// The constructor behind the borrowed, owned and shared forms.
     fn with_handle(graph: GraphHandle<'g>, opts: ExecOptions) -> Self {
         Session {
             graph,

@@ -377,10 +377,6 @@ impl<'a> Reader<'a> {
         Ok(*head)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(u8::from_le_bytes(self.array()?))
-    }
-
     fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
@@ -394,14 +390,6 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| DecodeError::Truncated)
     }
 
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-
     fn string(&mut self) -> Result<String, DecodeError> {
         let len = self.u32()? as usize;
         let bytes = self.bytes(len)?;
@@ -411,10 +399,10 @@ impl<'a> Reader<'a> {
     }
 
     fn value(&mut self) -> Result<Value, DecodeError> {
-        match self.u8()? {
-            0 => Ok(Value::str(self.string()?)),
-            1 => Ok(Value::Int(self.i64()?)),
-            2 => Ok(Value::Float(self.f64()?)),
+        match self.array()? {
+            [0] => Ok(Value::str(self.string()?)),
+            [1] => Ok(Value::Int(i64::from_le_bytes(self.array()?))),
+            [2] => Ok(Value::Float(f64::from_le_bytes(self.array()?))),
             _ => Err(DecodeError::Truncated),
         }
     }
