@@ -68,10 +68,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     let graph = session.graph();
 
     if stream {
-        let stream = session
+        let started = session
             .prepare(&query)
             .and_then(|prepared| session.execute_streaming(&prepared));
-        let mut result_stream = match stream {
+        let mut result_stream = match started {
             Ok(s) => s,
             Err(e) => {
                 report_query_error(&e);
