@@ -11,7 +11,7 @@ use crate::config::{Filters, QueueOrder};
 use crate::result::{ResultSet, ResultTree, SearchOutcome, SearchStats};
 use crate::seedmask::SeedMask;
 use crate::seeds::SeedSets;
-use crate::tree::{nodes_intersect_only_at, sorted_insert, sorted_union};
+use crate::tree::nodes_intersect_only_at;
 use cs_graph::fxhash::{FxHashMap, FxHashSet};
 use cs_graph::{EdgeId, Graph, NodeId};
 use std::time::Instant;
@@ -54,6 +54,9 @@ struct BftEngine<'g> {
     results: ResultSet,
     stats: SearchStats,
     deadline: Option<Instant>,
+    /// Units of work since the search began; the clock and the cancel
+    /// flag are read every 64 (see [`BftEngine::tick`]).
+    tick: u32,
     stop: bool,
 }
 
@@ -129,6 +132,7 @@ impl<'g> BftEngine<'g> {
         }
         for &n in t.nodes.iter() {
             for a in self.g.adjacent(n) {
+                self.tick();
                 if self.stop {
                     return new_ids;
                 }
@@ -175,7 +179,11 @@ impl<'g> BftEngine<'g> {
         cands.sort_unstable();
         cands.dedup();
         for p in cands {
-            if p == idx || self.stop {
+            self.tick();
+            if self.stop {
+                break;
+            }
+            if p == idx {
                 continue;
             }
             let other = &self.trees[p];
@@ -211,6 +219,18 @@ impl<'g> BftEngine<'g> {
         created
     }
 
+    /// Counts one unit of work — a Grow edge tried or a Merge partner
+    /// tried — and checks the clock every 64 units, like the GAM
+    /// engine's `check_time`, so a deadline or a cancel stops the
+    /// search inside a generation and not only between generations.
+    fn tick(&mut self) {
+        self.tick = self.tick.wrapping_add(1);
+        if self.tick.is_multiple_of(64) {
+            self.check_time();
+        }
+    }
+
+    /// Reads the clock and the cancel flag; either stops the search.
     fn check_time(&mut self) {
         if let Some(d) = self.deadline {
             if Instant::now() >= d {
@@ -373,9 +393,54 @@ pub fn run_bft(
         results: ResultSet::new(),
         stats: SearchStats::default(),
         deadline: None,
+        tick: 0,
         stop: false,
     };
     engine.run()
+}
+
+/// Inserts `x` into a sorted slice, returning a new sorted boxed slice.
+/// Duplicates are rejected by a debug assertion (trees never repeat an
+/// edge or node).
+fn sorted_insert<T: Ord + Copy>(slice: &[T], x: T) -> Box<[T]> {
+    let pos = match slice.binary_search(&x) {
+        Ok(_) => {
+            debug_assert!(false, "duplicate insertion into tree set");
+            return slice.to_vec().into_boxed_slice();
+        }
+        Err(p) => p,
+    };
+    let mut v = Vec::with_capacity(slice.len() + 1);
+    v.extend_from_slice(&slice[..pos]);
+    v.push(x);
+    v.extend_from_slice(&slice[pos..]);
+    v.into_boxed_slice()
+}
+
+/// Union of two sorted slices (assumed internally duplicate-free).
+fn sorted_union<T: Ord + Copy>(a: &[T], b: &[T]) -> Box<[T]> {
+    let mut v = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                v.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                v.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                v.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    v.extend_from_slice(&a[i..]);
+    v.extend_from_slice(&b[j..]);
+    v.into_boxed_slice()
 }
 
 #[cfg(test)]

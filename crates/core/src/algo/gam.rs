@@ -342,11 +342,8 @@ impl<'g> GamEngine<'g> {
         if self.stop {
             return false;
         }
-        let td = self.store.get(tree);
-        let new_root = self.g.other_endpoint(edge, td.root);
-        let grown = self
-            .store
-            .make_grow(tree, td, edge, new_root, self.seeds.get());
+        let new_root = self.g.other_endpoint(edge, self.store.get(tree).root);
+        let grown = self.store.make_grow(tree, edge, new_root, self.seeds.get());
         self.stats.grows += 1;
         // Algorithm 1 line 10: update ss_root(t') before processing.
         if !grown.path_from.is_empty() {
@@ -376,13 +373,13 @@ impl<'g> GamEngine<'g> {
     }
 
     /// Stored trees whose edge set hashes to `h`, newest first.
-    fn hist_chain(&self, h: u64) -> impl Iterator<Item = &TreeData> + '_ {
+    fn hist_chain(&self, h: u64) -> impl Iterator<Item = TreeId> + '_ {
         let mut cur = self.hist.get(&h).copied().unwrap_or(NIL);
         std::iter::from_fn(move || {
             if cur == NIL {
                 return None;
             }
-            let t = self.store.get(TreeId(cur));
+            let t = TreeId(cur);
             cur = self.links[cur as usize].hist;
             Some(t)
         })
@@ -392,23 +389,24 @@ impl<'g> GamEngine<'g> {
     /// been built.
     fn has_rooted(&self, h: u64, edges: &[EdgeId], root: NodeId) -> bool {
         self.hist_chain(h)
-            .any(|t| t.root == root && *t.edges == *edges)
+            .any(|o| self.store.get(o).root == root && self.store.edges(o) == edges)
     }
 
     /// Algorithm 4 `isNew`: the history check with LESP's sparing rule;
     /// `h` is the hash of `t`'s edge set.
     fn is_new(&self, t: &TreeData, h: u64) -> bool {
-        if !self.hist_chain(h).any(|o| *o.edges == *t.edges) {
+        let edges = self.store.view(t).edges;
+        if !self.hist_chain(h).any(|o| self.store.edges(o) == edges) {
             return true;
         }
-        if self.cfg.esp && !t.edges.is_empty() {
+        if self.cfg.esp && !edges.is_empty() {
             // The edge set exists. LESP spares a tree whose root is
             // well-connected to seeds, unless the identical rooted tree
             // exists (Algorithm 4 lines 4–8).
             if self.cfg.lesp {
                 let ssr = self.ss[t.root.index()];
                 if ssr.count() >= 3 && self.g.degree(t.root) >= 3 {
-                    return !self.has_rooted(h, &t.edges, t.root);
+                    return !self.has_rooted(h, edges, t.root);
                 }
             }
             false
@@ -416,7 +414,7 @@ impl<'g> GamEngine<'g> {
             // GAM keeps only the first provenance per *rooted* tree;
             // Init trees (empty edge set) dedup by root under every
             // configuration.
-            !self.has_rooted(h, &t.edges, t.root)
+            !self.has_rooted(h, edges, t.root)
         }
     }
 
@@ -475,14 +473,17 @@ impl<'g> GamEngine<'g> {
     }
 
     /// Algorithm 2 `processTree`: history registration, result
-    /// reporting, merge recording, Mo injection, queue feeding.
+    /// reporting, merge recording, Mo injection, queue feeding. A
+    /// candidate it rejects gives its pool space back to the store.
     fn process_tree(&mut self, t: TreeData) -> Option<TreeId> {
         if self.stop {
+            self.store.discard(&t);
             return None;
         }
-        let h = edge_set_hash(&t.edges);
+        let h = edge_set_hash(self.store.view(&t).edges);
         if !self.is_new(&t, h) {
             self.stats.pruned += 1;
+            self.store.discard(&t);
             return None;
         }
         self.count_provenance();
@@ -499,9 +500,12 @@ impl<'g> GamEngine<'g> {
         let id = self.store_tree(t, h);
 
         if is_result {
-            let td = self.store.get(id);
-            let r =
-                ResultTree::from_tree(td.edges.clone(), td.nodes.clone(), root, self.seeds.get());
+            let r = ResultTree::from_tree(
+                self.store.edges(id).into(),
+                self.store.nodes(id).into(),
+                root,
+                self.seeds.get(),
+            );
             debug_assert!(
                 crate::result::check_result_minimal(self.g, &r, self.seeds.get()).is_ok(),
                 "GAM produced a non-minimal result (Property 2 violated)"
@@ -546,22 +550,21 @@ impl<'g> GamEngine<'g> {
     /// schedules them for merging. Each copy is a provenance: the search
     /// stops at the provenance budget like [`GamEngine::process_tree`].
     fn inject_mo(&mut self, id: TreeId, h: u64) {
-        for i in 0..self.store.get(id).nodes.len() {
+        for i in 0..self.store.nodes(id).len() {
             if self.stop {
                 return;
             }
-            let td = self.store.get(id);
-            let r = td.nodes[i];
-            if r == td.root || !self.seeds.get().is_seed(r) {
+            let r = self.store.nodes(id)[i];
+            if r == self.store.get(id).root || !self.seeds.get().is_seed(r) {
                 continue;
             }
             // Skip if the identical rooted tree already exists; Mo
             // bypasses edge-set pruning by design, but exact duplicates
             // are useless.
-            if self.has_rooted(h, &td.edges, r) {
+            if self.has_rooted(h, self.store.edges(id), r) {
                 continue;
             }
-            let mo = self.store.make_mo(id, td, r);
+            let mo = self.store.make_mo(id, r);
             self.stats.mo_copies += 1;
             let mo_id = self.store_tree(mo, h);
             self.count_provenance();
@@ -571,7 +574,7 @@ impl<'g> GamEngine<'g> {
 
     /// Pushes every admissible (tree, edge) Grow pair for tree `id`.
     fn queue_grows(&mut self, id: TreeId) {
-        let td = self.store.get(id);
+        let td = self.store.view(self.store.get(id));
         // MAX n (§4.8): a Grow adds one edge whichever edge it takes, so
         // a tree at the bound has no admissible pair.
         if self.at_max(td.size()) {
@@ -632,10 +635,7 @@ impl<'g> GamEngine<'g> {
                         .max_edges
                         .is_none_or(|maxe| a.size() + b.size() <= maxe);
                     if within_max {
-                        if let Some(m) =
-                            self.store
-                                .make_merge(cur, a, TreeId(p), b, self.seeds.get())
-                        {
+                        if let Some(m) = self.store.make_merge(cur, TreeId(p), self.seeds.get()) {
                             self.stats.merges += 1;
                             self.process_tree(m);
                         }
@@ -929,27 +929,29 @@ mod tests {
         }
     }
 
-    /// A tree over `edges` rooted at `root`, with `sat` = the sets of
-    /// its seed nodes.
-    fn tree(g: &Graph, seeds: &SeedSets, root: NodeId, edges: &[EdgeId]) -> TreeData {
+    /// A tree over `edges` rooted at `root`, built in the engine's
+    /// store, with `sat` = the sets of its seed nodes.
+    fn tree(e: &mut GamEngine<'_>, root: NodeId, edges: &[EdgeId]) -> TreeData {
+        let g = e.g;
         let mut nodes: Vec<NodeId> = edges
             .iter()
             .flat_map(|&e| [g.edge(e).src, g.edge(e).dst])
             .collect();
         nodes.sort();
         nodes.dedup();
+        let seeds = e.seeds.get();
         let sat = nodes
             .iter()
             .fold(SeedMask::EMPTY, |s, &n| s.union(seeds.membership(n)));
-        TreeData {
-            root,
-            edges: edges.into(),
-            nodes: nodes.into(),
-            sat,
-            is_mo: false,
-            path_from: SeedMask::EMPTY,
-            provenance: Provenance::Init(root),
-        }
+        e.store.make_from_sets(root, edges, &nodes, sat)
+    }
+
+    /// `isNew` of a candidate tree, which is then discarded.
+    fn candidate_is_new(e: &mut GamEngine<'_>, root: NodeId, edges: &[EdgeId], h: u64) -> bool {
+        let t = tree(e, root, edges);
+        let new = e.is_new(&t, h);
+        e.store.discard(&t);
+        new
     }
 
     #[test]
@@ -983,23 +985,25 @@ mod tests {
             );
             // h reaches all three seed sets: LESP's sparing applies there.
             e.ss[h.index()] = SeedMask::full(3);
-            e.store_tree(tree(&g, &seeds, a, &ab), H);
-            e.store_tree(tree(&g, &seeds, h, &ac), H);
+            let t = tree(&mut e, a, &ab);
+            e.store_tree(t, H);
+            let t = tree(&mut e, h, &ac);
+            e.store_tree(t, H);
             e
         };
 
         // ESP: {ea, eb} exists (rooted at a); {eb, ec} is new despite
         // sharing the hash.
-        let esp = engine(GamConfig::ESP);
-        assert!(!esp.is_new(&tree(&g, &seeds, h, &ab), H));
-        assert!(esp.is_new(&tree(&g, &seeds, h, &bc), H));
+        let mut esp = engine(GamConfig::ESP);
+        assert!(!candidate_is_new(&mut esp, h, &ab, H));
+        assert!(candidate_is_new(&mut esp, h, &bc, H));
 
         // LESP spares {ea, eb} rooted at h: the tree at root h under the
         // same hash is {ea, ec}, not the identical rooted tree.
-        let lesp = engine(GamConfig::LESP);
-        assert!(lesp.is_new(&tree(&g, &seeds, h, &ab), H));
-        assert!(!lesp.is_new(&tree(&g, &seeds, h, &ac), H));
-        assert!(!lesp.is_new(&tree(&g, &seeds, a, &ab), H));
+        let mut lesp = engine(GamConfig::LESP);
+        assert!(candidate_is_new(&mut lesp, h, &ab, H));
+        assert!(!candidate_is_new(&mut lesp, h, &ac, H));
+        assert!(!candidate_is_new(&mut lesp, a, &ab, H));
 
         // Mo duplicate check: ({ea, ec}, h) re-rooted at seeds a and c.
         // ({ea, eb}, a) shares root and hash but not edges, so both
@@ -1012,6 +1016,51 @@ mod tests {
         assert!(mo.has_rooted(H, &ac, a) && mo.has_rooted(H, &ac, c));
         mo.inject_mo(TreeId(1), H);
         assert_eq!(mo.stats.mo_copies, 2);
+    }
+
+    #[test]
+    fn pools_hold_exactly_the_stored_trees() {
+        // Complete searches that prune candidates and inject Mo copies:
+        // a pruned candidate leaves nothing in the pools, and a Mo copy
+        // adds nothing to them.
+        let g = figure1();
+        let fig1 = vec![
+            vec![NodeId(1), NodeId(3)],
+            vec![NodeId(2), NodeId(5)],
+            vec![NodeId(8)],
+        ];
+        let st = star(4, 2);
+        let cases = [(&g, fig1), (&st.graph, st.seeds.clone())];
+        for (g, sets) in cases {
+            let seeds = SeedSets::from_sets(sets).unwrap();
+            let traced = GamEngine::new(
+                g,
+                &seeds,
+                GamConfig::MOLESP,
+                Filters::none(),
+                QueueOrder::SmallestFirst,
+                QueuePolicy::Single,
+            )
+            .run_traced();
+            let stats = &traced.outcome.stats;
+            assert!(stats.pruned > 0 && stats.mo_copies > 0, "{stats}");
+            let store = &traced.store;
+            let (mut edges, mut nodes) = (0, 0);
+            for i in 0..store.len() {
+                let t = TreeId(i as u32);
+                match store.get(t).provenance {
+                    Provenance::Mo(parent, _) => {
+                        assert_eq!(store.edges(t), store.edges(parent));
+                        assert_eq!(store.nodes(t), store.nodes(parent));
+                    }
+                    _ => {
+                        edges += store.get(t).size();
+                        nodes += store.get(t).size() + 1;
+                    }
+                }
+            }
+            assert_eq!(store.pool_lens(), (edges, nodes), "{stats}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Search configuration: CTP filters (paper §2, §4.8), exploration
 //! order, budgets, and the queue policy for very large seed sets (§4.9).
 
-use crate::tree::TreeData;
+use crate::tree::TreeView;
 use cs_graph::fxhash::FxHashSet;
 use cs_graph::{EdgeId, Graph, LabelId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,9 +13,11 @@ use std::time::Duration;
 /// Cloning yields another handle to the same flag, so a caller can keep
 /// one handle (e.g. a server's cancel registry, keyed by request id) and
 /// push the other into [`Filters::with_cancel`]. The search engines poll
-/// it on the same cadence as the deadline check (every 64 Grow steps) and
-/// stop with [`SearchStats::cancelled`](crate::SearchStats) set, so a
-/// cancelled search still returns its partial state instead of running to
+/// it on the same cadence as the deadline check (every 64 units of work:
+/// Grow steps and merge passes in GAM, Grow edges and merge partners
+/// tried in BFT) and stop with
+/// [`SearchStats::cancelled`](crate::SearchStats) set, so a cancelled
+/// search still returns its partial state instead of running to
 /// completion.
 #[derive(Clone, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
@@ -151,8 +153,9 @@ impl std::fmt::Debug for Filters {
 }
 
 /// Priority function type for [`QueueOrder::Custom`]: higher values pop
-/// first; ties break FIFO.
-pub type PriorityFn = Arc<dyn Fn(&Graph, &TreeData, EdgeId) -> i64 + Send + Sync>;
+/// first; ties break FIFO. It sees the tree to grow, borrowed from the
+/// search's store, and the edge to grow it with.
+pub type PriorityFn = Arc<dyn Fn(&Graph, TreeView<'_>, EdgeId) -> i64 + Send + Sync>;
 
 /// Exploration order of the Grow queue.
 ///
@@ -177,7 +180,7 @@ pub enum QueueOrder {
 
 impl QueueOrder {
     /// The priority of growing `tree` with `edge` (higher pops first).
-    pub fn priority(&self, g: &Graph, tree: &TreeData, edge: EdgeId) -> i64 {
+    pub fn priority(&self, g: &Graph, tree: TreeView<'_>, edge: EdgeId) -> i64 {
         match self {
             QueueOrder::SmallestFirst => -(tree.size() as i64 + 1),
             QueueOrder::LargestFirst => tree.size() as i64 + 1,
@@ -256,22 +259,18 @@ mod tests {
     #[test]
     fn order_priorities() {
         use crate::seedmask::SeedMask;
-        use crate::tree::Provenance;
         let g = cs_graph::figure1();
-        let t = TreeData {
+        let t = TreeView {
             root: cs_graph::NodeId(0),
-            edges: vec![EdgeId(0), EdgeId(1)].into_boxed_slice(),
-            nodes: vec![cs_graph::NodeId(0)].into_boxed_slice(),
+            edges: &[EdgeId(0), EdgeId(1)],
+            nodes: &[cs_graph::NodeId(0)],
             sat: SeedMask::EMPTY,
-            is_mo: false,
-            path_from: SeedMask::EMPTY,
-            provenance: Provenance::Init(cs_graph::NodeId(0)),
         };
-        assert_eq!(QueueOrder::SmallestFirst.priority(&g, &t, EdgeId(2)), -3);
-        assert_eq!(QueueOrder::LargestFirst.priority(&g, &t, EdgeId(2)), 3);
-        assert_eq!(QueueOrder::Fifo.priority(&g, &t, EdgeId(2)), 0);
+        assert_eq!(QueueOrder::SmallestFirst.priority(&g, t, EdgeId(2)), -3);
+        assert_eq!(QueueOrder::LargestFirst.priority(&g, t, EdgeId(2)), 3);
+        assert_eq!(QueueOrder::Fifo.priority(&g, t, EdgeId(2)), 0);
         let custom = QueueOrder::Custom(Arc::new(|_, _, e| e.0 as i64));
-        assert_eq!(custom.priority(&g, &t, EdgeId(7)), 7);
+        assert_eq!(custom.priority(&g, t, EdgeId(7)), 7);
         assert_eq!(format!("{:?}", custom), "Custom(..)");
     }
 }

@@ -300,8 +300,8 @@ mod tests {
 pub fn guided_order(sigma: std::sync::Arc<dyn ScoreFn>) -> crate::config::QueueOrder {
     crate::config::QueueOrder::Custom(std::sync::Arc::new(move |g, tree, _edge| {
         let partial = ResultTree {
-            edges: tree.edges.clone(),
-            nodes: tree.nodes.clone(),
+            edges: tree.edges.into(),
+            nodes: tree.nodes.into(),
             seeds: Box::new([]),
         };
         // Scale to keep ordering resolution; subtract size so ties

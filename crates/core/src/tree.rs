@@ -5,11 +5,13 @@
 //! set* — Def. 4.2 — is canonical and hashable), its sorted node array,
 //! its root, and its `sat` mask. Sorted arrays make the Merge1 test
 //! ("no node in common besides the root") a linear merge-scan, and
-//! Grow/Merge produce sorted outputs by sorted insertion/union.
+//! Grow/Merge produce sorted outputs by sorted insertion/union. The
+//! arrays of every tree live in two pools owned by the [`TreeStore`].
 
 use crate::seedmask::SeedMask;
 use crate::seeds::SeedSets;
 use cs_graph::{EdgeId, Graph, NodeId};
+use std::ops::Range;
 
 /// Identifier of a tree within a [`TreeStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,15 +38,19 @@ pub enum Provenance {
     Mo(TreeId, NodeId),
 }
 
-/// A rooted tree under construction.
-#[derive(Debug, Clone)]
+/// A rooted tree under construction: a small record whose edge and
+/// node sets live in its [`TreeStore`]'s pools. Read them through
+/// [`TreeStore::edges`], [`TreeStore::nodes`] or [`TreeStore::view`].
+#[derive(Debug, Clone, Copy)]
 pub struct TreeData {
     /// The distinguished root (GAM grows only from here).
     pub root: NodeId,
-    /// Sorted edge ids — the tree's edge set.
-    pub edges: Box<[EdgeId]>,
-    /// Sorted node ids.
-    pub nodes: Box<[NodeId]>,
+    /// Where the sorted edge ids start in the store's edge pool.
+    edges_at: usize,
+    /// Where the sorted node ids start in the store's node pool.
+    nodes_at: usize,
+    /// Number of edges; the tree has `len + 1` nodes.
+    len: usize,
     /// Explicit seed sets having a seed in this tree (`sat(t)`).
     pub sat: SeedMask,
     /// True if the provenance includes `Mo` — Grow is disabled (§4.5).
@@ -61,6 +67,38 @@ impl TreeData {
     /// Number of edges.
     #[inline]
     pub fn size(&self) -> usize {
+        self.len
+    }
+
+    fn edge_range(&self) -> Range<usize> {
+        self.edges_at..self.edges_at + self.len
+    }
+
+    fn node_range(&self) -> Range<usize> {
+        self.nodes_at..self.nodes_at + self.len + 1
+    }
+}
+
+/// A tree's sets borrowed from its store: what a [`PriorityFn`]
+/// sees of a Grow candidate's parent.
+///
+/// [`PriorityFn`]: crate::PriorityFn
+#[derive(Debug, Clone, Copy)]
+pub struct TreeView<'a> {
+    /// The tree's root.
+    pub root: NodeId,
+    /// Sorted edge ids — the tree's edge set.
+    pub edges: &'a [EdgeId],
+    /// Sorted node ids.
+    pub nodes: &'a [NodeId],
+    /// Explicit seed sets having a seed in this tree (`sat(t)`).
+    pub sat: SeedMask,
+}
+
+impl TreeView<'_> {
+    /// Number of edges.
+    #[inline]
+    pub fn size(&self) -> usize {
         self.edges.len()
     }
 
@@ -73,9 +111,18 @@ impl TreeData {
 
 /// Arena of all trees built during one search, plus constructors
 /// implementing Init / Grow / Merge / Mo.
+///
+/// Every tree's sorted edge and node ids live in two pools, so building
+/// a tree allocates nothing of its own. A constructor writes the new
+/// sets at the pools' tail and returns the record; [`TreeStore::push`]
+/// keeps it and [`TreeStore::discard`] gives the tail back, so a
+/// rejected candidate leaves no bytes behind. A Mo copy writes nothing:
+/// it shares its parent's ranges.
 #[derive(Debug, Default)]
 pub struct TreeStore {
     trees: Vec<TreeData>,
+    edge_pool: Vec<EdgeId>,
+    node_pool: Vec<NodeId>,
 }
 
 impl TreeStore {
@@ -100,6 +147,35 @@ impl TreeStore {
         &self.trees[t.index()]
     }
 
+    /// The sorted edge ids of a stored tree.
+    #[inline]
+    pub fn edges(&self, t: TreeId) -> &[EdgeId] {
+        &self.edge_pool[self.get(t).edge_range()]
+    }
+
+    /// The sorted node ids of a stored tree.
+    #[inline]
+    pub fn nodes(&self, t: TreeId) -> &[NodeId] {
+        &self.node_pool[self.get(t).node_range()]
+    }
+
+    /// Borrows the sets of `t`, stored or a candidate not yet pushed.
+    #[inline]
+    pub fn view(&self, t: &TreeData) -> TreeView<'_> {
+        TreeView {
+            root: t.root,
+            edges: &self.edge_pool[t.edge_range()],
+            nodes: &self.node_pool[t.node_range()],
+            sat: t.sat,
+        }
+    }
+
+    /// Lengths of the edge and node pools: the sets of every tree built
+    /// and not discarded, Mo copies counted once with their parent.
+    pub fn pool_lens(&self) -> (usize, usize) {
+        (self.edge_pool.len(), self.node_pool.len())
+    }
+
     /// Stores a tree, returning its id.
     pub fn push(&mut self, t: TreeData) -> TreeId {
         let id = TreeId(self.trees.len() as u32);
@@ -107,13 +183,37 @@ impl TreeStore {
         id
     }
 
+    /// Gives back the pool space of a candidate that will not be
+    /// stored. It must be the newest tree built. A Mo copy owns no pool
+    /// space, so discarding it frees nothing.
+    pub fn discard(&mut self, t: &TreeData) {
+        if let Provenance::Mo(..) = t.provenance {
+            return;
+        }
+        debug_assert_eq!(
+            t.edge_range().end,
+            self.edge_pool.len(),
+            "not the newest tree"
+        );
+        debug_assert_eq!(
+            t.node_range().end,
+            self.node_pool.len(),
+            "not the newest tree"
+        );
+        self.edge_pool.truncate(t.edges_at);
+        self.node_pool.truncate(t.nodes_at);
+    }
+
     /// Builds the `Init(n)` tree for a seed `n`.
-    pub fn make_init(&self, n: NodeId, seeds: &SeedSets) -> TreeData {
+    pub fn make_init(&mut self, n: NodeId, seeds: &SeedSets) -> TreeData {
         let membership = seeds.membership(n);
+        let nodes_at = self.node_pool.len();
+        self.node_pool.push(n);
         TreeData {
             root: n,
-            edges: Box::new([]),
-            nodes: Box::new([n]),
+            edges_at: self.edge_pool.len(),
+            nodes_at,
+            len: 0,
             sat: membership,
             is_mo: false,
             path_from: membership,
@@ -128,21 +228,22 @@ impl TreeStore {
     /// (`new_root` is no seed of a set in `sat(t)`); debug assertions
     /// re-check them.
     pub fn make_grow(
-        &self,
+        &mut self,
         t_id: TreeId,
-        t: &TreeData,
         e: EdgeId,
         new_root: NodeId,
         seeds: &SeedSets,
     ) -> TreeData {
-        debug_assert!(!t.contains_node(new_root), "Grow1 violated");
+        let t = *self.get(t_id);
+        debug_assert!(!self.view(&t).contains_node(new_root), "Grow1 violated");
         let membership = seeds.membership(new_root);
         debug_assert!(membership.disjoint(t.sat), "Grow2 violated");
         debug_assert!(!t.is_mo, "Grow is disabled on Mo trees");
         TreeData {
             root: new_root,
-            edges: sorted_insert(&t.edges, e),
-            nodes: sorted_insert(&t.nodes, new_root),
+            edges_at: insert_at_tail(&mut self.edge_pool, t.edge_range(), e),
+            nodes_at: insert_at_tail(&mut self.node_pool, t.node_range(), new_root),
+            len: t.len + 1,
             sat: t.sat.union(membership),
             is_mo: false,
             // Still an (n, s)-rooted path iff the parent was one and the
@@ -170,13 +271,12 @@ impl TreeStore {
     /// most one seed per set, `sat₁ ∩ sat₂ ⊆ membership(root)` is
     /// exactly the condition under which the union stays minimal.
     pub fn make_merge(
-        &self,
+        &mut self,
         t1_id: TreeId,
-        t1: &TreeData,
         t2_id: TreeId,
-        t2: &TreeData,
         seeds: &SeedSets,
     ) -> Option<TreeData> {
+        let (t1, t2) = (*self.get(t1_id), *self.get(t2_id));
         if t1.root != t2.root {
             return None;
         }
@@ -184,13 +284,14 @@ impl TreeStore {
         if !seeds.membership(t1.root).superset_of(overlap) {
             return None;
         }
-        if !nodes_intersect_only_at(&t1.nodes, &t2.nodes, t1.root) {
+        if !nodes_intersect_only_at(self.nodes(t1_id), self.nodes(t2_id), t1.root) {
             return None;
         }
         Some(TreeData {
             root: t1.root,
-            edges: sorted_union(&t1.edges, &t2.edges),
-            nodes: sorted_union(&t1.nodes, &t2.nodes),
+            edges_at: union_at_tail(&mut self.edge_pool, t1.edge_range(), t2.edge_range()),
+            nodes_at: union_at_tail(&mut self.node_pool, t1.node_range(), t2.node_range()),
+            len: t1.len + t2.len,
             sat: t1.sat.union(t2.sat),
             is_mo: t1.is_mo || t2.is_mo,
             path_from: SeedMask::EMPTY,
@@ -199,63 +300,92 @@ impl TreeStore {
     }
 
     /// Builds `Mo(t, r)`: the same edge/node sets re-rooted at seed `r`.
-    pub fn make_mo(&self, t_id: TreeId, t: &TreeData, r: NodeId) -> TreeData {
-        debug_assert!(t.contains_node(r), "Mo root must be in the tree");
+    /// The copy shares `t`'s pool ranges.
+    pub fn make_mo(&self, t_id: TreeId, r: NodeId) -> TreeData {
+        let t = self.get(t_id);
+        debug_assert!(self.view(t).contains_node(r), "Mo root must be in the tree");
         debug_assert_ne!(t.root, r, "Mo root must differ from the tree root");
         TreeData {
             root: r,
-            edges: t.edges.clone(),
-            nodes: t.nodes.clone(),
-            sat: t.sat,
             is_mo: true,
             path_from: SeedMask::EMPTY,
             provenance: Provenance::Mo(t_id, r),
+            ..*t
+        }
+    }
+
+    /// Builds a tree over the given sorted sets, rooted at `root`, with
+    /// an `Init(root)` provenance: a fixture for engine unit tests.
+    #[cfg(test)]
+    pub(crate) fn make_from_sets(
+        &mut self,
+        root: NodeId,
+        edges: &[EdgeId],
+        nodes: &[NodeId],
+        sat: SeedMask,
+    ) -> TreeData {
+        debug_assert_eq!(nodes.len(), edges.len() + 1);
+        let (edges_at, nodes_at) = self.pool_lens();
+        self.edge_pool.extend_from_slice(edges);
+        self.node_pool.extend_from_slice(nodes);
+        TreeData {
+            root,
+            edges_at,
+            nodes_at,
+            len: edges.len(),
+            sat,
+            is_mo: false,
+            path_from: SeedMask::EMPTY,
+            provenance: Provenance::Init(root),
         }
     }
 }
 
-/// Inserts `x` into a sorted slice, returning a new sorted boxed slice.
-/// Duplicates are rejected by a debug assertion (trees never repeat an
-/// edge or node).
-pub fn sorted_insert<T: Ord + Copy>(slice: &[T], x: T) -> Box<[T]> {
-    let pos = match slice.binary_search(&x) {
-        Ok(_) => {
-            debug_assert!(false, "duplicate insertion into tree set");
-            return slice.to_vec().into_boxed_slice();
-        }
-        Err(p) => p,
-    };
-    let mut v = Vec::with_capacity(slice.len() + 1);
-    v.extend_from_slice(&slice[..pos]);
-    v.push(x);
-    v.extend_from_slice(&slice[pos..]);
-    v.into_boxed_slice()
+/// Copies the sorted run `pool[run]` to the pool's tail with `x`
+/// inserted in order; returns where the copy starts. Duplicates are
+/// rejected by a debug assertion (trees never repeat an edge or node).
+fn insert_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, run: Range<usize>, x: T) -> usize {
+    let at = pool.len();
+    let found = pool[run.clone()].binary_search(&x);
+    debug_assert!(found.is_err(), "duplicate insertion into tree set");
+    let split = run.start
+        + match found {
+            Ok(p) | Err(p) => p,
+        };
+    pool.reserve(run.len() + 1);
+    pool.extend_from_within(run.start..split);
+    pool.push(x);
+    pool.extend_from_within(split..run.end);
+    at
 }
 
-/// Union of two sorted slices (assumed internally duplicate-free).
-pub fn sorted_union<T: Ord + Copy>(a: &[T], b: &[T]) -> Box<[T]> {
-    let mut v = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+/// Writes the union of the sorted runs `pool[a]` and `pool[b]` (each
+/// duplicate-free) at the pool's tail; returns where it starts.
+fn union_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, a: Range<usize>, b: Range<usize>) -> usize {
+    let at = pool.len();
+    pool.reserve(a.len() + b.len());
+    let (mut i, mut j) = (a.start, b.start);
+    while i < a.end && j < b.end {
+        let (x, y) = (pool[i], pool[j]);
+        match x.cmp(&y) {
             std::cmp::Ordering::Less => {
-                v.push(a[i]);
+                pool.push(x);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                v.push(b[j]);
+                pool.push(y);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                v.push(a[i]);
+                pool.push(x);
                 i += 1;
                 j += 1;
             }
         }
     }
-    v.extend_from_slice(&a[i..]);
-    v.extend_from_slice(&b[j..]);
-    v.into_boxed_slice()
+    pool.extend_from_within(i..a.end);
+    pool.extend_from_within(j..b.end);
+    at
 }
 
 /// True iff the sorted node arrays intersect in exactly `{root}`.
@@ -328,20 +458,25 @@ mod tests {
         EdgeId(i)
     }
 
+    /// Inserts `x` into a copy of `run` at a pool's tail; returns the copy.
+    fn inserted<T: Ord + Copy>(run: &[T], x: T) -> Vec<T> {
+        let mut pool = run.to_vec();
+        let at = insert_at_tail(&mut pool, 0..run.len(), x);
+        pool.split_off(at)
+    }
+
     #[test]
     fn sorted_insert_positions() {
-        assert_eq!(
-            sorted_insert(&[e(1), e(3)], e(2)).as_ref(),
-            &[e(1), e(2), e(3)]
-        );
-        assert_eq!(sorted_insert(&[], e(5)).as_ref(), &[e(5)]);
-        assert_eq!(sorted_insert(&[e(1)], e(0)).as_ref(), &[e(0), e(1)]);
+        assert_eq!(inserted(&[e(1), e(3)], e(2)), &[e(1), e(2), e(3)]);
+        assert_eq!(inserted(&[], e(5)), &[e(5)]);
+        assert_eq!(inserted(&[e(1)], e(0)), &[e(0), e(1)]);
     }
 
     #[test]
     fn sorted_union_merges() {
-        let u = sorted_union(&[n(1), n(3)], &[n(2), n(3), n(4)]);
-        assert_eq!(u.as_ref(), &[n(1), n(2), n(3), n(4)]);
+        let mut pool = vec![n(1), n(3), n(2), n(3), n(4)];
+        let at = union_at_tail(&mut pool, 0..2, 2..5);
+        assert_eq!(&pool[at..], &[n(1), n(2), n(3), n(4)]);
     }
 
     #[test]
@@ -378,22 +513,20 @@ mod tests {
         let ib_id = store.push(ib);
 
         // Grow A to x.
-        let t_ax = store.make_grow(ia_id, &store.get(ia_id).clone(), e0, x, &seeds);
+        let t_ax = store.make_grow(ia_id, e0, x, &seeds);
         assert_eq!(t_ax.root, x);
         assert_eq!(t_ax.path_from, SeedMask::single(0), "still a rooted path");
         let ax_id = store.push(t_ax);
 
         // Grow B to x.
-        let t_bx = store.make_grow(ib_id, &store.get(ib_id).clone(), e1, x, &seeds);
+        let t_bx = store.make_grow(ib_id, e1, x, &seeds);
         let bx_id = store.push(t_bx);
 
         // Merge at x.
-        let m = store
-            .make_merge(ax_id, store.get(ax_id), bx_id, store.get(bx_id), &seeds)
-            .expect("mergeable");
+        let m = store.make_merge(ax_id, bx_id, &seeds).expect("mergeable");
         assert_eq!(m.sat, SeedMask::full(2));
-        assert_eq!(m.edges.as_ref(), &[e0, e1]);
-        assert!(is_tree(&g, &m.edges));
+        assert_eq!(store.view(&m).edges, &[e0, e1]);
+        assert!(is_tree(&g, store.view(&m).edges));
         assert_eq!(m.path_from, SeedMask::EMPTY);
     }
 
@@ -408,23 +541,21 @@ mod tests {
         let _g = b.freeze();
         let seeds = SeedSets::from_sets(vec![vec![a], vec![c]]).unwrap();
         let mut store = TreeStore::new();
-        let ia = store.push(store.make_init(a, &seeds));
-        let t1 = store.make_grow(ia, &store.get(ia).clone(), e0, x, &seeds);
+        let init = store.make_init(a, &seeds);
+        let ia = store.push(init);
+        let t1 = store.make_grow(ia, e0, x, &seeds);
         let t1_id = store.push(t1);
-        let t2 = store.make_grow(t1_id, &store.get(t1_id).clone(), e1, c, &seeds);
+        let t2 = store.make_grow(t1_id, e1, c, &seeds);
         let t2_id = store.push(t2);
         // t2 (rooted c) vs a different-rooted tree: Merge1 fails on root.
-        assert!(store
-            .make_merge(t2_id, store.get(t2_id), ia, store.get(ia), &seeds)
-            .is_none());
+        assert!(store.make_merge(t2_id, ia, &seeds).is_none());
         // Same root but overlapping sat: build Init(a) again — sat not
         // disjoint with t1 (both contain set 0).
-        let ia2 = store.push(store.make_init(a, &seeds));
-        let t1b = store.make_grow(ia2, &store.get(ia2).clone(), e0, x, &seeds);
+        let init = store.make_init(a, &seeds);
+        let ia2 = store.push(init);
+        let t1b = store.make_grow(ia2, e0, x, &seeds);
         let t1b_id = store.push(t1b);
-        assert!(store
-            .make_merge(t1_id, store.get(t1_id), t1b_id, store.get(t1b_id), &seeds)
-            .is_none());
+        assert!(store.make_merge(t1_id, t1b_id, &seeds).is_none());
     }
 
     #[test]
@@ -436,10 +567,11 @@ mod tests {
         let _g = b.freeze();
         let seeds = SeedSets::from_sets(vec![vec![a], vec![c]]).unwrap();
         let mut store = TreeStore::new();
-        let ia = store.push(store.make_init(a, &seeds));
-        let grown = store.make_grow(ia, &store.get(ia).clone(), e(0), c, &seeds);
+        let init = store.make_init(a, &seeds);
+        let ia = store.push(init);
+        let grown = store.make_grow(ia, e(0), c, &seeds);
         let gid = store.push(grown);
-        let mo = store.make_mo(gid, store.get(gid), a);
+        let mo = store.make_mo(gid, a);
         assert!(mo.is_mo);
         assert_eq!(mo.root, a);
         assert_eq!(mo.sat, store.get(gid).sat);
@@ -458,10 +590,38 @@ mod tests {
         let _g = b.freeze();
         let seeds = SeedSets::from_sets(vec![vec![a], vec![bb]]).unwrap();
         let mut store = TreeStore::new();
-        let ia = store.push(store.make_init(a, &seeds));
-        let t = store.make_grow(ia, &store.get(ia).clone(), e(0), bb, &seeds);
+        let init = store.make_init(a, &seeds);
+        let ia = store.push(init);
+        let t = store.make_grow(ia, e(0), bb, &seeds);
         assert_eq!(t.path_from, SeedMask::EMPTY);
         assert_eq!(t.sat, SeedMask::full(2));
+    }
+
+    #[test]
+    fn discard_gives_back_the_tail_and_mo_shares() {
+        // A --e0-- x; the Grow candidate is dropped, the Mo copy reuses
+        // its parent's ranges.
+        let mut b = GraphBuilder::new();
+        let a = b.add_node("A");
+        let x = b.add_node("x");
+        b.add_edge(a, "r", x);
+        let _g = b.freeze();
+        let seeds = SeedSets::from_sets(vec![vec![a], vec![x]]).unwrap();
+        let mut store = TreeStore::new();
+        let init = store.make_init(a, &seeds);
+        let ia = store.push(init);
+        assert_eq!(store.pool_lens(), (0, 1));
+        let grown = store.make_grow(ia, e(0), x, &seeds);
+        assert_eq!(store.pool_lens(), (1, 3));
+        store.discard(&grown);
+        assert_eq!(store.pool_lens(), (0, 1));
+        let grown = store.make_grow(ia, e(0), x, &seeds);
+        let gid = store.push(grown);
+        let mo = store.make_mo(gid, a);
+        assert_eq!(store.view(&mo).edges, store.edges(gid));
+        assert_eq!(store.view(&mo).nodes, store.nodes(gid));
+        store.discard(&mo);
+        assert_eq!(store.pool_lens(), (1, 3), "a Mo copy owns nothing");
     }
 
     #[test]
