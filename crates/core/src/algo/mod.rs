@@ -146,6 +146,36 @@ pub fn evaluate_ctp_with_policy(
     }
 }
 
+/// One CTP search, as the EQL executor builds it per CTP of a query:
+/// seed sets, algorithm, filters, exploration order and queue policy.
+pub struct CtpJob {
+    /// The seed sets.
+    pub seeds: SeedSets,
+    /// Which algorithm to run.
+    pub algorithm: Algorithm,
+    /// The CTP filters.
+    pub filters: Filters,
+    /// Exploration order.
+    pub order: QueueOrder,
+    /// Queue policy.
+    pub policy: QueuePolicy,
+}
+
+impl CtpJob {
+    /// Runs the search on the calling thread — the single
+    /// engine-routing point of every job the executor dispatches.
+    pub fn run(&self, g: &Graph) -> SearchOutcome {
+        evaluate_ctp_with_policy(
+            g,
+            &self.seeds,
+            self.algorithm,
+            self.filters.clone(),
+            self.order.clone(),
+            self.policy,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +228,33 @@ mod tests {
             if !matches!(a, Algorithm::Esp | Algorithm::Lesp) {
                 assert_eq!(out.results.canonical(), reference, "{a}");
             }
+        }
+    }
+
+    #[test]
+    fn ctp_job_run_matches_evaluate_ctp() {
+        let w = line(3, 2);
+        for (i, algorithm) in [Algorithm::MoLesp, Algorithm::Gam, Algorithm::BftM]
+            .into_iter()
+            .enumerate()
+        {
+            let job = CtpJob {
+                seeds: SeedSets::from_sets(w.seeds.clone()).unwrap(),
+                algorithm,
+                filters: Filters::none().with_max_edges(6 + i),
+                order: QueueOrder::SmallestFirst,
+                policy: QueuePolicy::Single,
+            };
+            let direct = evaluate_ctp(
+                &w.graph,
+                &job.seeds,
+                algorithm,
+                job.filters.clone(),
+                QueueOrder::SmallestFirst,
+            );
+            let run = job.run(&w.graph);
+            assert_eq!(run.results.canonical(), direct.results.canonical());
+            assert_eq!(run.results.len(), 1, "{algorithm}");
         }
     }
 }

@@ -11,9 +11,9 @@
 //! A GAM-family search is stepped in one place, the pull-based
 //! [`CtpStream`] ([`stream_ctp`]): each `next` advances the search just
 //! far enough to yield one more result, and [`evaluate_ctp`] on a
-//! GAM-family algorithm is that stream drained.
-//! [`parallel`] runs independent searches side by side; each search
-//! stays on one thread.
+//! GAM-family algorithm is that stream drained. Every search runs on
+//! the calling thread; a query's CTP searches ([`CtpJob`]) run one
+//! after another.
 //!
 //! ```
 //! use cs_core::{evaluate_ctp, Algorithm, Filters, QueueOrder, SeedSets};
@@ -39,7 +39,6 @@ pub mod baseline;
 mod config;
 pub mod delta;
 pub mod explain;
-pub mod parallel;
 mod result;
 pub mod score;
 mod seedmask;
@@ -47,7 +46,7 @@ mod seeds;
 pub mod tree;
 
 pub use algo::{
-    evaluate_ctp, evaluate_ctp_with_policy, stream_ctp, Algorithm, CtpStream, GamConfig,
+    evaluate_ctp, evaluate_ctp_with_policy, stream_ctp, Algorithm, CtpJob, CtpStream, GamConfig,
 };
 pub use config::{CancelFlag, Filters, PriorityFn, QueueOrder, QueuePolicy};
 pub use delta::{probe_delta, ProbeOutcome, DEFAULT_PROBE_BUDGET};

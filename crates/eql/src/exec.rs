@@ -10,11 +10,10 @@
 use crate::ast::{CtpAst, QueryAst, QueryForm, TermAst};
 use crate::parser::ParseError;
 use crate::result_cache::ResultCacheMode;
-use cs_core::parallel::CtpJob;
 use cs_core::score::by_name;
 use cs_core::{
-    Algorithm, Filters, QueueOrder, QueuePolicy, ResultTree, SearchOutcome, SearchStats, SeedError,
-    SeedSets, SeedSpec,
+    Algorithm, CtpJob, Filters, QueueOrder, QueuePolicy, ResultTree, SearchOutcome, SearchStats,
+    SeedError, SeedSets, SeedSpec,
 };
 use cs_engine::{pattern_components, plan_bgp, Bgp, BgpPlan, Binding, Table, Term, TriplePattern};
 use cs_graph::fxhash::FxHashMap;
@@ -79,16 +78,6 @@ pub struct ExecOptions {
     pub default_algorithm: Algorithm,
     /// Timeout applied to CTPs without a `TIMEOUT` clause.
     pub default_timeout: Option<Duration>,
-    /// Switch to the balanced multi-queue policy (§4.9) when the
-    /// largest explicit seed set exceeds the smallest by this factor,
-    /// or when an `N` seed set is present.
-    pub balance_ratio: usize,
-    /// Worker-thread budget for step (B): independent CTPs are
-    /// collected into [`CtpJob`]s and evaluated concurrently
-    /// ([`cs_core::parallel::evaluate_ctps_parallel`]), each on the
-    /// sequential engine. `1` (the default) evaluates in-line on the
-    /// calling thread; `0` uses the available parallelism.
-    pub threads: usize,
     /// Hard per-query wall-clock budget. Unlike
     /// [`ExecOptions::default_timeout`] (the per-CTP soft `TIMEOUT`
     /// clause, which returns the partial results found in time), an
@@ -118,8 +107,6 @@ impl Default for ExecOptions {
         ExecOptions {
             default_algorithm: Algorithm::MoLesp,
             default_timeout: None,
-            balance_ratio: 64,
-            threads: 1,
             deadline: None,
             cancel: None,
             result_cache: ResultCacheMode::On,
@@ -263,11 +250,12 @@ pub(crate) const ASK_LIMIT_GROWTH: usize = 8;
 ///
 /// The control is threaded two ways: [`QueryControl::check`] fails
 /// fast *between* execution steps, and [`QueryControl::arm`] pushes
-/// the flag/deadline *into* each job's [`Filters`] so the engines'
-/// cooperative checks (every 64 Grow steps of the `step` loop) stop a
-/// running search mid-flight. [`QueryControl::classify`] then turns
-/// the stop reason into the typed [`EqlError::Cancelled`] /
-/// [`EqlError::DeadlineExceeded`] errors.
+/// the flag/deadline *into* a job's [`Filters`] just before the job
+/// runs, so the engines' cooperative checks (every 64 Grow steps of
+/// the `step` loop) stop a running search mid-flight.
+/// [`QueryControl::classify`] then turns the stop reason into the
+/// typed [`EqlError::Cancelled`] / [`EqlError::DeadlineExceeded`]
+/// errors.
 pub(crate) struct QueryControl {
     deadline: Option<Instant>,
     cancel: Option<cs_core::CancelFlag>,
@@ -294,21 +282,21 @@ impl QueryControl {
         Ok(())
     }
 
-    /// Pushes the control into every job's filters: the cancel flag
-    /// is attached as-is, and the remaining wall-clock budget tightens
-    /// the CTP timeout (the engines already stop on the tighter of the
-    /// two).
-    pub(crate) fn arm(&self, jobs: &mut [CtpJob]) {
-        let remaining = self
-            .deadline
-            .map(|d| d.saturating_duration_since(Instant::now()));
-        for f in jobs.iter_mut().map(|j| &mut j.filters) {
-            if let Some(c) = &self.cancel {
-                f.cancel = Some(c.clone());
-            }
-            if let Some(r) = remaining {
-                f.timeout = Some(f.timeout.map_or(r, |t| t.min(r)));
-            }
+    /// Pushes the control into a job's filters just before the job
+    /// runs: the cancel flag is attached as-is, and the budget left
+    /// until the absolute deadline tightens the CTP timeout (the
+    /// engines stop on the tighter of the two, counted from their own
+    /// start). Jobs run one after another, so arming each as it starts
+    /// makes the deadline one budget for the whole query or batch:
+    /// a later job gets only what the earlier ones left.
+    pub(crate) fn arm(&self, job: &mut CtpJob) {
+        let f = &mut job.filters;
+        if let Some(c) = &self.cancel {
+            f.cancel = Some(c.clone());
+        }
+        if let Some(d) = self.deadline {
+            let r = d.saturating_duration_since(Instant::now());
+            f.timeout = Some(f.timeout.map_or(r, |t| t.min(r)));
         }
     }
 
@@ -403,7 +391,7 @@ pub(crate) fn build_ctp_jobs(
         });
 
         let algorithm = ctp.algorithm.unwrap_or(opts.default_algorithm);
-        let policy = pick_policy(&seeds, opts.balance_ratio);
+        let policy = pick_policy(&seeds);
         jobs.push(CtpJob {
             seeds,
             algorithm,
@@ -615,9 +603,9 @@ pub(crate) fn materialise_ctps(
         // the engine yields discovery order — normalising here makes
         // materialised answers (row order, tree indices, TOP-k
         // tie-breaks) independent of it, so a result replayed from the
-        // cache or found under another queue order or `threads`
-        // setting renders identically. Streaming execution keeps
-        // discovery order; it never passes through this function.
+        // cache or found under another queue order renders
+        // identically. Streaming execution keeps discovery order; it
+        // never passes through this function.
         result_trees.sort_by(ResultTree::canonical_cmp);
 
         // SCORE σ [TOP k] (§4.8): score each result; optionally keep
@@ -626,7 +614,7 @@ pub(crate) fn materialise_ctps(
         // deterministic TOP-k (positive NaN sorts above +∞, i.e.
         // first), instead of an arbitrary one. Equal scores tie-break
         // on the canonical edge set, so TOP-k is a function of the
-        // result *set* alone — no engine or thread count can change it.
+        // result *set* alone — no engine or queue order can change it.
         if let Some((sigma_name, top)) = &ctp.filters.score {
             #[expect(
                 clippy::expect_used,
@@ -777,9 +765,14 @@ pub(crate) fn seed_specs(
     (specs, cols)
 }
 
+/// The seed-set skew at which a CTP switches to the balanced
+/// multi-queue policy (§4.9): the largest explicit seed set holds at
+/// least this many times the nodes of the smallest.
+const BALANCE_RATIO: usize = 64;
+
 /// Chooses the queue policy (§4.9): balance when an `N` set is present
-/// or explicit set sizes are badly skewed.
-pub(crate) fn pick_policy(seeds: &SeedSets, ratio: usize) -> QueuePolicy {
+/// or explicit set sizes are skewed by [`BALANCE_RATIO`] or more.
+pub(crate) fn pick_policy(seeds: &SeedSets) -> QueuePolicy {
     if !seeds.presatisfied().is_empty() {
         return QueuePolicy::Balanced;
     }
@@ -795,7 +788,7 @@ pub(crate) fn pick_policy(seeds: &SeedSets, ratio: usize) -> QueuePolicy {
         sizes.iter().copied().min().unwrap_or(1).max(1),
         sizes.iter().copied().max().unwrap_or(1),
     );
-    if max / min >= ratio {
+    if max / min >= BALANCE_RATIO {
         QueuePolicy::Balanced
     } else {
         QueuePolicy::Single
@@ -817,6 +810,15 @@ mod tests {
             CONNECT(x, y, z -> w)
         }
     "#;
+
+    #[test]
+    fn pick_policy_balances_n_sets_and_64x_skew() {
+        let set = |n: u32| SeedSpec::Set((0..n).map(NodeId).collect());
+        let policy = |specs| pick_policy(&SeedSets::new(specs).unwrap());
+        assert_eq!(policy(vec![set(1), SeedSpec::All]), QueuePolicy::Balanced);
+        assert_eq!(policy(vec![set(1), set(64)]), QueuePolicy::Balanced);
+        assert_eq!(policy(vec![set(1), set(63)]), QueuePolicy::Single);
+    }
 
     #[test]
     fn q1_runs_on_figure1() {
@@ -1166,31 +1168,6 @@ mod planner_and_batching_tests {
         assert_eq!(r.stats.plans.len(), 3);
         let rendered = r.stats.plans[0].to_string();
         assert!(rendered.contains("LabelledRun"), "{rendered}");
-    }
-
-    #[test]
-    fn batched_parallel_execution_matches_sequential() {
-        let g = figure1();
-        let q = r#"SELECT x, w1, w2 WHERE {
-                (x : type = "entrepreneur", "citizenOf", "USA")
-                CONNECT(x, "France" -> w1) LIMIT 20
-                CONNECT(x, "Elon" -> w2) LIMIT 20
-            }"#;
-        let with_threads = |threads| {
-            let opts = ExecOptions {
-                threads,
-                ..ExecOptions::default()
-            };
-            Session::with_options(&g, opts).run(q).unwrap()
-        };
-        let seq = with_threads(1);
-        let par = with_threads(4);
-        assert_eq!(seq.rows(), par.rows());
-        assert_eq!(seq.trees["w1"].len(), par.trees["w1"].len());
-        assert_eq!(seq.trees["w2"].len(), par.trees["w2"].len());
-        // Zero means "available parallelism".
-        let auto = with_threads(0);
-        assert_eq!(seq.rows(), auto.rows());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! Beyond one-shot [`Session::run`], a session offers
 //! [`Session::prepare`] + [`Session::execute`] (parse once, execute
 //! many), [`Session::execute_batch`] (CTP jobs of many queries in one
-//! parallel dispatch), and [`Session::execute_streaming`] (a pull
+//! dispatch round), and [`Session::execute_streaming`] (a pull
 //! iterator of connecting trees with TOP-k-style early termination).
 //!
 //! Owning sessions serve **live graphs**: [`Session::mutate`] applies

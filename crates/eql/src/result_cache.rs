@@ -52,8 +52,7 @@
 //! eagerly (which [`Session::mutate`](crate::Session::mutate) does
 //! after every effective batch).
 
-use cs_core::parallel::CtpJob;
-use cs_core::{Algorithm, ResultSet, ResultTree, SearchOutcome, SearchStats, SeedSpec};
+use cs_core::{Algorithm, CtpJob, ResultSet, ResultTree, SearchOutcome, SearchStats, SeedSpec};
 use cs_graph::{Graph, NodeId};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -560,7 +559,6 @@ impl std::fmt::Debug for ResultCacheMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_core::parallel::evaluate_job;
     use cs_core::{Filters, QueueOrder, QueuePolicy, SeedSets};
     use cs_graph::GraphBuilder;
 
@@ -572,10 +570,6 @@ mod tests {
             order: QueueOrder::SmallestFirst,
             policy: QueuePolicy::Single,
         }
-    }
-
-    fn run(g: &Graph, j: &CtpJob) -> SearchOutcome {
-        evaluate_job(g, j)
     }
 
     /// `a – x – b`, plus a pendant node `p` hanging off `b`.
@@ -599,7 +593,7 @@ mod tests {
             Algorithm::MoLesp,
             Filters::none(),
         );
-        let out = run(&g, &j);
+        let out = j.run(&g);
         let sig = CtpSignature::of(&g, &j).unwrap();
         let mut cache = ResultCache::new(8);
         assert!(matches!(cache.lookup(&g, &sig), CacheLookup::Miss));
@@ -626,12 +620,12 @@ mod tests {
             Filters::none().with_max_edges(2),
         );
         let mut cache = ResultCache::new(8);
-        cache.insert(CtpSignature::of(&g, &wide).unwrap(), &run(&g, &wide));
+        cache.insert(CtpSignature::of(&g, &wide).unwrap(), &wide.run(&g));
         let probe = CtpSignature::of(&g, &narrow).unwrap();
         let CacheLookup::Subsumed { outcome, .. } = cache.lookup(&g, &probe) else {
             panic!("expected a subsumption hit");
         };
-        let direct = run(&g, &narrow);
+        let direct = narrow.run(&g);
         assert_eq!(outcome.results.canonical(), direct.results.canonical());
         assert_eq!(cache.counters().subsumed, 1);
     }
@@ -650,7 +644,7 @@ mod tests {
             Filters::none(),
         );
         let sub = job(vec![vec![a], vec![b]], Algorithm::MoLesp, Filters::none());
-        let sup_out = run(&g, &sup);
+        let sup_out = sup.run(&g);
         // The superset search indeed lacks a–x–b…
         assert!(sup_out.results.trees().iter().all(|t| t.size() < 2));
         let mut cache = ResultCache::new(8);
@@ -661,7 +655,7 @@ mod tests {
             CacheLookup::Miss
         ));
         // And the direct search finds the 2-edge connection.
-        assert!(run(&g, &sub).results.trees().iter().any(|t| t.size() == 2));
+        assert!(sub.run(&g).results.trees().iter().any(|t| t.size() == 2));
     }
 
     /// A surplus seed of degree ≤ 1 outside every probe set cannot
@@ -679,16 +673,13 @@ mod tests {
         );
         let sub = job(vec![vec![a], vec![b]], Algorithm::MoLesp, Filters::none());
         let mut cache = ResultCache::new(8);
-        cache.insert(CtpSignature::of(&g, &sup).unwrap(), &run(&g, &sup));
+        cache.insert(CtpSignature::of(&g, &sup).unwrap(), &sup.run(&g));
         let CacheLookup::Subsumed { outcome, .. } =
             cache.lookup(&g, &CtpSignature::of(&g, &sub).unwrap())
         else {
             panic!("expected a subsumption hit (pendant surplus is inert)");
         };
-        assert_eq!(
-            outcome.results.canonical(),
-            run(&g, &sub).results.canonical()
-        );
+        assert_eq!(outcome.results.canonical(), sub.run(&g).results.canonical());
     }
 
     #[test]
@@ -700,7 +691,7 @@ mod tests {
             Algorithm::MoEsp,
             Filters::none(),
         );
-        let out = run(&g, &e);
+        let out = e.run(&g);
         let sig = CtpSignature::of(&g, &e).unwrap();
         let mut cache = ResultCache::new(8);
         cache.insert(sig.clone(), &out);
@@ -723,7 +714,7 @@ mod tests {
             Algorithm::MoLesp,
             Filters::none(),
         );
-        let out = run(&g, &wide);
+        let out = wide.run(&g);
         let found = out.results.len();
         assert!(found >= 1);
         let mut cache = ResultCache::new(8);
@@ -761,7 +752,7 @@ mod tests {
             Algorithm::MoLesp,
             Filters::none(),
         );
-        let mut out = run(&g, &j);
+        let mut out = j.run(&g);
         out.stats.timed_out = true;
         let mut cache = ResultCache::new(8);
         cache.insert(CtpSignature::of(&g, &j).unwrap(), &out);
@@ -787,7 +778,7 @@ mod tests {
         let mut cache = ResultCache::new(2);
         for max in [2usize, 3, 4] {
             let j = mk(max);
-            cache.insert(CtpSignature::of(&g, &j).unwrap(), &run(&g, &j));
+            cache.insert(CtpSignature::of(&g, &j).unwrap(), &j.run(&g));
         }
         assert_eq!(cache.len(), 2);
         // The max=2 entry was evicted; max=4 and max=3 remain.
@@ -797,7 +788,7 @@ mod tests {
         ));
         let mut disabled = ResultCache::new(0);
         let j = mk(2);
-        disabled.insert(CtpSignature::of(&g, &j).unwrap(), &run(&g, &j));
+        disabled.insert(CtpSignature::of(&g, &j).unwrap(), &j.run(&g));
         assert!(disabled.is_empty());
         assert!(matches!(
             disabled.lookup(&g, &CtpSignature::of(&g, &j).unwrap()),
@@ -822,7 +813,7 @@ mod tests {
             Filters::none().with_labels(["good"]),
         );
         let mut cache = ResultCache::new(8);
-        cache.insert(CtpSignature::of(&g, &wide).unwrap(), &run(&g, &wide));
+        cache.insert(CtpSignature::of(&g, &wide).unwrap(), &wide.run(&g));
         let CacheLookup::Subsumed {
             outcome,
             filtered_out,
@@ -833,7 +824,7 @@ mod tests {
         assert!(filtered_out >= 1, "the bad-labelled tree is filtered");
         assert_eq!(
             outcome.results.canonical(),
-            run(&g, &narrow).results.canonical()
+            narrow.run(&g).results.canonical()
         );
     }
 
@@ -848,7 +839,7 @@ mod tests {
             Filters::none(),
         );
         let sig = CtpSignature::of(&g, &j).unwrap();
-        shared.with(|c| c.insert(sig.clone(), &run(&g, &j)));
+        shared.with(|c| c.insert(sig.clone(), &j.run(&g)));
         assert_eq!(clone.len(), 1);
         assert!(clone.with(|c| matches!(c.lookup(&g, &sig), CacheLookup::Exact(_))));
         assert_eq!(clone.counters().hits, 1);
@@ -867,7 +858,7 @@ mod tests {
             Filters::none(),
         );
         let mut cache = ResultCache::new(8);
-        cache.insert(CtpSignature::of(&g, &j).unwrap(), &run(&g, &j));
+        cache.insert(CtpSignature::of(&g, &j).unwrap(), &j.run(&g));
         assert!(matches!(
             cache.lookup(&g, &CtpSignature::of(&g, &j).unwrap()),
             CacheLookup::Exact(_)
@@ -882,7 +873,7 @@ mod tests {
         assert_eq!(cache.purge_stale(GraphToken::of(&g)), 1);
         assert!(cache.is_empty());
         // Post-mutation entries serve the live overlay's results.
-        let out = run(&g, &j);
+        let out = j.run(&g);
         cache.insert(CtpSignature::of(&g, &j).unwrap(), &out);
         let CacheLookup::Exact(replayed) = cache.lookup(&g, &CtpSignature::of(&g, &j).unwrap())
         else {
@@ -902,7 +893,7 @@ mod tests {
             Filters::none(),
         );
         let mut cache = ResultCache::new(8);
-        cache.insert(CtpSignature::of(&g1, &j).unwrap(), &run(&g1, &j));
+        cache.insert(CtpSignature::of(&g1, &j).unwrap(), &j.run(&g1));
         assert!(matches!(
             cache.lookup(&g2, &CtpSignature::of(&g2, &j).unwrap()),
             CacheLookup::Miss

@@ -14,13 +14,13 @@
 //! CTP jobs), dispatch the jobs of every staged query in one round
 //! through the result cache, then finish each query on its own (step
 //! B's classification, materialisation and ASK deepening, then the
-//! step C join). [`Session::execute`] is that pipeline over one query,
-//! and on top of it the session offers two scale levers:
+//! step C join). A round runs its jobs one after another on the
+//! calling thread. [`Session::execute`] is that pipeline over one
+//! query, and on top of it the session offers two scale levers:
 //!
 //! * [`Session::execute_batch`] runs the pipeline over *many* queries,
-//!   so their CTP jobs share one
-//!   [`cs_core::parallel::evaluate_ctps_parallel`] dispatch and a batch
-//!   saturates the worker pool even when each query has a single CTP;
+//!   so their CTP jobs share one dispatch round and a batch repeating
+//!   a CTP pays for its search once;
 //! * [`Session::execute_streaming`] stages one query the same way but
 //!   hands its CTP job to a pull-based [`ResultStream`] that advances
 //!   the search only as far as the results the caller consumes
@@ -57,8 +57,7 @@ use crate::result_cache::{
     CacheCounters, CacheLookup, CtpSignature, GraphToken, ResultCache, ResultCacheMode,
     SharedResultCache,
 };
-use cs_core::parallel::{evaluate_ctps_parallel, CtpJob};
-use cs_core::{stream_ctp, Algorithm, CtpStream, ResultTree, SearchOutcome, SearchStats};
+use cs_core::{stream_ctp, Algorithm, CtpJob, CtpStream, ResultTree, SearchOutcome, SearchStats};
 use cs_engine::{eval_bgp_with_plan, join_all, Bgp, PlanCache, Table};
 use cs_graph::{Applied, Graph, Mutation, NodeId};
 use std::borrow::Borrow;
@@ -73,9 +72,9 @@ const PLAN_CACHE_CAPACITY: usize = 128;
 ///
 /// Sessions are cheap to create but meant to be held: the plan cache
 /// only pays off across queries. A session is single-threaded by
-/// design (`!Sync` — the plan cache sits behind a [`RefCell`]); CTP
-/// evaluation inside one query or batch still fans out over
-/// [`ExecOptions::threads`] workers. Use one session per thread.
+/// design (`!Sync` — the plan cache sits behind a [`RefCell`]), and
+/// every CTP search of a query or batch runs on the calling thread.
+/// Use one session per thread.
 ///
 /// A session either borrows its graph ([`Session::new`]), owns it
 /// ([`Session::from_graph`], [`Session::open_snapshot`]), or shares it
@@ -140,7 +139,6 @@ impl ResultCacheHandle {
 
 /// How the result cache answered one CTP job of a dispatch round —
 /// the per-job attribution [`ExecStats`] counters are folded from.
-#[derive(Clone, Copy)]
 pub(crate) enum CacheEvent {
     /// Exact signature hit.
     Hit,
@@ -277,8 +275,8 @@ impl<'g> Session<'g> {
         &self.opts
     }
 
-    /// Mutable access to the options (e.g. to change `threads` between
-    /// queries). The plan cache is kept.
+    /// Mutable access to the options (e.g. to change the deadline
+    /// between queries). The plan cache is kept.
     pub fn options_mut(&mut self) -> &mut ExecOptions {
         &mut self.opts
     }
@@ -321,103 +319,47 @@ impl<'g> Session<'g> {
         self.results.with(|c| c.len()).unwrap_or(0)
     }
 
-    /// Evaluates a round of CTP jobs through the result cache: probes
-    /// every job under one cache lock, dispatches only the misses
-    /// (lock released — searches never serialise on the cache), then
-    /// re-locks to insert the freshly computed complete outcomes.
-    /// Returns the outcomes in job order plus the per-job cache events
-    /// for stats attribution.
-    fn dispatch_cached(&self, jobs: &[CtpJob]) -> (Vec<SearchOutcome>, Vec<CacheEvent>) {
+    /// Runs a round of CTP jobs one after another on this thread,
+    /// through the result cache. Each job is probed under the cache
+    /// lock; on a miss the lock is released, the job is armed with what
+    /// is left of the query's budget and searched, and its outcome is
+    /// inserted under the lock again. A job repeating an earlier job of
+    /// the round is therefore a plain hit. Returns the outcomes in job
+    /// order plus the per-job cache events for stats attribution.
+    fn dispatch_cached(
+        &self,
+        jobs: &mut [CtpJob],
+        control: &QueryControl,
+    ) -> (Vec<SearchOutcome>, Vec<CacheEvent>) {
         let g = self.graph();
-        if matches!(self.results, ResultCacheHandle::Off) {
-            let outs = evaluate_ctps_parallel(g, jobs, self.opts.threads);
-            return (outs, vec![CacheEvent::Bypass; jobs.len()]);
-        }
-        let sigs: Vec<Option<CtpSignature>> = jobs.iter().map(|j| CtpSignature::of(g, j)).collect();
-        // Batch dedup: a job whose signature already appeared earlier
-        // in this dispatch is deferred to a second round, so the first
-        // occurrence's freshly inserted outcome serves it as a plain
-        // hit instead of redoing the identical search. (If the first
-        // occurrence's outcome was incomplete and thus uncacheable,
-        // the second round's miss path still searches it for real.)
-        let firsts: Vec<bool> = sigs
-            .iter()
-            .enumerate()
-            .map(|(i, sig)| match sig {
-                None => true,
-                Some(s) => !sigs[..i].iter().flatten().any(|p| p == s),
+        let caching = !matches!(self.results, ResultCacheHandle::Off);
+        jobs.iter_mut()
+            .map(|job| {
+                let sig = caching.then(|| CtpSignature::of(g, job)).flatten();
+                let probe = sig
+                    .as_ref()
+                    .and_then(|s| self.results.with(|c| c.lookup(g, s)));
+                match probe {
+                    Some(CacheLookup::Exact(outcome)) => (outcome, CacheEvent::Hit),
+                    Some(CacheLookup::Subsumed {
+                        outcome,
+                        filtered_out,
+                    }) => (outcome, CacheEvent::Subsumed(filtered_out)),
+                    Some(CacheLookup::Miss) | None => {
+                        control.arm(job);
+                        let outcome = job.run(g);
+                        let event = match sig {
+                            Some(s) => {
+                                self.results.with(|c| c.insert(s, &outcome));
+                                CacheEvent::Miss
+                            }
+                            None => CacheEvent::Bypass,
+                        };
+                        (outcome, event)
+                    }
+                }
             })
-            .collect();
-        let mut slots: Vec<Option<SearchOutcome>> = Vec::with_capacity(jobs.len());
-        slots.resize_with(jobs.len(), || None);
-        let mut events: Vec<CacheEvent> = vec![CacheEvent::Bypass; jobs.len()];
-        for round in 0..2 {
-            let idx: Vec<usize> = (0..jobs.len())
-                .filter(|&i| firsts[i] == (round == 0))
-                .collect();
-            if idx.is_empty() {
-                continue;
-            }
-            // Probe every job of this round under one lock, so a
-            // concurrent sharer cannot evict between lookups.
-            self.results.with(|cache| {
-                for &i in &idx {
-                    match &sigs[i] {
-                        None => events[i] = CacheEvent::Bypass,
-                        Some(s) => match cache.lookup(g, s) {
-                            CacheLookup::Exact(outcome) => {
-                                slots[i] = Some(outcome);
-                                events[i] = CacheEvent::Hit;
-                            }
-                            CacheLookup::Subsumed {
-                                outcome,
-                                filtered_out,
-                            } => {
-                                slots[i] = Some(outcome);
-                                events[i] = CacheEvent::Subsumed(filtered_out);
-                            }
-                            CacheLookup::Miss => events[i] = CacheEvent::Miss,
-                        },
-                    }
-                }
-            });
-            // The lock is released while the misses run the real
-            // searches, then retaken to publish their outcomes.
-            let miss_idx: Vec<usize> = idx
-                .iter()
-                .copied()
-                .filter(|&i| slots[i].is_none())
-                .collect();
-            let miss_jobs: Vec<CtpJob> = miss_idx.iter().map(|&i| jobs[i].clone()).collect();
-            let outs = evaluate_ctps_parallel(g, &miss_jobs, self.opts.threads);
-            self.results.with(|cache| {
-                for (&i, o) in miss_idx.iter().zip(&outs) {
-                    if matches!(events[i], CacheEvent::Miss) {
-                        if let Some(sig) = &sigs[i] {
-                            cache.insert(sig.clone(), o);
-                        }
-                    }
-                }
-            });
-            let mut fresh = outs.into_iter();
-            for &i in &miss_idx {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "`fresh` holds exactly one outcome per miss index by construction"
-                )]
-                let outcome = fresh.next().expect("one dispatched outcome per miss");
-                slots[i] = Some(outcome);
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "every index is either a probe hit or a member of exactly one round's miss set"
-        )]
-        let outcomes = slots
-            .into_iter()
-            .map(|s| s.expect("every job slot filled after two rounds"))
-            .collect();
-        (outcomes, events)
+            .unzip()
     }
 
     /// Applies a batch of graph mutations through the session — the
@@ -599,11 +541,11 @@ impl<'g> Session<'g> {
     }
 
     /// Executes a batch of queries with the CTP jobs of *all* queries
-    /// collected into a single
-    /// [`cs_core::parallel::evaluate_ctps_parallel`] dispatch (through
-    /// the result cache), so the worker pool (`ExecOptions::threads`;
-    /// `0` = available parallelism) is saturated across query
-    /// boundaries and a batch repeating a CTP pays for its search once.
+    /// collected into one dispatch round through the result cache, so
+    /// a batch repeating a CTP pays for its search once. The hard
+    /// deadline ([`ExecOptions::deadline`]) is one budget for the whole
+    /// batch: its clock starts with the batch, and each search gets
+    /// only what the searches before it left.
     ///
     /// It runs the same pipeline as [`Session::execute`]; results are
     /// returned in input order, and a query that fails to parse, seed,
@@ -642,7 +584,7 @@ impl<'g> Session<'g> {
         let wall_clock = staged.len() == 1;
 
         let t = Instant::now();
-        let (outcomes, events) = self.dispatch_cached(&all_jobs);
+        let (outcomes, events) = self.dispatch_cached(&mut all_jobs, &control);
         let dispatch_time = t.elapsed();
 
         let mut outcomes = outcomes.into_iter();
@@ -673,9 +615,9 @@ impl<'g> Session<'g> {
     }
 
     /// Stages one query for the pipeline: step (A) through the plan
-    /// cache, then its CTP jobs ([`build_ctp_jobs`]), armed with the
-    /// query control. `stats.ctp_time` starts with the job-building
-    /// time.
+    /// cache, then its CTP jobs ([`build_ctp_jobs`]). The jobs are
+    /// armed with the query control only when they run. `stats.ctp_time`
+    /// starts with the job-building time.
     fn stage<Q: Borrow<PreparedQuery>>(
         &self,
         query: Q,
@@ -693,8 +635,7 @@ impl<'g> Session<'g> {
         control.check()?;
 
         let t = Instant::now();
-        let mut built = build_ctp_jobs(g, &q.ast, &bgp_tables, &self.opts)?;
-        control.arm(&mut built.jobs);
+        let built = build_ctp_jobs(g, &q.ast, &bgp_tables, &self.opts)?;
         stats.seed_narrowings = built.narrowings;
         stats.ctp_time = t.elapsed();
         let staged = Staged {
@@ -751,7 +692,7 @@ impl<'g> Session<'g> {
                 return Ok(materialised);
             }
             grow_ask_limits(jobs, &st.deepenable);
-            let (next, events) = self.dispatch_cached(jobs);
+            let (next, events) = self.dispatch_cached(jobs, control);
             fold_cache_events(&mut st.stats, &events);
             outcomes = next;
         }
@@ -799,7 +740,7 @@ impl<'g> Session<'g> {
             )));
         }
 
-        // The armed control stops the pulled stream early when the
+        // The armed job stops the pulled stream early when the
         // flag is raised or the budget elapses (visible as
         // `stats().cancelled` / `stats().timed_out`). A lone CTP has
         // pairwise-distinct variables and no join partner, so nothing
@@ -810,7 +751,8 @@ impl<'g> Session<'g> {
             clippy::expect_used,
             reason = "the query was checked above to hold exactly one CTP, and `build_ctp_jobs` builds one job per CTP"
         )]
-        let job = jobs.pop().expect("one job for the one CTP");
+        let mut job = jobs.pop().expect("one job for the one CTP");
+        control.arm(&mut job);
         Ok(ResultStream {
             stream: stream_ctp(
                 self.graph(),

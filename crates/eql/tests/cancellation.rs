@@ -166,3 +166,85 @@ fn unreached_deadline_is_invisible() {
     assert_eq!(plain.rows(), guarded.rows());
     assert_eq!(plain.trees["w"].len(), guarded.trees["w"].len());
 }
+
+/// The `i`-th slow CTP: `MAX 6` between `n{i}` and `n{63 - i}`, bound
+/// to `w{i}`.
+fn slow_ctp(i: usize) -> String {
+    format!(r#"CONNECT("n{i}", "n{}" -> w{i}) MAX 6"#, 63 - i)
+}
+
+/// Asserts that slow CTP `i`, run alone without a deadline, searches
+/// longer than `budget`: a soft `TIMEOUT` of that length truncates it.
+fn assert_outlasts(g: &Graph, i: usize, budget: Duration) {
+    let q = format!(
+        "SELECT w{i} WHERE {{ {} TIMEOUT {} }}",
+        slow_ctp(i),
+        budget.as_millis()
+    );
+    let r = Session::new(g)
+        .run(&q)
+        .expect("soft timeout is not an error");
+    let (_, stats, _) = &r.stats.ctp_stats[0];
+    assert!(stats.timed_out, "CTP {i} finished within {budget:?}");
+}
+
+/// The hard deadline is one budget for the whole query: its CTPs run
+/// one after another, and each gets only what the earlier ones left —
+/// not the whole budget again.
+#[test]
+fn deadline_bounds_a_query_of_several_slow_ctps() {
+    let g = long_graph();
+    let deadline = Duration::from_millis(100);
+    for i in 0..4 {
+        assert_outlasts(&g, i, deadline);
+    }
+    let ctps: Vec<String> = (0..4).map(slow_ctp).collect();
+    let q = format!("SELECT w0, w1, w2, w3 WHERE {{ {} }}", ctps.join(" "));
+    let s = Session::with_options(
+        &g,
+        ExecOptions {
+            deadline: Some(deadline),
+            ..ExecOptions::default()
+        },
+    );
+    let t = Instant::now();
+    let err = s.run(&q).expect_err("deadline must fail the query");
+    let elapsed = t.elapsed();
+    assert!(matches!(err, EqlError::DeadlineExceeded), "{err}");
+    assert!(
+        elapsed < 2 * deadline,
+        "four CTPs under a {deadline:?} deadline took {elapsed:?}"
+    );
+}
+
+/// The same for a batch: the deadline's clock starts with the batch,
+/// and every member whose search the budget cut off fails.
+#[test]
+fn deadline_bounds_a_batch_of_slow_queries() {
+    let g = long_graph();
+    let deadline = Duration::from_millis(50);
+    for i in 0..3 {
+        assert_outlasts(&g, i, deadline);
+    }
+    let queries: Vec<String> = (0..3)
+        .map(|i| format!("SELECT w{i} WHERE {{ {} }}", slow_ctp(i)))
+        .collect();
+    let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+    let s = Session::with_options(
+        &g,
+        ExecOptions {
+            deadline: Some(deadline),
+            ..ExecOptions::default()
+        },
+    );
+    let t = Instant::now();
+    let results = s.execute_batch(&texts);
+    let elapsed = t.elapsed();
+    for r in &results {
+        assert!(matches!(r, Err(EqlError::DeadlineExceeded)), "{r:?}");
+    }
+    assert!(
+        elapsed < 2 * deadline,
+        "a batch of three under a {deadline:?} deadline took {elapsed:?}"
+    );
+}

@@ -129,8 +129,8 @@ proptest! {
     /// three constant seeds, each GAM-family algorithm, with and
     /// without `LABEL`/`MAX`/`LIMIT`) and a BGP-bound one answer ASK
     /// exactly as the SELECT form and the batch member do — under the
-    /// single-queue policy and, with `balance_ratio: 1`, the balanced
-    /// one.
+    /// single-queue policy and, with an extra `N` seed position (an
+    /// unbound variable `z`), the balanced one.
     #[test]
     fn ask_and_select_consistency(
         seed in any::<u64>(),
@@ -139,10 +139,11 @@ proptest! {
         (label, max, limit, algo) in (0usize..5, 0usize..5, 0usize..4, 0usize..6),
     ) {
         let g = gnp(7, 0.25, seed);
+        let n_set = if balanced == 1 { ", z" } else { "" };
         let mut body = match shape {
-            0 => format!(r#"WHERE {{ CONNECT("n{a}", "n{b}" -> w)"#),
-            1 => format!(r#"WHERE {{ CONNECT("n{a}", "n{b}", "n{c}" -> w)"#),
-            _ => format!(r#"WHERE {{ (x, "r{}", y) CONNECT(x, "n{b}" -> w)"#, c % 4),
+            0 => format!(r#"WHERE {{ CONNECT("n{a}", "n{b}"{n_set} -> w)"#),
+            1 => format!(r#"WHERE {{ CONNECT("n{a}", "n{b}", "n{c}"{n_set} -> w)"#),
+            _ => format!(r#"WHERE {{ (x, "r{}", y) CONNECT(x, "n{b}"{n_set} -> w)"#, c % 4),
         };
         // Each clause is absent at the top of its range.
         if label < 4 {
@@ -158,11 +159,7 @@ proptest! {
             body += &format!(" ALGORITHM {name}");
         }
         body += " }";
-        let opts = ExecOptions {
-            balance_ratio: if balanced == 1 { 1 } else { 64 },
-            ..ExecOptions::default()
-        };
-        let [ask, select, batched] = ask_answers(&g, &opts, &body);
+        let [ask, select, batched] = ask_answers(&g, &ExecOptions::default(), &body);
         if shape < 2 {
             prop_assert!(ask.is_some(), "constant seeds always execute: {}", body);
         }

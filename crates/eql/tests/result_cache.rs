@@ -353,6 +353,34 @@ fn batch_deduplicates_identical_ctp_jobs() {
     assert_eq!(session.result_cache_misses(), 1);
 }
 
+/// Batch dedup needs no room beyond one entry: each duplicate is
+/// probed right after the search it repeats, before later searches of
+/// the batch can evict it from a cache smaller than the batch.
+#[test]
+fn batch_deduplicates_beyond_the_cache_capacity() {
+    let g = figure1();
+    let q1 = r#"SELECT w WHERE { CONNECT("Bob", "Carole" -> w) MAX 3 }"#;
+    let q2 = r#"SELECT w WHERE { CONNECT("Bob", "Elon" -> w) MAX 3 }"#;
+    let q3 = r#"SELECT w WHERE { CONNECT("Alice", "Elon" -> w) MAX 3 }"#;
+    let session = Session::with_options(
+        &g,
+        ExecOptions {
+            result_cache_capacity: 2,
+            ..ExecOptions::default()
+        },
+    );
+    let results = session.execute_batch(&[q1, q1, q2, q2, q3, q3]);
+    for pair in results.chunks(2) {
+        let (first, dup) = (pair[0].as_ref().unwrap(), pair[1].as_ref().unwrap());
+        assert_eq!(first.render(&g), dup.render(&g));
+        assert_eq!(first.stats.result_cache_misses, 1);
+        assert_eq!(dup.stats.result_cache_hits, 1, "every duplicate is a hit");
+    }
+    assert_eq!(session.result_cache_misses(), 3);
+    assert_eq!(session.result_cache_hits(), 3);
+    assert_eq!(session.result_cache_len(), 2);
+}
+
 #[test]
 fn shared_cache_serves_a_sibling_session() {
     let shared = cs_eql::SharedResultCache::new(16);

@@ -97,10 +97,8 @@ proptest! {
             prop_assert!(r.stats.plan_cache_hits > 0, "q2 must hit the cache");
         }
 
-        // Batch path: both queries through one dispatch (threads=0 ⇒
-        // available parallelism).
-        let batched = Session::with_options(&g, ExecOptions { threads: 0, ..opts.clone() })
-            .execute_batch(&[&q1, &q2]);
+        // Batch path: both queries through one dispatch.
+        let batched = Session::with_options(&g, opts.clone()).execute_batch(&[&q1, &q2]);
         prop_assert_eq!(batched.len(), 2);
         assert_same_outcome(&g, &batched[0], &reference1, "batch q1");
         assert_same_outcome(&g, &batched[1], &reference2, "batch q2");
@@ -189,13 +187,7 @@ fn batch_matches_sequential_on_multi_ctp_queries() {
             CONNECT(x, "France" -> w2) MAX 2
         }"#,
     ];
-    let session = Session::with_options(
-        &g,
-        ExecOptions {
-            threads: 0,
-            ..ExecOptions::default()
-        },
-    );
+    let session = Session::new(&g);
     let refs: Vec<_> = queries.iter().map(|q| session.run(q)).collect();
     let batch = session.execute_batch(&queries);
     for ((r, b), q) in refs.iter().zip(&batch).zip(&queries) {

@@ -1,9 +1,10 @@
 //! Admission control and tenant-fair execution slots.
 //!
-//! The scheduler generalises the engine's `threads` knob (which shares
-//! one *query's* work) to sharing the *server* across tenants. It holds
-//! no jobs: the connection thread that admitted a job keeps it, and
-//! asks the scheduler for a slot to run it in. Three rules:
+//! The scheduler shares the *server* across tenants. It holds no jobs:
+//! the connection thread that admitted a job keeps it, and asks the
+//! scheduler for a slot to run it in. A job's CTP searches run one
+//! after another on that thread, so the slot count is also the bound
+//! on concurrent searches. Three rules:
 //!
 //! 1. **Admission** — [`Scheduler::admit`] counts a job as waiting;
 //!    beyond [`SchedulerConfig::queue_capacity`] waiting (admitted, not

@@ -87,16 +87,17 @@ const READ_TIMEOUT: Duration = Duration::from_millis(100);
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum concurrent executions across all connections (clamped
-    /// to at least 1). Jobs run on their connections' threads; this
-    /// bounds how many of them run at once.
+    /// to at least 1). Jobs run on their connections' threads, each
+    /// searching one CTP at a time, so this bounds the searches that
+    /// run at once.
     pub workers: usize,
     /// Admission control and tenant fairness knobs.
     pub scheduler: SchedulerConfig,
     /// Deadline applied to requests that do not carry one
     /// (`deadline_ms == 0`). `None` = no default deadline.
     pub default_deadline: Option<Duration>,
-    /// Base execution options for every connection's session
-    /// (`threads` budget, default algorithm, …).
+    /// Base execution options for every connection's session (default
+    /// algorithm, soft timeout, result cache).
     /// Per-request deadline/cancel are overlaid per job. A
     /// [`ResultCacheMode::On`] here (the default) is upgraded by
     /// [`Server::bind`] to one [`ResultCacheMode::Shared`] cache for
@@ -389,7 +390,7 @@ impl Server {
         let sched = &Scheduler::new(self.cfg.scheduler.clone(), self.cfg.workers);
         #[expect(
             clippy::disallowed_methods,
-            reason = "L004: cs_server::server is one of the two modules that spawn threads"
+            reason = "L004: cs_server::server is the one library module that spawns threads"
         )]
         std::thread::scope(|scope| {
             while !self.shutting_down() {

@@ -163,7 +163,6 @@ pub fn exec_flag(opts: &mut ExecOptions, arg: &Arg<'_>) -> Result<(), CliError> 
         "--algorithm" => opts.default_algorithm = arg.value.parse()?,
         "--timeout" => opts.default_timeout = Some(Duration::from_millis(arg.number()?)),
         "--timeout-ms" => opts.deadline = Some(Duration::from_millis(arg.number()?)),
-        "--threads" => opts.threads = arg.number()?,
         "--result-cache" if arg.choice()? == "off" => opts.result_cache = ResultCacheMode::Off,
         "--result-cache" => opts.result_cache = ResultCacheMode::On,
         "--result-cache-capacity" => opts.result_cache_capacity = arg.number()?,

@@ -2,8 +2,8 @@
 //! queries in-process through one [`Session`], so every query (and
 //! every `--batch` member) shares its plan and result caches.
 //!
-//! The README's `csq` flags list describes `--threads`, `--explain`,
-//! `--stats`, `--batch`, `--graph` and `--stream`. `--result-cache off`
+//! The README's `csq` flags list describes `--explain`, `--stats`,
+//! `--batch`, `--graph` and `--stream`. `--result-cache off`
 //! disables the cross-query result cache and `--result-cache-capacity
 //! N` sizes its LRU; `--stats` then reports its hit / miss / subsumed /
 //! trees-filtered counters per query, and `--explain` prints one
@@ -28,7 +28,6 @@ const FLAGS: &[Flag] = &[
     Flag::Value("--algorithm", "a name"),
     Flag::Value("--timeout", NUMBER),
     Flag::Value("--timeout-ms", NUMBER),
-    Flag::Value("--threads", NUMBER),
     Flag::Value("--result-cache", "on|off"),
     Flag::Value("--result-cache-capacity", NUMBER),
     Flag::Switch("--stats"),

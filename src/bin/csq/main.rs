@@ -38,7 +38,7 @@ use connection_search::server::RequestHeader;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: csq <graph-source|--demo> <query|@query-file> \
-     [--algorithm NAME] [--timeout MS] [--timeout-ms N] [--threads N] \
+     [--algorithm NAME] [--timeout MS] [--timeout-ms N] \
      [--result-cache on|off] [--result-cache-capacity N] [--stats] \
      [--explain] [--batch] [--stream]\n       \
      csq --graph <file.csg> <query|@query-file> [...]\n       \
@@ -49,7 +49,7 @@ const USAGE: &str = "usage: csq <graph-source|--demo> <query|@query-file> \
      csq bench-serve <host:port> <query|@query-file> [--qps N] \
      [--duration-ms N] [--connections K] [--tenant T] [--timeout-ms N]\n       \
      csq watch <graph-source> <query|@query-file> [--script FILE] \
-     [--stats] [--threads N] [--result-cache on|off]\n\
+     [--stats] [--result-cache on|off]\n\
      graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file";
 
 fn main() -> ExitCode {

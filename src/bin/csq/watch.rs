@@ -14,7 +14,7 @@
 //! check, label footprint, delta reach probe — see `cs_eql::watch`).
 
 use crate::{report_query_error, split_queries, target_and_query};
-use connection_search::args::{exec_flag, Args, CliError, Flag, NUMBER};
+use connection_search::args::{exec_flag, Args, CliError, Flag};
 use connection_search::eql::{ExecOptions, Watch, WatchSkip};
 use connection_search::graph::{load_graph, Mutation, MutationBatch};
 use connection_search::Session;
@@ -24,7 +24,6 @@ use std::process::ExitCode;
 const FLAGS: &[Flag] = &[
     Flag::Positional("--demo"),
     Flag::Value("--script", "a file path (or -)"),
-    Flag::Value("--threads", NUMBER),
     Flag::Value("--result-cache", "on|off"),
     Flag::Switch("--stats"),
 ];

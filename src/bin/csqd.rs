@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: csqd <graph-source|--demo> [--addr HOST:PORT] [--workers N] \
-     [--threads N] [--queue N] [--tenant-inflight N] \
+     [--queue N] [--tenant-inflight N] \
      [--default-deadline-ms N] [--result-cache off|on|shared] \
      [--result-cache-capacity N]\n\
      graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file\n\
@@ -26,7 +26,6 @@ const FLAGS: &[Flag] = &[
     Flag::Positional("--demo"),
     Flag::Value("--addr", "HOST:PORT"),
     Flag::Value("--workers", NUMBER),
-    Flag::Value("--threads", NUMBER),
     Flag::Value("--queue", NUMBER),
     Flag::Value("--tenant-inflight", NUMBER),
     Flag::Value("--default-deadline-ms", NUMBER),

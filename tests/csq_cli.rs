@@ -116,7 +116,7 @@ const DEMO_CTP: &str = r#"SELECT w WHERE { CONNECT("Bob", "Elon" -> w) MAX 4 }"#
 
 #[test]
 fn numeric_flags_reject_garbage_with_one_line_error() {
-    for flag in ["--threads", "--timeout", "--timeout-ms"] {
+    for flag in ["--timeout", "--timeout-ms"] {
         let out = csq(&["--demo", DEMO_CTP, flag, "abc"]);
         assert!(!out.status.success(), "{flag} abc must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -134,7 +134,7 @@ fn numeric_flags_reject_garbage_with_one_line_error() {
 #[test]
 fn numeric_flags_reject_missing_value() {
     // `--algorithm` takes a name, not a number, but fails the same way.
-    for flag in ["--threads", "--timeout", "--timeout-ms", "--algorithm"] {
+    for flag in ["--timeout", "--timeout-ms", "--algorithm"] {
         let out = csq(&["--demo", DEMO_CTP, flag]);
         assert_eq!(out.status.code(), Some(1), "bare {flag} must exit 1");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -160,7 +160,6 @@ fn usage_lists_every_flag() {
         "--algorithm",
         "--timeout",
         "--timeout-ms",
-        "--threads",
         "--stats",
         "--explain",
         "--batch",
@@ -442,12 +441,26 @@ fn bad_gen_spec_is_one_line_error() {
 
 #[test]
 fn removed_intra_search_flag_is_a_usage_error() {
-    // Old scripts passing the removed flag fail loudly instead of
-    // silently running the sequential engine.
-    let out = csq(&["--demo", DEMO_CTP, "--search-threads", "2"]);
+    // Old scripts passing a removed thread flag fail loudly instead of
+    // silently running the searches one after another.
+    for flag in ["--search-threads", "--threads"] {
+        for args in [
+            &["--demo", DEMO_CTP, flag, "2"][..],
+            &["watch", "--demo", DEMO_CTP, flag, "2"],
+        ] {
+            let out = csq(args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.starts_with("usage: csq"), "{args:?}: {stderr}");
+        }
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_csqd"))
+        .args(["--demo", "--threads", "2"])
+        .output()
+        .expect("csqd runs");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(stderr.starts_with("usage: csqd"), "{stderr}");
 }
 
 #[test]
@@ -526,7 +539,6 @@ fn subcommand_flags_reject_missing_and_garbage_values() {
     // (argv prefix, flag, noun in the error, whether any value is
     // garbage — every tenant name and script path parses).
     for (prefix, flag, noun, has_garbage) in [
-        (WATCH, "--threads", "a number", true),
         (WATCH, "--script", "a file path (or -)", false),
         (WATCH, "--result-cache", "on|off", true),
         (CONNECT, "--tenant", "a name", false),
@@ -576,11 +588,6 @@ fn subcommand_reports_the_first_bad_flag_in_argv_order() {
     let bad = |flag: &str, noun: &str| format!("{flag} expects {noun}, got \"x\"");
     for (prefix, [a, a_noun], [b, b_noun]) in [
         (
-            WATCH,
-            ["--threads", "a number"],
-            ["--result-cache", "on|off"],
-        ),
-        (
             CONNECT,
             ["--timeout-ms", "a number"],
             ["--cancel-after-ms", "a number"],
@@ -597,6 +604,12 @@ fn subcommand_reports_the_first_bad_flag_in_argv_order() {
         assert_flag_error(prefix, &[a, "x", "--bogus"], &a_err);
         assert_usage(prefix, &["--bogus", a, "x"]);
     }
+    // `watch` has one flag that can take a garbage value; a bare
+    // `--script` is its other bad flag, and only fits last in argv.
+    let cache = bad("--result-cache", "on|off");
+    assert_flag_error(WATCH, &["--result-cache", "x", "--script"], &cache);
+    assert_flag_error(WATCH, &["--result-cache", "x", "--bogus"], &cache);
+    assert_usage(WATCH, &["--bogus", "--result-cache", "x"]);
     // A value check that is no parse error keeps its place in the order.
     let qps = "--qps must be positive";
     assert_flag_error(BENCH_SERVE, &["--qps", "0", "--duration-ms", "x"], qps);
