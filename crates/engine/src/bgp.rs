@@ -7,8 +7,7 @@
 use crate::binding::Binding;
 use crate::plan::{labelled_run, pinned_nodes, plan_bgp, AccessPath, BgpPlan, CheapestRuns};
 use crate::table::Table;
-use cs_graph::fxhash::FxHashSet;
-use cs_graph::{Graph, NodeId, Predicate};
+use cs_graph::{CmpOp, Condition, EdgeId, Graph, LabelId, NodeId, Predicate, PropRef};
 use std::sync::Arc;
 
 /// One position of an edge pattern: a variable plus the predicate that
@@ -146,238 +145,257 @@ pub fn pattern_components(patterns: &[TriplePattern]) -> Vec<Vec<usize>> {
     out
 }
 
-/// The bindings the accumulated table already holds for a pattern's
-/// variable positions — the semi-join pushdown sets. A position is
-/// `None` when the variable is not yet bound.
-#[derive(Debug, Default)]
-struct BoundSets {
-    src: Option<FxHashSet<Binding>>,
-    edge: Option<FxHashSet<Binding>>,
-    dst: Option<FxHashSet<Binding>>,
+/// A pattern predicate resolved against one graph, once per step:
+/// label and type equalities become [`LabelId`] compares.
+struct Resolved<'p> {
+    checks: Vec<Check<'p>>,
 }
 
-impl BoundSets {
-    /// Collects the pushdown sets for `p` from the accumulated table,
-    /// each straight from its column in one pass.
-    fn from_table(acc: &Table, p: &TriplePattern) -> BoundSets {
-        let get = |v: &Arc<str>| -> Option<FxHashSet<Binding>> {
-            let c = acc.col(v)?;
-            Some(acc.rows().map(|r| r[c]).collect())
-        };
-        BoundSets {
-            src: get(&p.src.var),
-            edge: get(&p.edge.var),
-            dst: get(&p.dst.var),
+/// One resolved condition.
+enum Check<'p> {
+    /// `l(v) = c`, with `c` interned as this id.
+    Label(LabelId),
+    /// `τ(v) = c`, with `c` interned as this id (nodes only).
+    Type(LabelId),
+    /// An equality on a label or type the graph does not hold.
+    Never,
+    /// Any other condition, checked as written.
+    Other(&'p Condition),
+}
+
+impl<'p> Resolved<'p> {
+    /// Resolves `pred` against `g`. A label-equality on `walked`, the
+    /// edge label whose own runs supply the candidates, is dropped:
+    /// every candidate carries it.
+    fn new(g: &Graph, pred: &'p Predicate, walked: Option<LabelId>) -> Self {
+        let checks = pred
+            .conditions
+            .iter()
+            .filter_map(|c| {
+                let id = || c.constant.as_str().map(|s| g.label_id(s));
+                Some(match (&c.prop, c.op, id()) {
+                    (PropRef::Label, CmpOp::Eq, Some(Some(l))) if Some(l) == walked => return None,
+                    (PropRef::Label, CmpOp::Eq, Some(Some(l))) => Check::Label(l),
+                    (PropRef::Type, CmpOp::Eq, Some(Some(t))) => Check::Type(t),
+                    (PropRef::Label | PropRef::Type, CmpOp::Eq, Some(None)) => Check::Never,
+                    _ => Check::Other(c),
+                })
+            })
+            .collect();
+        Resolved { checks }
+    }
+
+    #[inline]
+    fn node(&self, g: &Graph, n: NodeId) -> bool {
+        self.checks.iter().all(|c| match c {
+            Check::Label(l) => g.node(n).label == *l,
+            Check::Type(t) => g.node(n).types.contains(t),
+            Check::Never => false,
+            Check::Other(c) => c.matches_node(g, n),
+        })
+    }
+
+    #[inline]
+    fn edge(&self, g: &Graph, e: EdgeId) -> bool {
+        self.checks.iter().all(|c| match c {
+            Check::Label(l) => g.edge(e).label == *l,
+            // Edges carry no types.
+            Check::Type(_) | Check::Never => false,
+            Check::Other(c) => c.matches_edge(g, e),
+        })
+    }
+}
+
+/// A node-position binding of an accumulated row: `Ok(None)` when the
+/// position is unbound, `Err(())` when its variable is bound to an
+/// edge (no node can match).
+#[inline]
+fn bound_node(row: &[Binding], col: Option<usize>) -> Result<Option<NodeId>, ()> {
+    match col {
+        None => Ok(None),
+        Some(c) => row[c].as_node().map(Some).ok_or(()),
+    }
+}
+
+/// Extends every row of `acc` by the embeddings of pattern `p`
+/// compatible with it — one index nested-loop step. Rows come in
+/// `acc`'s order, each row's extensions in the order its candidates
+/// are generated:
+///
+/// - a bound edge variable is its own single candidate;
+/// - a bound endpoint walks its labelled run of the pinned edge label
+///   (the shorter of the two when both ends are bound), or, without a
+///   label, its adjacency run filtered by direction;
+/// - with nothing bound (the first step, from the unit row), the
+///   planned access path is scanned ([`scan_candidates`]).
+///
+/// Runs list edges in ascending id, so a row's extensions do too.
+/// Each candidate is checked against the bound values and the
+/// pattern's predicates; the new columns are the pattern's unbound
+/// variables, each once, in source, edge, target order.
+fn extend(g: &Graph, p: &TriplePattern, access: &AccessPath, acc: &Table) -> Table {
+    let mut vars = acc.vars().to_vec();
+    for t in [&p.src, &p.edge, &p.dst] {
+        if !vars.contains(&t.var) {
+            vars.push(t.var.clone());
         }
     }
-}
-
-/// Evaluates one triple pattern into a table under a planned access
-/// path, with bound-variable pushdown.
-///
-/// The access path fixes the *static* candidate source (edge-label
-/// index, pinned nodes' labelled runs, node-index scan, full scan);
-/// when the accumulated table already binds one of the pattern's
-/// variables, the evaluator may instead expand from the bound bindings
-/// when that set is smaller — the semi-join-style pushdown that makes
-/// cost-ordered plans prune.
-/// Either way, bound sets are applied as membership filters, so the
-/// produced table contains exactly the rows that can survive the join
-/// with the accumulated table.
-fn eval_pattern_access(
-    g: &Graph,
-    p: &TriplePattern,
-    access: &AccessPath,
-    bound: &BoundSets,
-) -> Table {
-    // Output schema: deduplicate repeated variables within the pattern.
-    let mut cols: Vec<Arc<str>> = vec![p.src.var.clone()];
-    let edge_dup = p.edge.var == p.src.var;
-    if !edge_dup {
-        cols.push(p.edge.var.clone());
+    let mut out = Table::new(vars);
+    // A node and an edge are never equal bindings.
+    if p.edge.var == p.src.var || p.edge.var == p.dst.var {
+        return out;
     }
-    let dst_dup_src = p.dst.var == p.src.var;
-    let dst_dup_edge = p.dst.var == p.edge.var;
-    if !dst_dup_src && !dst_dup_edge {
-        cols.push(p.dst.var.clone());
-    }
-    let mut out = Table::new(cols);
+    let label = match p.edge.pred.eq_label() {
+        Some(s) => match g.label_id(s) {
+            Some(l) => Some(l),
+            None => return out, // absent label => no rows
+        },
+        None => None,
+    };
+    let (src_col, edge_col, dst_col) = (
+        acc.col(&p.src.var),
+        acc.col(&p.edge.var),
+        acc.col(&p.dst.var),
+    );
+    let self_loop = p.dst.var == p.src.var;
+    let (push_src, push_edge) = (src_col.is_none(), edge_col.is_none());
+    let push_dst = dst_col.is_none() && !self_loop;
+    let src_pred = Resolved::new(g, &p.src.pred, None);
+    let dst_pred = Resolved::new(g, &p.dst.pred, None);
+    // Every walk but a bound edge's walks the label's own edges.
+    let walked = if push_edge { label } else { None };
+    let edge_pred = Resolved::new(g, &p.edge.pred, walked);
 
-    let dups = (edge_dup, dst_dup_src, dst_dup_edge);
-    if bound.src.is_some() || bound.edge.is_some() || bound.dst.is_some() {
-        scan_candidates(g, p, access, bound, |e| {
-            // Semi-join pushdown: rows incompatible with the
-            // accumulated table's bindings can never survive the join.
+    for row in acc.rows() {
+        let (Ok(s), Ok(d)) = (bound_node(row, src_col), bound_node(row, dst_col)) else {
+            continue;
+        };
+        if s.is_some_and(|n| !src_pred.node(g, n)) || d.is_some_and(|n| !dst_pred.node(g, n)) {
+            continue;
+        }
+        let mut emit = |e: EdgeId| {
             let ed = g.edge(e);
-            if bound
-                .src
-                .as_ref()
-                .is_some_and(|s| !s.contains(&Binding::Node(ed.src)))
-                || bound
-                    .edge
-                    .as_ref()
-                    .is_some_and(|s| !s.contains(&Binding::Edge(e)))
-                || bound
-                    .dst
-                    .as_ref()
-                    .is_some_and(|s| !s.contains(&Binding::Node(ed.dst)))
-            {
+            let src_ok = s.map_or_else(|| src_pred.node(g, ed.src), |n| ed.src == n);
+            let dst_ok = d.map_or_else(|| dst_pred.node(g, ed.dst), |n| ed.dst == n);
+            if !src_ok || !dst_ok || (self_loop && ed.src != ed.dst) || !edge_pred.edge(g, e) {
                 return;
             }
-            emit_row(g, p, e, dups, &mut out);
-        });
-    } else {
-        // Monomorphised fast path: an unbound (first or standalone)
-        // pattern pays no per-edge bound checks at all.
-        scan_candidates(g, p, access, bound, |e| emit_row(g, p, e, dups, &mut out));
+            let new = [
+                (push_src, Binding::Node(ed.src)),
+                (push_edge, Binding::Edge(e)),
+                (push_dst, Binding::Node(ed.dst)),
+            ];
+            out.push_extended(
+                row,
+                new.into_iter().filter(|&(keep, _)| keep).map(|(_, b)| b),
+            );
+        };
+        if let Some(c) = edge_col {
+            if let Some(e) = row[c].as_edge() {
+                emit(e);
+            }
+            continue;
+        }
+        match (s, d) {
+            (None, None) => scan_candidates(g, p, access, emit),
+            (Some(s), None) => walk_run(g, s, true, label, emit),
+            (None, Some(d)) => walk_run(g, d, false, label, emit),
+            (Some(s), Some(d)) => {
+                if run_len(g, d, false, label) < run_len(g, s, true, label) {
+                    walk_run(g, d, false, label, emit);
+                } else {
+                    walk_run(g, s, true, label, emit);
+                }
+            }
+        }
     }
     out
 }
 
-/// Applies the pattern predicates and repeated-variable constraints to
-/// one candidate edge and appends the resulting row. `dups` is
-/// (edge==src, dst==src, dst==edge) variable coincidence, precomputed
-/// by the caller.
-#[inline(always)]
-fn emit_row(
-    g: &Graph,
-    p: &TriplePattern,
-    e: cs_graph::EdgeId,
-    (edge_dup, dst_dup_src, dst_dup_edge): (bool, bool, bool),
-    out: &mut Table,
-) {
-    let ed = g.edge(e);
-    if !p.src.pred.matches_node(g, ed.src)
-        || !p.edge.pred.matches_edge(g, e)
-        || !p.dst.pred.matches_node(g, ed.dst)
-    {
-        return;
+/// The length of `n`'s run in one direction: its labelled run of
+/// `label`, or without a label its whole adjacency run.
+fn run_len(g: &Graph, n: NodeId, outgoing: bool, label: Option<LabelId>) -> usize {
+    match label {
+        Some(l) => labelled_run(g, n, l, outgoing).len(),
+        None => g.degree(n),
     }
-    // Repeated variables force equality between positions. A node
-    // and an edge can never be equal bindings.
-    if edge_dup || dst_dup_edge {
-        return;
-    }
-    if dst_dup_src && ed.src != ed.dst {
-        return;
-    }
-    let mut row = vec![Binding::Node(ed.src), Binding::Edge(e)];
-    if !dst_dup_src {
-        row.push(Binding::Node(ed.dst));
-    } else {
-        row.truncate(2);
-    }
-    out.push(row.into_boxed_slice());
 }
 
-/// Generates the candidate edges of a pattern under an access path and
-/// feeds each to `emit` (which applies predicates, pushdown filters,
-/// and row construction). Separated from the emission so the
-/// no-pushdown path monomorphises without bound checks.
-///
-/// The access path fixes the static source: the label index, the
-/// planned pinned side's runs, or a full scan. Bound endpoint sets and
-/// the planned pinned side go through one [`CheapestRuns`] chooser,
-/// bound source first, then bound target, then the pinned side; each
-/// is costed in incident entries walked — exact labelled-run lengths
-/// when the label is pinned, degree sums otherwise — and must be
-/// strictly cheaper than the label index to replace it. The chosen runs
-/// are walked exactly as they were costed. Without pushdown the
-/// executed source is therefore the planned access path; with it, a
-/// cheaper bound endpoint set overrides the static path, which the plan
-/// documents in [`crate::PatternPlan::pushdown`].
+/// Feeds `emit` the edges leaving (`outgoing`) or entering `n`: its
+/// labelled run of `label`, or without a label its adjacency entries
+/// of that direction. Both are in ascending edge id.
+fn walk_run(
+    g: &Graph,
+    n: NodeId,
+    outgoing: bool,
+    label: Option<LabelId>,
+    mut emit: impl FnMut(EdgeId),
+) {
+    match label {
+        Some(l) => labelled_run(g, n, l, outgoing)
+            .iter()
+            .for_each(|&e| emit(e)),
+        None => {
+            for a in g.adjacent(n) {
+                if a.outgoing() == outgoing {
+                    emit(a.edge());
+                }
+            }
+        }
+    }
+}
+
+/// Generates the candidate edges of a pattern with nothing bound under
+/// its planned access path, and feeds each to `emit`: the label index,
+/// the pinned side's labelled runs when they are shorter in total (one
+/// [`CheapestRuns`] chooser, as the planner costed them), the pinned
+/// nodes' adjacency runs filtered by direction, or every edge.
 fn scan_candidates(
     g: &Graph,
     p: &TriplePattern,
     access: &AccessPath,
-    bound: &BoundSets,
-    mut emit: impl FnMut(cs_graph::EdgeId),
+    mut emit: impl FnMut(EdgeId),
 ) {
-    // Bound edge bindings are exact candidates: nothing can beat them.
-    if let Some(edges) = &bound.edge {
-        for b in edges {
-            if let Some(e) = b.as_edge() {
-                emit(e);
-            }
-        }
-        return;
-    }
-
-    // Offers the bound endpoint sets, then the planned pinned side.
-    fn offer_endpoints<'g, T, R: Fn(NodeId, bool) -> &'g [T]>(
-        g: &'g Graph,
-        p: &TriplePattern,
-        bound: &BoundSets,
-        pinned_src: Option<bool>,
-        pick: &mut CheapestRuns<'g, T, R>,
-    ) {
-        for (set, outgoing) in [(&bound.src, true), (&bound.dst, false)] {
-            if let Some(s) = set {
-                pick.offer(s.len(), s.iter().filter_map(|b| b.as_node()), outgoing);
-            }
-        }
-        if let Some(on_src) = pinned_src {
-            let term = if on_src { &p.src } else { &p.dst };
-            if let Some((_, nodes)) = pinned_nodes(g, &term.pred) {
-                pick.offer(nodes.len(), nodes.iter().copied(), on_src);
-            }
-        }
-    }
-
-    let pinned_src = match access {
-        AccessPath::LabelledRun { on_src, .. } | AccessPath::NodeIndexScan { on_src, .. } => {
-            Some(*on_src)
-        }
-        AccessPath::EdgeLabelIndex { .. } | AccessPath::FullScan => None,
+    let pinned = |on_src: bool| {
+        let term = if on_src { &p.src } else { &p.dst };
+        pinned_nodes(g, &term.pred).map(|(_, nodes)| nodes)
     };
     match access {
         AccessPath::EdgeLabelIndex { label } | AccessPath::LabelledRun { label, .. } => {
             let Some(l) = g.label_id(label) else {
                 return; // absent label => empty table
             };
-            let index: &[cs_graph::EdgeId] = g.edges_with_label(l);
-            let mut pick = CheapestRuns::new(index.len(), |n, out| labelled_run(g, n, l, out));
-            offer_endpoints(g, p, bound, pinned_src, &mut pick);
+            let index: &[EdgeId] = g.edges_with_label(l);
+            let mut pick = CheapestRuns::new(g, l, index.len());
+            if let AccessPath::LabelledRun { on_src, .. } = access {
+                if let Some(nodes) = pinned(*on_src) {
+                    pick.offer(nodes, *on_src);
+                }
+            }
             // Labelled runs list exactly the label's edges at each node,
             // in ascending edge-id order.
-            let runs = pick
-                .into_best()
-                .map_or_else(|| vec![index], |(runs, _)| runs);
+            let runs = pick.into_best().unwrap_or_else(|| vec![index]);
             for run in runs {
-                for &e in run {
-                    emit(e);
-                }
+                run.iter().for_each(|&e| emit(e));
             }
         }
-        AccessPath::NodeIndexScan { .. } | AccessPath::FullScan => {
-            // Without a label, a node set walks whole adjacency runs,
-            // keeping the entries of its direction; any node set beats
-            // the full scan.
-            let mut pick = CheapestRuns::new(usize::MAX, |n, _| g.adjacent(n));
-            offer_endpoints(g, p, bound, pinned_src, &mut pick);
-            match pick.into_best() {
-                Some((runs, outgoing)) => {
-                    for run in runs {
-                        for a in run.iter().filter(|a| a.outgoing() == outgoing) {
-                            emit(a.edge());
-                        }
-                    }
-                }
-                None => {
-                    for e in g.edge_ids() {
-                        emit(e);
-                    }
+        // Without a label, the pinned nodes walk their adjacency runs
+        // in the pattern's direction.
+        AccessPath::NodeIndexScan { on_src, .. } => match pinned(*on_src) {
+            Some(nodes) => {
+                for &n in nodes {
+                    walk_run(g, n, *on_src, None, &mut emit);
                 }
             }
-        }
+            None => g.edge_ids().for_each(emit),
+        },
+        AccessPath::FullScan => g.edge_ids().for_each(emit),
     }
 }
 
 /// Evaluates a whole BGP through the statistics-driven planner: a
-/// cost-ordered left-deep plan is chosen *before* any pattern table is
-/// materialised ([`plan_bgp`]), then executed with bound-variable
-/// pushdown — each step's pattern is evaluated against only the
-/// bindings the accumulated table can still join with.
+/// cost-ordered left-deep plan is chosen first ([`plan_bgp`]), then
+/// executed by [`eval_bgp_with_plan`].
 pub fn eval_bgp(g: &Graph, bgp: &Bgp) -> Table {
     assert!(
         bgp.is_connected(),
@@ -387,60 +405,32 @@ pub fn eval_bgp(g: &Graph, bgp: &Bgp) -> Table {
 }
 
 /// Executes a BGP under an explicit [`BgpPlan`] (normally produced by
-/// [`plan_bgp`]). The plan must cover every pattern of `bgp` exactly
-/// once.
+/// [`plan_bgp`]) as an index nested-loop extension over flat rows. The
+/// plan must cover every pattern of `bgp` exactly once.
+///
+/// The first step scans its planned access path; every later step
+/// extends each row built so far by the pattern's matching edges,
+/// walked from the row's bound values (a connected BGP's later steps
+/// always share a variable with the rows). No per-pattern table is
+/// materialised and nothing is hash-joined.
+///
+/// Rows come in *plan order*: the first step's scan order, and each
+/// row's extensions in ascending edge id. A one-pattern BGP therefore
+/// lists its rows in access-path order.
 pub fn eval_bgp_with_plan(g: &Graph, bgp: &Bgp, plan: &BgpPlan) -> Table {
     if bgp.patterns.is_empty() {
         return Table::new(Vec::new());
     }
-    let mut acc: Option<Table> = None;
-    for (si, step) in plan.steps.iter().enumerate() {
-        let p = &bgp.patterns[step.pattern];
-        let t = match &acc {
-            None => eval_pattern_access(g, p, &step.access, &BoundSets::default()),
-            Some(a) => eval_pattern_access(g, p, &step.access, &BoundSets::from_table(a, p)),
-        };
-        let next = match acc.take() {
-            None => t,
-            Some(a) => a.natural_join(&t),
-        };
-        if next.is_empty() {
-            // Short-circuit: the join result can only stay empty, but
-            // the schema must still include every pattern variable.
-            let mut vars = next.vars().to_vec();
-            for later in &plan.steps[si..] {
-                let q = &bgp.patterns[later.pattern];
-                for term in [&q.src, &q.edge, &q.dst] {
-                    if !vars.contains(&term.var) {
-                        vars.push(term.var.clone());
-                    }
-                }
-            }
-            return Table::new(vars);
-        }
-        acc = Some(next);
+    let mut acc = Table::unit();
+    // An empty table stays empty, but its later steps still add their
+    // variables to the schema.
+    for step in &plan.steps {
+        acc = extend(g, &bgp.patterns[step.pattern], &step.access, &acc);
     }
-    acc.unwrap_or_else(|| Table::new(Vec::new()))
-}
-
-/// Evaluates a BGP with the pre-planner strategy: materialise every
-/// pattern table eagerly, then join them with [`join_all`].
-/// Kept as the reference implementation the planner is property-tested
-/// against, and as an A/B baseline for benchmarks.
-pub fn eval_bgp_greedy(g: &Graph, bgp: &Bgp) -> Table {
-    assert!(
-        bgp.is_connected(),
-        "BGP violates Def 2.4: patterns must be connected"
-    );
-    let tables: Vec<Table> = bgp
-        .patterns
-        .iter()
-        .map(|p| {
-            let (access, _) = crate::plan::choose_access(g, p);
-            eval_pattern_access(g, p, &access, &BoundSets::default())
-        })
-        .collect();
-    join_all(tables)
+    // The table outlives this call: the query keeps it through its
+    // CTP searches and the final join.
+    acc.shrink_to_fit();
+    acc
 }
 
 /// Greedy natural join of all tables: smallest first, preferring
@@ -573,27 +563,6 @@ mod tests {
         b.push(Term::var("y"), Term::var("e3"), Term::var("z"));
         let comps = pattern_components(&b.patterns);
         assert_eq!(comps, vec![vec![0, 2], vec![1]]);
-    }
-
-    #[test]
-    fn planned_matches_greedy_on_fig1() {
-        let g = figure1();
-        let mut b = Bgp::new();
-        b.push(
-            Term::var("x"),
-            Term::pred("_e0", Predicate::label("citizenOf")),
-            Term::var("c"),
-        );
-        b.push(Term::var("x"), Term::var("e2"), Term::var("y"));
-        let planned = eval_bgp(&g, &b);
-        let greedy = eval_bgp_greedy(&g, &b);
-        assert_eq!(planned.len(), greedy.len());
-        let order: Vec<&str> = planned.vars().iter().map(|v| v.as_ref()).collect();
-        let mut a: Vec<Vec<Binding>> = planned.rows().map(|r| r.to_vec()).collect();
-        let mut c: Vec<Vec<Binding>> = greedy.project(&order).rows().map(|r| r.to_vec()).collect();
-        a.sort();
-        c.sort();
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! The paper delegates BGP evaluation and final joins to PostgreSQL
 //! (§5.1); this crate is the equivalent in-memory substrate: binding
 //! tables with relational operators (selection, projection, natural
-//! hash join, distinct, sort, limit) and a BGP matcher driven by a
-//! statistics-based planner — per-pattern [`AccessPath`]s with
-//! cardinality estimates from the graph's cached
+//! hash join, distinct, sort, limit) over flat rows, and a BGP matcher
+//! driven by a statistics-based planner — per-pattern [`AccessPath`]s
+//! with cardinality estimates from the graph's cached
 //! [`cs_graph::Cardinalities`] snapshot, ordered into a cost-based
-//! left-deep join plan with bound-variable pushdown ([`plan_bgp`],
-//! [`explain_plan`]).
+//! left-deep plan ([`plan_bgp`], [`explain_plan`]) that runs as an
+//! index nested-loop extension of the rows built so far.
 //!
 //! ```
 //! use cs_engine::{Bgp, Term, eval_bgp};
@@ -40,8 +40,7 @@ mod plan;
 mod table;
 
 pub use bgp::{
-    eval_bgp, eval_bgp_greedy, eval_bgp_with_plan, join_all, pattern_components, Bgp, Term,
-    TriplePattern,
+    eval_bgp, eval_bgp_with_plan, join_all, pattern_components, Bgp, Term, TriplePattern,
 };
 pub use binding::Binding;
 pub use cache::{bgp_shape, PlanCache};

@@ -7,9 +7,8 @@
 //! estimated cardinality derived from the graph's cached
 //! [`Cardinalities`] snapshot, and the patterns are ordered into a
 //! left-deep join sequence so that high-selectivity patterns evaluate
-//! first and later steps can prune through bound-variable pushdown
-//! (a semi-join filter on the variables the accumulated table already
-//! binds).
+//! first and later steps extend only the rows built so far, from the
+//! variables those rows already bind.
 //!
 //! Plans see the query's constants, as an RDBMS optimiser does: a
 //! pattern such as `(x, "citizenOf", "place3")` that pins an edge label
@@ -18,10 +17,10 @@
 //! walks those runs when they are shorter ([`AccessPath::LabelledRun`]).
 //!
 //! Every estimate is an **upper bound** on the actual pattern table
-//! size: residual predicates and pushdown only remove rows.
+//! size: residual predicates only remove rows.
 
 use crate::bgp::{Bgp, TriplePattern};
-use cs_graph::{Graph, LabelId, NodeId, Predicate};
+use cs_graph::{EdgeId, Graph, LabelId, NodeId, Predicate};
 use std::fmt;
 use std::sync::Arc;
 
@@ -78,8 +77,8 @@ impl fmt::Display for AccessPath {
 }
 
 /// One step of a [`BgpPlan`]: which pattern to evaluate, how, at what
-/// estimated cost, and which of its variables the accumulated table
-/// already binds (enabling semi-join pushdown).
+/// estimated cost, and which of its variables the rows built by earlier
+/// steps already bind (the variables it extends them from).
 #[derive(Debug, Clone)]
 pub struct PatternPlan {
     /// Index of the pattern in [`Bgp::patterns`].
@@ -100,9 +99,10 @@ pub struct PatternPlan {
     /// ties); unlike `estimate` it is *not* an upper bound — the
     /// independence assumption can err in both directions.
     pub join_rows: usize,
-    /// Variables of this pattern bound by earlier steps; the evaluator
-    /// pushes them down as semi-join filters (and may expand from the
-    /// bound node set instead of the static access path when smaller).
+    /// Variables of this pattern bound by earlier steps. The evaluator
+    /// extends from the bound rows: each row's bound edge, or its bound
+    /// endpoint's labelled or adjacency run, supplies the candidates,
+    /// so the static access path serves only a step with nothing bound.
     pub pushdown: Vec<Arc<str>>,
 }
 
@@ -170,12 +170,7 @@ pub(crate) fn pinned_nodes<'g, 'p>(
 
 /// Edges with label `l` leaving (`outgoing`) or entering `n`: one
 /// binary search into the per-label endpoint-sorted CSR column.
-pub(crate) fn labelled_run(
-    g: &Graph,
-    n: NodeId,
-    l: LabelId,
-    outgoing: bool,
-) -> &[cs_graph::EdgeId] {
+pub(crate) fn labelled_run(g: &Graph, n: NodeId, l: LabelId, outgoing: bool) -> &[EdgeId] {
     if outgoing {
         g.out_edges_labelled(n, l)
     } else {
@@ -183,50 +178,46 @@ pub(crate) fn labelled_run(
     }
 }
 
-/// The cheapest endpoint source of one pattern. Node sets are offered
-/// in turn; each is costed by the exact total length of its nodes' runs
-/// — the entries walking it visits — and kept only when strictly
-/// cheaper than the best so far, which starts at the static source's
-/// cost (the label index length, say). Costing stays bounded: a set is
-/// costed only when it holds fewer nodes than the best cost so far
+/// The cheapest labelled-run source of one pattern with edge label
+/// `label`. Pinned node sets are offered in turn; each is costed by the
+/// exact total length of its nodes' runs — the entries walking it
+/// visits — and kept only when strictly cheaper than the best so far,
+/// which starts at the label index length. Costing stays bounded: a set
+/// is costed only when it holds fewer nodes than the best cost so far
 /// (walking it pays one run lookup per node), and its costing stops as
 /// soon as its running total reaches that cost. The winner keeps the
 /// runs it was costed by, so the walk never looks them up again.
-pub(crate) struct CheapestRuns<'g, T, R> {
-    run: R,
+pub(crate) struct CheapestRuns<'g> {
+    g: &'g Graph,
+    label: LabelId,
     /// The best cost so far.
     cost: usize,
-    /// The winning runs (empty runs dropped) and whether they are
-    /// outgoing; `None` while no offer has beaten the initial cost.
-    best: Option<(Vec<&'g [T]>, bool)>,
+    /// The winning runs (empty runs dropped); `None` while no offer has
+    /// beaten the initial cost.
+    best: Option<Vec<&'g [EdgeId]>>,
 }
 
-impl<'g, T, R: Fn(NodeId, bool) -> &'g [T]> CheapestRuns<'g, T, R> {
-    /// A chooser whose offers must beat `cost`; `run(n, outgoing)` is
-    /// node `n`'s run in one direction.
-    pub fn new(cost: usize, run: R) -> Self {
+impl<'g> CheapestRuns<'g> {
+    /// A chooser over `label`'s runs whose offers must beat `cost`.
+    pub fn new(g: &'g Graph, label: LabelId, cost: usize) -> Self {
         CheapestRuns {
-            run,
+            g,
+            label,
             cost,
             best: None,
         }
     }
 
-    /// Offers the `count` nodes of `nodes`, expanded in direction
-    /// `outgoing`; returns true if they became the best source.
-    pub fn offer(
-        &mut self,
-        count: usize,
-        nodes: impl IntoIterator<Item = NodeId>,
-        outgoing: bool,
-    ) -> bool {
-        if count >= self.cost {
+    /// Offers `nodes`, expanded in direction `outgoing`; returns true if
+    /// they became the best source.
+    pub fn offer(&mut self, nodes: &[NodeId], outgoing: bool) -> bool {
+        if nodes.len() >= self.cost {
             return false;
         }
         let mut runs = Vec::new();
         let mut total = 0;
-        for n in nodes {
-            let r = (self.run)(n, outgoing);
+        for &n in nodes {
+            let r = labelled_run(self.g, n, self.label, outgoing);
             total += r.len();
             if total >= self.cost {
                 return false;
@@ -236,7 +227,7 @@ impl<'g, T, R: Fn(NodeId, bool) -> &'g [T]> CheapestRuns<'g, T, R> {
             }
         }
         self.cost = total;
-        self.best = Some((runs, outgoing));
+        self.best = Some(runs);
         true
     }
 
@@ -245,8 +236,8 @@ impl<'g, T, R: Fn(NodeId, bool) -> &'g [T]> CheapestRuns<'g, T, R> {
         self.cost
     }
 
-    /// The winning runs and their direction, if any offer won.
-    pub fn into_best(self) -> Option<(Vec<&'g [T]>, bool)> {
+    /// The winning runs, if any offer won.
+    pub fn into_best(self) -> Option<Vec<&'g [EdgeId]>> {
         self.best
     }
 }
@@ -285,11 +276,11 @@ pub fn choose_access(g: &Graph, p: &TriplePattern) -> (AccessPath, usize) {
             return (access, 0);
         };
         let index_len = card.edge_label_count(l);
-        let mut pick = CheapestRuns::new(index_len, |n, out| labelled_run(g, n, l, out));
+        let mut pick = CheapestRuns::new(g, l, index_len);
         let mut side = None;
         for (on_src, term) in [(true, &p.src), (false, &p.dst)] {
             if let Some((key, nodes)) = pinned_nodes(g, &term.pred) {
-                if pick.offer(nodes.len(), nodes.iter().copied(), on_src) {
+                if pick.offer(nodes, on_src) {
                     side = Some((on_src, key));
                 }
             }

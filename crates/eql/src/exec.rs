@@ -641,15 +641,16 @@ pub(crate) fn materialise_ctps(
         let mut columns: Vec<&str> = col_vars.iter().filter_map(|v| v.as_deref()).collect();
         columns.push(&ctp.out_var);
         let mut table = Table::with_columns(&columns);
+        let mut row: Vec<Binding> = Vec::with_capacity(columns.len());
         for (ti, t) in result_trees.iter().enumerate() {
-            let mut row: Vec<Binding> = Vec::with_capacity(columns.len());
+            row.clear();
             for (i, v) in col_vars.iter().enumerate() {
                 if v.is_some() {
                     row.push(Binding::Node(t.seeds[i]));
                 }
             }
             row.push(Binding::Tree(ti as u32));
-            table.push(row.into_boxed_slice());
+            table.push_row(&row);
         }
         ctp_tables.push(table);
         trees.insert(ctp.out_var.clone(), result_trees);
