@@ -20,7 +20,7 @@ use crate::config::{Filters, QueueOrder, QueuePolicy};
 use crate::result::{ResultSet, ResultTree, SearchOutcome, SearchStats};
 use crate::seedmask::SeedMask;
 use crate::seeds::SeedSets;
-use crate::tree::{Provenance, TreeData, TreeId, TreeStore};
+use crate::tree::{Provenance, TreeData, TreeId, TreeStore, MAX_TREES};
 use cs_graph::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
 use cs_graph::{EdgeId, Graph, LabelId, NodeId};
 use std::collections::hash_map::Entry;
@@ -90,23 +90,37 @@ impl SeedsRef<'_> {
     }
 }
 
+/// A queued Grow opportunity: grow `tree` along `edge` to `node`, the
+/// edge's far end from the tree's root, whose seed-set membership is
+/// `membership`. [`GamEngine::queue_grows`] has both at hand when it
+/// pushes the pair, so a pop reads neither the graph nor the seed map.
+#[derive(Debug, Clone, Copy)]
+struct GrowPair {
+    tree: TreeId,
+    edge: EdgeId,
+    node: NodeId,
+    membership: SeedMask,
+}
+
+const _: () = assert!(std::mem::size_of::<GrowPair>() <= 24);
+
 /// Grow opportunities in FIFO buckets keyed by priority. `pop` takes
 /// the oldest pair of the highest key: the order of a max-heap on the
 /// key with ties broken by insertion, without a sequence number or a
 /// sift per push and pop.
 #[derive(Default)]
 struct Buckets {
-    by_key: BTreeMap<i64, VecDeque<(TreeId, EdgeId)>>,
+    by_key: BTreeMap<i64, VecDeque<GrowPair>>,
     len: usize,
 }
 
 impl Buckets {
-    fn push(&mut self, key: i64, pair: (TreeId, EdgeId)) {
+    fn push(&mut self, key: i64, pair: GrowPair) {
         self.by_key.entry(key).or_default().push_back(pair);
         self.len += 1;
     }
 
-    fn pop(&mut self) -> Option<(TreeId, EdgeId)> {
+    fn pop(&mut self) -> Option<GrowPair> {
         let mut top = self.by_key.last_entry()?;
         let pair = top.get_mut().pop_front();
         if top.get().is_empty() {
@@ -133,14 +147,14 @@ impl Queues {
         }
     }
 
-    fn push(&mut self, mask: SeedMask, key: i64, pair: (TreeId, EdgeId)) {
+    fn push(&mut self, mask: SeedMask, key: i64, pair: GrowPair) {
         match self.policy {
             QueuePolicy::Single => self.single.push(key, pair),
             QueuePolicy::Balanced => self.per.entry(mask).or_default().push(key, pair),
         }
     }
 
-    fn pop(&mut self) -> Option<(TreeId, EdgeId)> {
+    fn pop(&mut self) -> Option<GrowPair> {
         match self.policy {
             QueuePolicy::Single => self.single.pop(),
             QueuePolicy::Balanced => {
@@ -157,8 +171,11 @@ impl Queues {
     }
 }
 
-/// Ends a chain through the tree arena.
+/// Ends a chain through the tree arena. No tree has this id: a
+/// [`TreeStore`] holds ids below [`MAX_TREES`].
 const NIL: u32 = u32::MAX;
+
+const _: () = assert!(NIL as usize == MAX_TREES);
 
 /// One tree's links in the engine's two chains through the tree arena,
 /// indexed by [`TreeId`].
@@ -170,10 +187,13 @@ struct Links {
     rooted: u32,
 }
 
-/// The history key of an edge set. Equal hashes do not imply equal edge
-/// sets: every lookup compares the edge slices along the chain.
-fn edge_set_hash(edges: &[EdgeId]) -> u64 {
-    fx_hash_one(&edges)
+/// The history key of an edge set: its 64-bit hash folded to 32 bits.
+/// Equal keys do not imply equal edge sets: every lookup compares the
+/// edge slices along the chain, so a collision costs a comparison and
+/// never changes an answer.
+fn edge_set_hash(edges: &[EdgeId]) -> u32 {
+    let h = fx_hash_one(&edges);
+    (h >> 32) as u32 ^ h as u32
 }
 
 /// The GAM-family search engine. Construct with [`GamEngine::new`],
@@ -188,11 +208,11 @@ pub struct GamEngine<'g> {
     order: QueueOrder,
     store: TreeStore,
     queue: Queues,
-    /// Hist of Algorithm 1: edge-set hash → the newest stored tree with
-    /// that hash; [`Links::hist`] chains each stored tree to the next
+    /// Hist of Algorithm 1: edge-set key ([`edge_set_hash`]) → the newest
+    /// stored tree with that key; [`Links::hist`] chains each stored tree to the next
     /// older one. Every stored tree is in it, so it answers both GAM's
     /// rooted-tree dedup and ESP's edge-set history.
-    hist: FxHashMap<u64, u32>,
+    hist: FxHashMap<u32, u32>,
     /// TreesRootedIn of Algorithm 3: root → (oldest, newest) tree
     /// recorded for merging there; [`Links::rooted`] chains them in
     /// insertion order. Result trees are excluded — they can never
@@ -335,15 +355,27 @@ impl<'g> GamEngine<'g> {
             self.drain_merges();
             return !self.stop;
         }
-        let Some((tree, edge)) = self.queue.pop() else {
+        let Some(pair) = self.queue.pop() else {
             return false;
         };
         self.check_time();
         if self.stop {
             return false;
         }
-        let new_root = self.g.other_endpoint(edge, self.store.get(tree).root);
-        let grown = self.store.make_grow(tree, edge, new_root, self.seeds.get());
+        debug_assert_eq!(
+            pair.node,
+            self.g
+                .other_endpoint(pair.edge, self.store.get(pair.tree).root),
+            "queued far node"
+        );
+        debug_assert_eq!(
+            pair.membership,
+            self.seeds.get().membership(pair.node),
+            "queued membership"
+        );
+        let grown = self
+            .store
+            .make_grow(pair.tree, pair.edge, pair.node, pair.membership);
         self.stats.grows += 1;
         // Algorithm 1 line 10: update ss_root(t') before processing.
         if !grown.path_from.is_empty() {
@@ -373,7 +405,7 @@ impl<'g> GamEngine<'g> {
     }
 
     /// Stored trees whose edge set hashes to `h`, newest first.
-    fn hist_chain(&self, h: u64) -> impl Iterator<Item = TreeId> + '_ {
+    fn hist_chain(&self, h: u32) -> impl Iterator<Item = TreeId> + '_ {
         let mut cur = self.hist.get(&h).copied().unwrap_or(NIL);
         std::iter::from_fn(move || {
             if cur == NIL {
@@ -387,14 +419,14 @@ impl<'g> GamEngine<'g> {
 
     /// True if a tree over `edges` (hashing to `h`) rooted at `root` has
     /// been built.
-    fn has_rooted(&self, h: u64, edges: &[EdgeId], root: NodeId) -> bool {
+    fn has_rooted(&self, h: u32, edges: &[EdgeId], root: NodeId) -> bool {
         self.hist_chain(h)
             .any(|o| self.store.get(o).root == root && self.store.edges(o) == edges)
     }
 
     /// Algorithm 4 `isNew`: the history check with LESP's sparing rule;
     /// `h` is the hash of `t`'s edge set.
-    fn is_new(&self, t: &TreeData, h: u64) -> bool {
+    fn is_new(&self, t: &TreeData, h: u32) -> bool {
         let edges = self.store.view(t).edges;
         if !self.hist_chain(h).any(|o| self.store.edges(o) == edges) {
             return true;
@@ -419,14 +451,21 @@ impl<'g> GamEngine<'g> {
     }
 
     /// Stores `t` and registers it in Hist under `h`, its edge-set hash.
-    fn store_tree(&mut self, t: TreeData, h: u64) -> TreeId {
-        let id = self.store.push(t);
+    /// A full store refuses it: the candidate's pool space is given back
+    /// and the search stops as it does at the provenance budget.
+    fn store_tree(&mut self, t: TreeData, h: u32) -> Option<TreeId> {
+        let Some(id) = self.store.push(t) else {
+            self.store.discard(&t);
+            self.stats.budget_exhausted = true;
+            self.stop = true;
+            return None;
+        };
         let older = self.hist.insert(h, id.0).unwrap_or(NIL);
         self.links.push(Links {
             hist: older,
             rooted: NIL,
         });
-        id
+        Some(id)
     }
 
     /// recordForMerging (Algorithm 3 line 1): appends `id` to
@@ -486,6 +525,7 @@ impl<'g> GamEngine<'g> {
             self.store.discard(&t);
             return None;
         }
+        let id = self.store_tree(t, h)?;
         self.count_provenance();
 
         let sat_total = t.sat.union(self.seeds.get().presatisfied());
@@ -497,7 +537,6 @@ impl<'g> GamEngine<'g> {
             Provenance::Merge(_, _) => true,
             Provenance::Init(_) | Provenance::Mo(_, _) => false,
         };
-        let id = self.store_tree(t, h);
 
         if is_result {
             let r = ResultTree::from_tree(
@@ -549,7 +588,7 @@ impl<'g> GamEngine<'g> {
     /// re-rooted at each of its seed nodes (other than its root), and
     /// schedules them for merging. Each copy is a provenance: the search
     /// stops at the provenance budget like [`GamEngine::process_tree`].
-    fn inject_mo(&mut self, id: TreeId, h: u64) {
+    fn inject_mo(&mut self, id: TreeId, h: u32) {
         for i in 0..self.store.nodes(id).len() {
             if self.stop {
                 return;
@@ -565,8 +604,10 @@ impl<'g> GamEngine<'g> {
                 continue;
             }
             let mo = self.store.make_mo(id, r);
+            let Some(mo_id) = self.store_tree(mo, h) else {
+                return;
+            };
             self.stats.mo_copies += 1;
-            let mo_id = self.store_tree(mo, h);
             self.count_provenance();
             self.record_for_merging(mo_id, r);
         }
@@ -597,11 +638,18 @@ impl<'g> GamEngine<'g> {
                 continue;
             }
             // Grow2: the new node is no seed of an already-covered set.
-            if !self.seeds.get().membership(a.other()).disjoint(td.sat) {
+            let membership = self.seeds.get().membership(a.other());
+            if !membership.disjoint(td.sat) {
                 continue;
             }
             let key = self.order.priority(self.g, td, a.edge());
-            self.queue.push(td.sat, key, (id, a.edge()));
+            let pair = GrowPair {
+                tree: id,
+                edge: a.edge(),
+                node: a.other(),
+                membership,
+            };
+            self.queue.push(td.sat, key, pair);
             self.stats.queue_pushes += 1;
         }
     }
@@ -650,8 +698,8 @@ impl<'g> GamEngine<'g> {
     }
 
     /// Periodic wall-clock + cooperative-cancellation check. Runs every
-    /// 64 Grow steps, so a cancelled or past-deadline search stops
-    /// mid-search (the resumable `step` loop observes `stop` on its
+    /// 64 ticks, counting both Grow pops and merge passes, so a cancelled
+    /// or past-deadline search stops mid-search (the resumable `step` loop observes `stop` on its
     /// next call) instead of running to completion.
     fn check_time(&mut self) {
         self.tick = self.tick.wrapping_add(1);
@@ -947,7 +995,7 @@ mod tests {
     }
 
     /// `isNew` of a candidate tree, which is then discarded.
-    fn candidate_is_new(e: &mut GamEngine<'_>, root: NodeId, edges: &[EdgeId], h: u64) -> bool {
+    fn candidate_is_new(e: &mut GamEngine<'_>, root: NodeId, edges: &[EdgeId], h: u32) -> bool {
         let t = tree(e, root, edges);
         let new = e.is_new(&t, h);
         e.store.discard(&t);
@@ -970,7 +1018,7 @@ mod tests {
         let g = gb.freeze();
         let seeds = SeedSets::from_sets(vec![vec![a], vec![b], vec![c]]).unwrap();
         // Every tree below is registered under this one hash.
-        const H: u64 = 7;
+        const H: u32 = 7;
         let ab = [ea, eb];
         let ac = [ea, ec];
         let bc = [eb, ec];
@@ -986,9 +1034,9 @@ mod tests {
             // h reaches all three seed sets: LESP's sparing applies there.
             e.ss[h.index()] = SeedMask::full(3);
             let t = tree(&mut e, a, &ab);
-            e.store_tree(t, H);
+            e.store_tree(t, H).unwrap();
             let t = tree(&mut e, h, &ac);
-            e.store_tree(t, H);
+            e.store_tree(t, H).unwrap();
             e
         };
 

@@ -7,11 +7,38 @@
 //! ("no node in common besides the root") a linear merge-scan, and
 //! Grow/Merge produce sorted outputs by sorted insertion/union. The
 //! arrays of every tree live in two pools owned by the [`TreeStore`].
+//!
+//! Tree ids and pool offsets are `u32`. They narrow from `usize` only
+//! through `narrow`, and [`TreeStore::push`] refuses a tree past
+//! [`MAX_TREES`] or [`MAX_POOL`], so a stored id or offset never wraps.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::seedmask::SeedMask;
 use crate::seeds::SeedSets;
 use cs_graph::{EdgeId, Graph, NodeId};
 use std::ops::Range;
+
+/// Most trees a [`TreeStore`] holds: ids run below `u32::MAX`, which the
+/// search engine keeps free as the end of its chains.
+pub const MAX_TREES: usize = u32::MAX as usize;
+
+/// Longest either pool may grow, so every offset and length fits a `u32`.
+pub const MAX_POOL: usize = u32::MAX as usize;
+
+/// True if a store of `trees` trees whose pools are `edge_pool` and
+/// `node_pool` ids long (the newest tree's sets included) may keep
+/// that newest tree.
+fn within_limits(trees: usize, edge_pool: usize, node_pool: usize) -> bool {
+    trees < MAX_TREES && edge_pool <= MAX_POOL && node_pool <= MAX_POOL
+}
+
+/// `n` as a `u32` id, offset or length, saturating. A saturated value
+/// is never stored: it can only come from pools past [`MAX_POOL`], and
+/// [`TreeStore::push`] refuses the tree that took them there.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
 
 /// Identifier of a tree within a [`TreeStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,7 +65,7 @@ pub enum Provenance {
     Mo(TreeId, NodeId),
 }
 
-/// A rooted tree under construction: a small record whose edge and
+/// A rooted tree under construction: a 48-byte record whose edge and
 /// node sets live in its [`TreeStore`]'s pools. Read them through
 /// [`TreeStore::edges`], [`TreeStore::nodes`] or [`TreeStore::view`].
 #[derive(Debug, Clone, Copy)]
@@ -46,11 +73,11 @@ pub struct TreeData {
     /// The distinguished root (GAM grows only from here).
     pub root: NodeId,
     /// Where the sorted edge ids start in the store's edge pool.
-    edges_at: usize,
+    edges_at: u32,
     /// Where the sorted node ids start in the store's node pool.
-    nodes_at: usize,
+    nodes_at: u32,
     /// Number of edges; the tree has `len + 1` nodes.
-    len: usize,
+    len: u32,
     /// Explicit seed sets having a seed in this tree (`sat(t)`).
     pub sat: SeedMask,
     /// True if the provenance includes `Mo` — Grow is disabled (§4.5).
@@ -67,17 +94,21 @@ impl TreeData {
     /// Number of edges.
     #[inline]
     pub fn size(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     fn edge_range(&self) -> Range<usize> {
-        self.edges_at..self.edges_at + self.len
+        let at = self.edges_at as usize;
+        at..at + self.size()
     }
 
     fn node_range(&self) -> Range<usize> {
-        self.nodes_at..self.nodes_at + self.len + 1
+        let at = self.nodes_at as usize;
+        at..at + self.size() + 1
     }
 }
+
+const _: () = assert!(std::mem::size_of::<TreeData>() == 48);
 
 /// A tree's sets borrowed from its store: what a [`PriorityFn`]
 /// sees of a Grow candidate's parent.
@@ -176,11 +207,18 @@ impl TreeStore {
         (self.edge_pool.len(), self.node_pool.len())
     }
 
-    /// Stores a tree, returning its id.
-    pub fn push(&mut self, t: TreeData) -> TreeId {
-        let id = TreeId(self.trees.len() as u32);
+    /// Stores a tree, returning its id; `None` if the store is full: it
+    /// already holds [`MAX_TREES`] trees, or the tree's sets end past
+    /// [`MAX_POOL`]. A refused tree is still the newest one built, for
+    /// the caller to [`TreeStore::discard`].
+    pub fn push(&mut self, t: TreeData) -> Option<TreeId> {
+        let (edges, nodes) = self.pool_lens();
+        if !within_limits(self.trees.len(), edges, nodes) {
+            return None;
+        }
+        let id = TreeId(narrow(self.trees.len()));
         self.trees.push(t);
-        id
+        Some(id)
     }
 
     /// Gives back the pool space of a candidate that will not be
@@ -200,18 +238,18 @@ impl TreeStore {
             self.node_pool.len(),
             "not the newest tree"
         );
-        self.edge_pool.truncate(t.edges_at);
-        self.node_pool.truncate(t.nodes_at);
+        self.edge_pool.truncate(t.edges_at as usize);
+        self.node_pool.truncate(t.nodes_at as usize);
     }
 
     /// Builds the `Init(n)` tree for a seed `n`.
     pub fn make_init(&mut self, n: NodeId, seeds: &SeedSets) -> TreeData {
         let membership = seeds.membership(n);
-        let nodes_at = self.node_pool.len();
+        let nodes_at = narrow(self.node_pool.len());
         self.node_pool.push(n);
         TreeData {
             root: n,
-            edges_at: self.edge_pool.len(),
+            edges_at: narrow(self.edge_pool.len()),
             nodes_at,
             len: 0,
             sat: membership,
@@ -222,28 +260,28 @@ impl TreeStore {
     }
 
     /// Builds `Grow(t, e)`: `e` goes between `t.root` and `new_root`
-    /// (either direction); the result is rooted at `new_root`.
+    /// (either direction); the result is rooted at `new_root`, whose
+    /// seed-set membership is `membership`.
     ///
     /// The caller must have verified Grow1 (`new_root ∉ t`) and Grow2
-    /// (`new_root` is no seed of a set in `sat(t)`); debug assertions
+    /// (`membership` is disjoint from `sat(t)`); debug assertions
     /// re-check them.
     pub fn make_grow(
         &mut self,
         t_id: TreeId,
         e: EdgeId,
         new_root: NodeId,
-        seeds: &SeedSets,
+        membership: SeedMask,
     ) -> TreeData {
         let t = *self.get(t_id);
         debug_assert!(!self.view(&t).contains_node(new_root), "Grow1 violated");
-        let membership = seeds.membership(new_root);
         debug_assert!(membership.disjoint(t.sat), "Grow2 violated");
         debug_assert!(!t.is_mo, "Grow is disabled on Mo trees");
         TreeData {
             root: new_root,
             edges_at: insert_at_tail(&mut self.edge_pool, t.edge_range(), e),
             nodes_at: insert_at_tail(&mut self.node_pool, t.node_range(), new_root),
-            len: t.len + 1,
+            len: narrow(t.size() + 1),
             sat: t.sat.union(membership),
             is_mo: false,
             // Still an (n, s)-rooted path iff the parent was one and the
@@ -291,7 +329,7 @@ impl TreeStore {
             root: t1.root,
             edges_at: union_at_tail(&mut self.edge_pool, t1.edge_range(), t2.edge_range()),
             nodes_at: union_at_tail(&mut self.node_pool, t1.node_range(), t2.node_range()),
-            len: t1.len + t2.len,
+            len: narrow(t1.size() + t2.size()),
             sat: t1.sat.union(t2.sat),
             is_mo: t1.is_mo || t2.is_mo,
             path_from: SeedMask::EMPTY,
@@ -330,9 +368,9 @@ impl TreeStore {
         self.node_pool.extend_from_slice(nodes);
         TreeData {
             root,
-            edges_at,
-            nodes_at,
-            len: edges.len(),
+            edges_at: narrow(edges_at),
+            nodes_at: narrow(nodes_at),
+            len: narrow(edges.len()),
             sat,
             is_mo: false,
             path_from: SeedMask::EMPTY,
@@ -344,8 +382,8 @@ impl TreeStore {
 /// Copies the sorted run `pool[run]` to the pool's tail with `x`
 /// inserted in order; returns where the copy starts. Duplicates are
 /// rejected by a debug assertion (trees never repeat an edge or node).
-fn insert_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, run: Range<usize>, x: T) -> usize {
-    let at = pool.len();
+fn insert_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, run: Range<usize>, x: T) -> u32 {
+    let at = narrow(pool.len());
     let found = pool[run.clone()].binary_search(&x);
     debug_assert!(found.is_err(), "duplicate insertion into tree set");
     let split = run.start
@@ -361,8 +399,8 @@ fn insert_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, run: Range<usize>, x: T) -> 
 
 /// Writes the union of the sorted runs `pool[a]` and `pool[b]` (each
 /// duplicate-free) at the pool's tail; returns where it starts.
-fn union_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, a: Range<usize>, b: Range<usize>) -> usize {
-    let at = pool.len();
+fn union_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, a: Range<usize>, b: Range<usize>) -> u32 {
+    let at = narrow(pool.len());
     pool.reserve(a.len() + b.len());
     let (mut i, mut j) = (a.start, b.start);
     while i < a.end && j < b.end {
@@ -462,7 +500,7 @@ mod tests {
     fn inserted<T: Ord + Copy>(run: &[T], x: T) -> Vec<T> {
         let mut pool = run.to_vec();
         let at = insert_at_tail(&mut pool, 0..run.len(), x);
-        pool.split_off(at)
+        pool.split_off(at as usize)
     }
 
     #[test]
@@ -476,7 +514,7 @@ mod tests {
     fn sorted_union_merges() {
         let mut pool = vec![n(1), n(3), n(2), n(3), n(4)];
         let at = union_at_tail(&mut pool, 0..2, 2..5);
-        assert_eq!(&pool[at..], &[n(1), n(2), n(3), n(4)]);
+        assert_eq!(&pool[at as usize..], &[n(1), n(2), n(3), n(4)]);
     }
 
     #[test]
@@ -507,20 +545,20 @@ mod tests {
         let ia = store.make_init(a, &seeds);
         assert_eq!(ia.sat, SeedMask::single(0));
         assert_eq!(ia.path_from, SeedMask::single(0));
-        let ia_id = store.push(ia);
+        let ia_id = store.push(ia).unwrap();
 
         let ib = store.make_init(bb, &seeds);
-        let ib_id = store.push(ib);
+        let ib_id = store.push(ib).unwrap();
 
         // Grow A to x.
-        let t_ax = store.make_grow(ia_id, e0, x, &seeds);
+        let t_ax = store.make_grow(ia_id, e0, x, seeds.membership(x));
         assert_eq!(t_ax.root, x);
         assert_eq!(t_ax.path_from, SeedMask::single(0), "still a rooted path");
-        let ax_id = store.push(t_ax);
+        let ax_id = store.push(t_ax).unwrap();
 
         // Grow B to x.
-        let t_bx = store.make_grow(ib_id, e1, x, &seeds);
-        let bx_id = store.push(t_bx);
+        let t_bx = store.make_grow(ib_id, e1, x, seeds.membership(x));
+        let bx_id = store.push(t_bx).unwrap();
 
         // Merge at x.
         let m = store.make_merge(ax_id, bx_id, &seeds).expect("mergeable");
@@ -542,19 +580,19 @@ mod tests {
         let seeds = SeedSets::from_sets(vec![vec![a], vec![c]]).unwrap();
         let mut store = TreeStore::new();
         let init = store.make_init(a, &seeds);
-        let ia = store.push(init);
-        let t1 = store.make_grow(ia, e0, x, &seeds);
-        let t1_id = store.push(t1);
-        let t2 = store.make_grow(t1_id, e1, c, &seeds);
-        let t2_id = store.push(t2);
+        let ia = store.push(init).unwrap();
+        let t1 = store.make_grow(ia, e0, x, seeds.membership(x));
+        let t1_id = store.push(t1).unwrap();
+        let t2 = store.make_grow(t1_id, e1, c, seeds.membership(c));
+        let t2_id = store.push(t2).unwrap();
         // t2 (rooted c) vs a different-rooted tree: Merge1 fails on root.
         assert!(store.make_merge(t2_id, ia, &seeds).is_none());
         // Same root but overlapping sat: build Init(a) again — sat not
         // disjoint with t1 (both contain set 0).
         let init = store.make_init(a, &seeds);
-        let ia2 = store.push(init);
-        let t1b = store.make_grow(ia2, e0, x, &seeds);
-        let t1b_id = store.push(t1b);
+        let ia2 = store.push(init).unwrap();
+        let t1b = store.make_grow(ia2, e0, x, seeds.membership(x));
+        let t1b_id = store.push(t1b).unwrap();
         assert!(store.make_merge(t1_id, t1b_id, &seeds).is_none());
     }
 
@@ -568,9 +606,9 @@ mod tests {
         let seeds = SeedSets::from_sets(vec![vec![a], vec![c]]).unwrap();
         let mut store = TreeStore::new();
         let init = store.make_init(a, &seeds);
-        let ia = store.push(init);
-        let grown = store.make_grow(ia, e(0), c, &seeds);
-        let gid = store.push(grown);
+        let ia = store.push(init).unwrap();
+        let grown = store.make_grow(ia, e(0), c, seeds.membership(c));
+        let gid = store.push(grown).unwrap();
         let mo = store.make_mo(gid, a);
         assert!(mo.is_mo);
         assert_eq!(mo.root, a);
@@ -591,8 +629,8 @@ mod tests {
         let seeds = SeedSets::from_sets(vec![vec![a], vec![bb]]).unwrap();
         let mut store = TreeStore::new();
         let init = store.make_init(a, &seeds);
-        let ia = store.push(init);
-        let t = store.make_grow(ia, e(0), bb, &seeds);
+        let ia = store.push(init).unwrap();
+        let t = store.make_grow(ia, e(0), bb, seeds.membership(bb));
         assert_eq!(t.path_from, SeedMask::EMPTY);
         assert_eq!(t.sat, SeedMask::full(2));
     }
@@ -609,19 +647,31 @@ mod tests {
         let seeds = SeedSets::from_sets(vec![vec![a], vec![x]]).unwrap();
         let mut store = TreeStore::new();
         let init = store.make_init(a, &seeds);
-        let ia = store.push(init);
+        let ia = store.push(init).unwrap();
         assert_eq!(store.pool_lens(), (0, 1));
-        let grown = store.make_grow(ia, e(0), x, &seeds);
+        let grown = store.make_grow(ia, e(0), x, seeds.membership(x));
         assert_eq!(store.pool_lens(), (1, 3));
         store.discard(&grown);
         assert_eq!(store.pool_lens(), (0, 1));
-        let grown = store.make_grow(ia, e(0), x, &seeds);
-        let gid = store.push(grown);
+        let grown = store.make_grow(ia, e(0), x, seeds.membership(x));
+        let gid = store.push(grown).unwrap();
         let mo = store.make_mo(gid, a);
         assert_eq!(store.view(&mo).edges, store.edges(gid));
         assert_eq!(store.view(&mo).nodes, store.nodes(gid));
         store.discard(&mo);
         assert_eq!(store.pool_lens(), (1, 3), "a Mo copy owns nothing");
+    }
+
+    #[test]
+    fn store_refuses_trees_past_the_u32_limits() {
+        // The last id below the chain sentinel is allowed, the sentinel
+        // itself is not; pools may end exactly at `u32::MAX`.
+        assert!(within_limits(MAX_TREES - 1, MAX_POOL, MAX_POOL));
+        assert!(!within_limits(MAX_TREES, 0, 1));
+        assert!(!within_limits(0, MAX_POOL + 1, MAX_POOL));
+        assert!(!within_limits(0, 0, MAX_POOL + 1));
+        assert_eq!(narrow(MAX_POOL), u32::MAX);
+        assert_eq!(narrow(MAX_POOL + 1), u32::MAX, "saturates, never wraps");
     }
 
     #[test]
