@@ -21,7 +21,7 @@ use crate::result::{ResultSet, ResultTree, SearchOutcome, SearchStats};
 use crate::seedmask::SeedMask;
 use crate::seeds::SeedSets;
 use crate::tree::{Provenance, TreeData, TreeId, TreeStore, MAX_TREES};
-use cs_graph::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
+use cs_graph::fxhash::{FxHashMap, FxHashSet};
 use cs_graph::{EdgeId, Graph, LabelId, NodeId};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -90,52 +90,83 @@ impl SeedsRef<'_> {
     }
 }
 
-/// A queued Grow opportunity: grow `tree` along `edge` to `node`, the
-/// edge's far end from the tree's root, whose seed-set membership is
-/// `membership`. [`GamEngine::queue_grows`] has both at hand when it
-/// pushes the pair, so a pop reads neither the graph nor the seed map.
-#[derive(Debug, Clone, Copy)]
-struct GrowPair {
-    tree: TreeId,
+/// A queued Grow opportunity without its tree: grow along `edge` to
+/// `node`, the edge's far end from the tree's root, whose seed-set
+/// membership is `membership`. [`GamEngine::queue_grows`] has both at
+/// hand when it admits the pair, so a pop reads neither the graph nor
+/// the seed map. A tree's pairs sit side by side in [`Queues::log`];
+/// a [`Run`] names the tree once for a stretch of them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pair {
     edge: EdgeId,
     node: NodeId,
     membership: SeedMask,
 }
 
-const _: () = assert!(std::mem::size_of::<GrowPair>() <= 24);
+/// One tree's pairs `log[next..end]` that share a priority key and are
+/// still queued: a maximal stretch of the pairs it admitted in one
+/// [`Queues::push_tree`].
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    tree: TreeId,
+    next: u32,
+    end: u32,
+}
 
-/// Grow opportunities in FIFO buckets keyed by priority. `pop` takes
-/// the oldest pair of the highest key: the order of a max-heap on the
-/// key with ties broken by insertion, without a sequence number or a
-/// sift per push and pop.
+const _: () = assert!(std::mem::size_of::<Pair>() == 16);
+const _: () = assert!(std::mem::size_of::<Run>() == 12);
+
+/// Grow opportunities in FIFO buckets of runs keyed by priority. `pop`
+/// takes the next pair of the oldest run of the highest key. A run's
+/// pairs were admitted one after another, so that is the order of a
+/// max-heap on the key with ties broken by insertion, without a
+/// sequence number, a sift, or a bucket entry per pair.
 #[derive(Default)]
 struct Buckets {
-    by_key: BTreeMap<i64, VecDeque<GrowPair>>,
+    by_key: BTreeMap<i64, VecDeque<Run>>,
+    /// Pairs queued, not runs: the size §4.9's `Balanced` pick compares.
     len: usize,
 }
 
 impl Buckets {
-    fn push(&mut self, key: i64, pair: GrowPair) {
-        self.by_key.entry(key).or_default().push_back(pair);
-        self.len += 1;
+    fn push(&mut self, key: i64, run: Run) {
+        self.len += (run.end - run.next) as usize;
+        self.by_key.entry(key).or_default().push_back(run);
     }
 
-    fn pop(&mut self) -> Option<GrowPair> {
+    /// The tree and log position of the next pair.
+    fn pop(&mut self) -> Option<(TreeId, u32)> {
         let mut top = self.by_key.last_entry()?;
-        let pair = top.get_mut().pop_front();
-        if top.get().is_empty() {
-            top.remove();
+        let runs = top.get_mut();
+        let run = runs.front_mut()?;
+        let popped = (run.tree, run.next);
+        run.next += 1;
+        if run.next == run.end {
+            runs.pop_front();
+            if runs.is_empty() {
+                top.remove();
+            }
         }
         self.len -= 1;
-        pair
+        Some(popped)
     }
 }
 
-/// Single or per-`sat`-mask balanced queues (§4.9).
+/// Single or per-`sat`-mask balanced queues (§4.9) over one log of the
+/// pairs ever queued.
+///
+/// The log is never compacted: a popped pair keeps its 16 bytes until
+/// the search ends, so its size follows the search's queue pushes, not
+/// the most pairs queued at once. A pop whose tree Hist keeps adds
+/// about 120 bytes to the store for as long, so where most pops keep
+/// their tree the log is a fraction of the store. `search_alloc.rs`
+/// holds a search that drains its queue to a peak-heap budget.
 struct Queues {
     policy: QueuePolicy,
     single: Buckets,
     per: FxHashMap<SeedMask, Buckets>,
+    /// Every pair queued in this search, in admission order.
+    log: Vec<Pair>,
 }
 
 impl Queues {
@@ -144,18 +175,54 @@ impl Queues {
             policy,
             single: Buckets::default(),
             per: FxHashMap::default(),
+            log: Vec::new(),
         }
     }
 
-    fn push(&mut self, mask: SeedMask, key: i64, pair: GrowPair) {
+    /// True if the log can take `n` more pairs: positions are `u32`.
+    fn has_room(&self, n: usize) -> bool {
+        self.log.len() + n <= u32::MAX as usize
+    }
+
+    /// Queues the pairs that tree `tree` (of seed mask `mask`) admits,
+    /// each with its priority key, in admission order: one run per
+    /// maximal stretch of equal keys. Returns how many pairs it queued.
+    /// The caller has checked [`Queues::has_room`] for all of them.
+    fn push_tree(
+        &mut self,
+        mask: SeedMask,
+        tree: TreeId,
+        pairs: impl IntoIterator<Item = (i64, Pair)>,
+    ) -> u64 {
+        let first = self.log.len();
+        // The open run: its key and where its pairs start in the log.
+        let mut open: Option<(i64, u32)> = None;
+        for (key, pair) in pairs {
+            // This pair's position, where an open run of another key ends.
+            let end = self.log.len() as u32;
+            if let Some((k, next)) = open.filter(|&(k, _)| k != key) {
+                self.push_run(mask, k, Run { tree, next, end });
+                open = None;
+            }
+            open.get_or_insert((key, end));
+            self.log.push(pair);
+        }
+        if let Some((k, next)) = open {
+            let end = self.log.len() as u32;
+            self.push_run(mask, k, Run { tree, next, end });
+        }
+        (self.log.len() - first) as u64
+    }
+
+    fn push_run(&mut self, mask: SeedMask, key: i64, run: Run) {
         match self.policy {
-            QueuePolicy::Single => self.single.push(key, pair),
-            QueuePolicy::Balanced => self.per.entry(mask).or_default().push(key, pair),
+            QueuePolicy::Single => self.single.push(key, run),
+            QueuePolicy::Balanced => self.per.entry(mask).or_default().push(key, run),
         }
     }
 
-    fn pop(&mut self) -> Option<GrowPair> {
-        match self.policy {
+    fn pop(&mut self) -> Option<(TreeId, Pair)> {
+        let (tree, at) = match self.policy {
             QueuePolicy::Single => self.single.pop(),
             QueuePolicy::Balanced => {
                 // Grow from the queue currently holding the fewest
@@ -167,7 +234,8 @@ impl Queues {
                     .min_by_key(|q| q.len)?
                     .pop()
             }
-        }
+        }?;
+        Some((tree, self.log[at as usize]))
     }
 }
 
@@ -177,23 +245,54 @@ const NIL: u32 = u32::MAX;
 
 const _: () = assert!(NIL as usize == MAX_TREES);
 
-/// One tree's links in the engine's two chains through the tree arena,
-/// indexed by [`TreeId`].
+/// One tree's Hist key and its links in the engine's two chains through
+/// the tree arena, indexed by [`TreeId`].
 struct Links {
-    /// The next older tree whose edge set has the same hash (Hist).
+    /// The tree's edge-set key ([`edge_set_key`]).
+    key: u32,
+    /// The next older tree in the same Hist bucket.
     hist: u32,
     /// The next newer tree recorded for merging at the same root
     /// (TreesRootedIn).
     rooted: u32,
 }
 
-/// The history key of an edge set: its 64-bit hash folded to 32 bits.
+/// Hist buckets a search starts with; the table doubles from there.
+const HIST_BUCKETS: usize = 64;
+
+/// The bucket of `key` in a Hist table of `buckets` heads, a power of
+/// two.
+#[inline]
+fn bucket(key: u32, buckets: usize) -> usize {
+    key as usize & (buckets - 1)
+}
+
+/// One edge's share of an edge-set key: the edge id plus one through
+/// murmur3's 32-bit finaliser, so that sums of shares spread over every
+/// bit. The finaliser is a bijection that maps 0 to 0; the added one
+/// gives that zero share to id `u32::MAX`, the last a graph can hold,
+/// rather than to edge 0, which would otherwise leave its trees' keys
+/// unchanged.
+#[inline]
+fn edge_key(e: EdgeId) -> u32 {
+    let mut h = e.0.wrapping_add(1);
+    h ^= h >> 16;
+    h = h.wrapping_mul(0x85eb_ca6b);
+    h ^= h >> 13;
+    h = h.wrapping_mul(0xc2b2_ae35);
+    h ^ (h >> 16)
+}
+
+/// The Hist key of an edge set: the wrapping sum of its edges'
+/// [`edge_key`]s. It is additive: the key of a tree follows from its
+/// provenance without reading its edges (see [`GamEngine::key_of`]).
 /// Equal keys do not imply equal edge sets: every lookup compares the
 /// edge slices along the chain, so a collision costs a comparison and
 /// never changes an answer.
-fn edge_set_hash(edges: &[EdgeId]) -> u32 {
-    let h = fx_hash_one(&edges);
-    (h >> 32) as u32 ^ h as u32
+fn edge_set_key(edges: &[EdgeId]) -> u32 {
+    edges
+        .iter()
+        .fold(0, |k: u32, &e| k.wrapping_add(edge_key(e)))
 }
 
 /// The GAM-family search engine. Construct with [`GamEngine::new`],
@@ -208,11 +307,12 @@ pub struct GamEngine<'g> {
     order: QueueOrder,
     store: TreeStore,
     queue: Queues,
-    /// Hist of Algorithm 1: edge-set key ([`edge_set_hash`]) → the newest
-    /// stored tree with that key; [`Links::hist`] chains each stored tree to the next
-    /// older one. Every stored tree is in it, so it answers both GAM's
-    /// rooted-tree dedup and ESP's edge-set history.
-    hist: FxHashMap<u32, u32>,
+    /// Hist of Algorithm 1: a power-of-two table of bucket heads, each
+    /// the newest stored tree whose key ([`Links::key`]) falls in that
+    /// bucket; [`Links::hist`] chains each tree to the next older one
+    /// in its bucket. Every stored tree is in it, so it answers both
+    /// GAM's rooted-tree dedup and ESP's edge-set history.
+    hist: Vec<u32>,
     /// TreesRootedIn of Algorithm 3: root → (oldest, newest) tree
     /// recorded for merging there; [`Links::rooted`] chains them in
     /// insertion order. Result trees are excluded — they can never
@@ -221,7 +321,10 @@ pub struct GamEngine<'g> {
     trees_rooted_in: FxHashMap<NodeId, (u32, u32)>,
     /// Per-tree chain links, aligned with `store`.
     links: Vec<Links>,
-    /// Seed signatures ss_n (§4.6), indexed by node.
+    /// Seed signatures ss_n (§4.6), indexed by node. Only LESP reads
+    /// them, and only where `Σ(ss_n) ≥ 3`; each ss_n is a subset of the
+    /// explicit seed sets, so with fewer than three the array is empty
+    /// and never written.
     ss: Vec<SeedMask>,
     /// Aggressive-merge worklist.
     pending_merge: Vec<TreeId>,
@@ -285,9 +388,14 @@ impl<'g> GamEngine<'g> {
         let label_filter = filters.resolve_labels(g);
         // Initialise ss_n: seeds start with their membership mask,
         // other nodes with 0 (§4.6).
-        let mut ss = vec![SeedMask::EMPTY; g.node_count()];
-        for n in seeds.get().all_seed_nodes() {
-            ss[n.index()] = seeds.get().membership(n);
+        let s = seeds.get();
+        let explicit = s.m() - s.presatisfied().count() as usize;
+        let mut ss = Vec::new();
+        if cfg.lesp && explicit >= 3 {
+            ss = vec![SeedMask::EMPTY; g.node_count()];
+            for n in s.all_seed_nodes() {
+                ss[n.index()] = s.membership(n);
+            }
         }
         GamEngine {
             g,
@@ -298,7 +406,7 @@ impl<'g> GamEngine<'g> {
             order,
             store: TreeStore::new(),
             queue: Queues::new(policy),
-            hist: FxHashMap::default(),
+            hist: vec![NIL; HIST_BUCKETS],
             trees_rooted_in: FxHashMap::default(),
             links: Vec::new(),
             ss,
@@ -355,7 +463,7 @@ impl<'g> GamEngine<'g> {
             self.drain_merges();
             return !self.stop;
         }
-        let Some(pair) = self.queue.pop() else {
+        let Some((tree, pair)) = self.queue.pop() else {
             return false;
         };
         self.check_time();
@@ -364,8 +472,7 @@ impl<'g> GamEngine<'g> {
         }
         debug_assert_eq!(
             pair.node,
-            self.g
-                .other_endpoint(pair.edge, self.store.get(pair.tree).root),
+            self.g.other_endpoint(pair.edge, self.store.get(tree).root),
             "queued far node"
         );
         debug_assert_eq!(
@@ -375,12 +482,13 @@ impl<'g> GamEngine<'g> {
         );
         let grown = self
             .store
-            .make_grow(pair.tree, pair.edge, pair.node, pair.membership);
+            .make_grow(tree, pair.edge, pair.node, pair.membership);
         self.stats.grows += 1;
         // Algorithm 1 line 10: update ss_root(t') before processing.
         if !grown.path_from.is_empty() {
-            let slot = &mut self.ss[grown.root.index()];
-            *slot = slot.union(grown.path_from);
+            if let Some(slot) = self.ss.get_mut(grown.root.index()) {
+                *slot = slot.union(grown.path_from);
+            }
         }
         self.process_tree(grown);
         self.drain_merges();
@@ -404,41 +512,45 @@ impl<'g> GamEngine<'g> {
         }
     }
 
-    /// Stored trees whose edge set hashes to `h`, newest first.
-    fn hist_chain(&self, h: u32) -> impl Iterator<Item = TreeId> + '_ {
-        let mut cur = self.hist.get(&h).copied().unwrap_or(NIL);
+    /// Stored trees whose Hist key is `key`, newest first: the bucket's
+    /// chain without the trees of other keys.
+    fn hist_chain(&self, key: u32) -> impl Iterator<Item = TreeId> + '_ {
+        let mut cur = self.hist[bucket(key, self.hist.len())];
         std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
+            while cur != NIL {
+                let t = cur;
+                let l = &self.links[t as usize];
+                cur = l.hist;
+                if l.key == key {
+                    return Some(TreeId(t));
+                }
             }
-            let t = TreeId(cur);
-            cur = self.links[cur as usize].hist;
-            Some(t)
+            None
         })
     }
 
-    /// True if a tree over `edges` (hashing to `h`) rooted at `root` has
-    /// been built.
-    fn has_rooted(&self, h: u32, edges: &[EdgeId], root: NodeId) -> bool {
-        self.hist_chain(h)
+    /// True if a tree over `edges` (of Hist key `key`) rooted at `root`
+    /// has been built.
+    fn has_rooted(&self, key: u32, edges: &[EdgeId], root: NodeId) -> bool {
+        self.hist_chain(key)
             .any(|o| self.store.get(o).root == root && self.store.edges(o) == edges)
     }
 
     /// Algorithm 4 `isNew`: the history check with LESP's sparing rule;
-    /// `h` is the hash of `t`'s edge set.
-    fn is_new(&self, t: &TreeData, h: u32) -> bool {
+    /// `key` is the Hist key of `t`'s edge set.
+    fn is_new(&self, t: &TreeData, key: u32) -> bool {
         let edges = self.store.view(t).edges;
-        if !self.hist_chain(h).any(|o| self.store.edges(o) == edges) {
+        if !self.hist_chain(key).any(|o| self.store.edges(o) == edges) {
             return true;
         }
         if self.cfg.esp && !edges.is_empty() {
             // The edge set exists. LESP spares a tree whose root is
             // well-connected to seeds, unless the identical rooted tree
-            // exists (Algorithm 4 lines 4–8).
-            if self.cfg.lesp {
-                let ssr = self.ss[t.root.index()];
+            // exists (Algorithm 4 lines 4–8). `ss` is empty wherever
+            // `Σ(ss_n) ≥ 3` cannot hold.
+            if let Some(ssr) = self.ss.get(t.root.index()) {
                 if ssr.count() >= 3 && self.g.degree(t.root) >= 3 {
-                    return !self.has_rooted(h, edges, t.root);
+                    return !self.has_rooted(key, edges, t.root);
                 }
             }
             false
@@ -446,26 +558,61 @@ impl<'g> GamEngine<'g> {
             // GAM keeps only the first provenance per *rooted* tree;
             // Init trees (empty edge set) dedup by root under every
             // configuration.
-            !self.has_rooted(h, edges, t.root)
+            !self.has_rooted(key, edges, t.root)
         }
     }
 
-    /// Stores `t` and registers it in Hist under `h`, its edge-set hash.
-    /// A full store refuses it: the candidate's pool space is given back
-    /// and the search stops as it does at the provenance budget.
-    fn store_tree(&mut self, t: TreeData, h: u32) -> Option<TreeId> {
+    /// The Hist key of a candidate, from its provenance and the keys of
+    /// the trees it was built from: Init has no edges, Grow adds one
+    /// edge, Merge1 makes a merge's parts edge-disjoint, and a Mo copy
+    /// keeps its parent's edges.
+    fn key_of(&self, t: &TreeData) -> u32 {
+        let key = |id: TreeId| self.links[id.index()].key;
+        match t.provenance {
+            Provenance::Init(_) => 0,
+            Provenance::Grow(parent, e) => key(parent).wrapping_add(edge_key(e)),
+            Provenance::Merge(a, b) => key(a).wrapping_add(key(b)),
+            Provenance::Mo(parent, _) => key(parent),
+        }
+    }
+
+    /// Stores `t` and registers it in Hist under `key`, its edge-set
+    /// key. A full store refuses it: the candidate's pool space is given
+    /// back and the search stops as it does at the provenance budget.
+    fn store_tree(&mut self, t: TreeData, key: u32) -> Option<TreeId> {
         let Some(id) = self.store.push(t) else {
             self.store.discard(&t);
             self.stats.budget_exhausted = true;
             self.stop = true;
             return None;
         };
-        let older = self.hist.insert(h, id.0).unwrap_or(NIL);
+        let b = bucket(key, self.hist.len());
+        let head = &mut self.hist[b];
         self.links.push(Links {
-            hist: older,
+            key,
+            hist: *head,
             rooted: NIL,
         });
+        *head = id.0;
+        if self.links.len() > self.hist.len() / 2 {
+            self.grow_hist();
+        }
         Some(id)
+    }
+
+    /// Doubles the Hist table and re-threads every chain in one pass
+    /// over the trees, oldest to newest, so each chain still runs
+    /// newest first.
+    fn grow_hist(&mut self) {
+        let buckets = self.hist.len() * 2;
+        // A new table rather than a resized one: growing in place would
+        // copy the old heads only to overwrite them.
+        self.hist = vec![NIL; buckets];
+        for (id, l) in (0..).zip(self.links.iter_mut()) {
+            let head = &mut self.hist[bucket(l.key, buckets)];
+            l.hist = *head;
+            *head = id;
+        }
     }
 
     /// recordForMerging (Algorithm 3 line 1): appends `id` to
@@ -519,13 +666,18 @@ impl<'g> GamEngine<'g> {
             self.store.discard(&t);
             return None;
         }
-        let h = edge_set_hash(self.store.view(&t).edges);
-        if !self.is_new(&t, h) {
+        let key = self.key_of(&t);
+        debug_assert_eq!(
+            key,
+            edge_set_key(self.store.view(&t).edges),
+            "additive Hist key"
+        );
+        if !self.is_new(&t, key) {
             self.stats.pruned += 1;
             self.store.discard(&t);
             return None;
         }
-        let id = self.store_tree(t, h)?;
+        let id = self.store_tree(t, key)?;
         self.count_provenance();
 
         let sat_total = t.sat.union(self.seeds.get().presatisfied());
@@ -573,7 +725,7 @@ impl<'g> GamEngine<'g> {
         // to provenances that gained seeds; disabled under UNI, where
         // re-rooting at a seed breaks direction consistency).
         if self.cfg.mo && seeds_increased && !self.filters.uni {
-            self.inject_mo(id, h);
+            self.inject_mo(id, key);
         }
 
         // Queue Grow opportunities (Algorithm 2 lines 8–14); Grow is
@@ -584,11 +736,11 @@ impl<'g> GamEngine<'g> {
         Some(id)
     }
 
-    /// Creates the MoESP copies of tree `id` (edge-set hash `h`),
+    /// Creates the MoESP copies of tree `id` (Hist key `key`),
     /// re-rooted at each of its seed nodes (other than its root), and
     /// schedules them for merging. Each copy is a provenance: the search
     /// stops at the provenance budget like [`GamEngine::process_tree`].
-    fn inject_mo(&mut self, id: TreeId, h: u32) {
+    fn inject_mo(&mut self, id: TreeId, key: u32) {
         for i in 0..self.store.nodes(id).len() {
             if self.stop {
                 return;
@@ -600,11 +752,11 @@ impl<'g> GamEngine<'g> {
             // Skip if the identical rooted tree already exists; Mo
             // bypasses edge-set pruning by design, but exact duplicates
             // are useless.
-            if self.has_rooted(h, self.store.edges(id), r) {
+            if self.has_rooted(key, self.store.edges(id), r) {
                 continue;
             }
             let mo = self.store.make_mo(id, r);
-            let Some(mo_id) = self.store_tree(mo, h) else {
+            let Some(mo_id) = self.store_tree(mo, key) else {
                 return;
             };
             self.stats.mo_copies += 1;
@@ -613,7 +765,7 @@ impl<'g> GamEngine<'g> {
         }
     }
 
-    /// Pushes every admissible (tree, edge) Grow pair for tree `id`.
+    /// Queues every admissible (tree, edge) Grow pair for tree `id`.
     fn queue_grows(&mut self, id: TreeId) {
         let td = self.store.view(self.store.get(id));
         // MAX n (§4.8): a Grow adds one edge whichever edge it takes, so
@@ -621,37 +773,44 @@ impl<'g> GamEngine<'g> {
         if self.at_max(td.size()) {
             return;
         }
-        for a in self.g.adjacent(td.root) {
+        let adjacent = self.g.adjacent(td.root);
+        if !self.queue.has_room(adjacent.len()) {
+            // The pair log is full: stop as at the provenance budget.
+            self.stats.budget_exhausted = true;
+            self.stop = true;
+            return;
+        }
+        let (g, seeds, order) = (self.g, self.seeds.get(), &self.order);
+        let (uni, label_filter) = (self.filters.uni, &self.label_filter);
+        let admitted = adjacent.iter().filter_map(|a| {
             // UNI (§4.8): to keep "root reaches all seeds via directed
             // paths" invariant, grow only along edges *entering* the
             // current root (the new root points at the old one).
-            if self.filters.uni && a.outgoing() {
-                continue;
+            if uni && a.outgoing() {
+                return None;
             }
-            if let Some(lf) = &self.label_filter {
-                if !lf.contains(&self.g.edge(a.edge()).label) {
-                    continue;
+            if let Some(lf) = label_filter {
+                if !lf.contains(&g.edge(a.edge()).label) {
+                    return None;
                 }
             }
             // Grow1: no repeated node (also rejects self-loops).
             if td.contains_node(a.other()) {
-                continue;
+                return None;
             }
             // Grow2: the new node is no seed of an already-covered set.
-            let membership = self.seeds.get().membership(a.other());
+            let membership = seeds.membership(a.other());
             if !membership.disjoint(td.sat) {
-                continue;
+                return None;
             }
-            let key = self.order.priority(self.g, td, a.edge());
-            let pair = GrowPair {
-                tree: id,
+            let pair = Pair {
                 edge: a.edge(),
                 node: a.other(),
                 membership,
             };
-            self.queue.push(td.sat, key, pair);
-            self.stats.queue_pushes += 1;
-        }
+            Some((order.priority(g, td, a.edge()), pair))
+        });
+        self.stats.queue_pushes += self.queue.push_tree(td.sat, id, admitted);
     }
 
     /// Algorithm 5 `MergeAll`, iteratively: drain the worklist of trees
@@ -799,8 +958,12 @@ impl Iterator for CtpStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeds::SeedSpec;
     use cs_graph::generate::{chain, line, star};
     use cs_graph::{figure1, GraphBuilder};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn outcome(w: &cs_graph::generate::Workload, cfg: GamConfig) -> SearchOutcome {
         let seeds = SeedSets::from_sets(w.seeds.clone()).unwrap();
@@ -1031,8 +1194,11 @@ mod tests {
                 QueueOrder::SmallestFirst,
                 QueuePolicy::Single,
             );
-            // h reaches all three seed sets: LESP's sparing applies there.
-            e.ss[h.index()] = SeedMask::full(3);
+            // h reaches all three seed sets: LESP's sparing applies
+            // there. Engines without LESP keep no signatures.
+            if let Some(ss) = e.ss.get_mut(h.index()) {
+                *ss = SeedMask::full(3);
+            }
             let t = tree(&mut e, a, &ab);
             e.store_tree(t, H).unwrap();
             let t = tree(&mut e, h, &ac);
@@ -1064,6 +1230,195 @@ mod tests {
         assert!(mo.has_rooted(H, &ac, a) && mo.has_rooted(H, &ac, c));
         mo.inject_mo(TreeId(1), H);
         assert_eq!(mo.stats.mo_copies, 2);
+    }
+
+    #[test]
+    fn hist_finds_every_tree_across_doublings() {
+        // A hub with 200 leaves; the trees are its single edges and 100
+        // pairs of them, all rooted at the hub.
+        let mut gb = GraphBuilder::new();
+        let hub = gb.add_node("hub");
+        let leaves: Vec<NodeId> = (0..200).map(|i| gb.add_node(&format!("l{i}"))).collect();
+        let es: Vec<EdgeId> = leaves.iter().map(|&l| gb.add_edge(hub, "r", l)).collect();
+        let g = gb.freeze();
+        let seeds = SeedSets::from_sets(vec![vec![leaves[0]], vec![leaves[1]]]).unwrap();
+        let sets: Vec<Vec<EdgeId>> = es
+            .iter()
+            .map(|&e| vec![e])
+            .chain(es.windows(2).take(100).map(<[EdgeId]>::to_vec))
+            .collect();
+        // A third of the trees share one key, a third have distinct keys
+        // that fall in bucket 0 of every table size reached here, and
+        // the rest have their edge sets' keys.
+        const SHARED: u32 = 7;
+        let key = |i: usize| match i % 3 {
+            0 => SHARED,
+            1 => (i as u32) << 12,
+            _ => edge_set_key(&sets[i]),
+        };
+        let mut e = GamEngine::new(
+            &g,
+            &seeds,
+            GamConfig::GAM,
+            Filters::none(),
+            QueueOrder::SmallestFirst,
+            QueuePolicy::Single,
+        );
+        let mut doublings = 0;
+        for i in 0..sets.len() {
+            let buckets = e.hist.len();
+            let t = tree(&mut e, hub, &sets[i]);
+            e.store_tree(t, key(i)).unwrap();
+            if e.hist.len() == buckets {
+                continue;
+            }
+            doublings += 1;
+            for (j, set) in sets[..=i].iter().enumerate() {
+                assert!(e.has_rooted(key(j), set, hub), "tree {j} after {i}");
+                assert!(!candidate_is_new(&mut e, hub, set, key(j)));
+                let chain: Vec<u32> = e.hist_chain(key(j)).map(|t| t.0).collect();
+                assert!(chain.contains(&(j as u32)), "tree {j} after {i}");
+                assert!(chain.windows(2).all(|w| w[0] > w[1]), "newest first");
+            }
+            let shared: Vec<u32> = e.hist_chain(SHARED).map(|t| t.0).collect();
+            let expected: Vec<u32> = (0..=i as u32).rev().filter(|j| j % 3 == 0).collect();
+            assert_eq!(shared, expected);
+            // Every bucket's chain, other keys included, runs newest
+            // first.
+            for &head in &e.hist {
+                let mut cur = head;
+                while cur != NIL {
+                    let next = e.links[cur as usize].hist;
+                    assert!(next == NIL || next < cur);
+                    cur = next;
+                }
+            }
+        }
+        assert!(doublings >= 3, "{doublings} doublings");
+    }
+
+    #[test]
+    fn every_edge_adds_to_the_key() {
+        // The finaliser maps 0 to 0; only the last possible id may have
+        // that share, never edge 0.
+        assert_ne!(edge_key(EdgeId(0)), 0);
+        assert_eq!(edge_key(EdgeId(u32::MAX)), 0);
+        assert_ne!(edge_set_key(&[EdgeId(0)]), edge_set_key(&[]));
+    }
+
+    /// A queued pair named by `i`.
+    fn pair(i: u32) -> Pair {
+        Pair {
+            edge: EdgeId(i),
+            node: NodeId(i),
+            membership: SeedMask::EMPTY,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The run queue pops in the order of a max-heap on
+        /// `(key, -insertion seq)`, under any interleaving of pushes and
+        /// pops, with keys that may change within one tree's pairs.
+        #[test]
+        fn run_queue_pops_in_heap_order(
+            ops in collection::vec((0u8..3, collection::vec(-2i64..3, 0..6)), 0..60)
+        ) {
+            let mut q = Queues::new(QueuePolicy::Single);
+            let mut heap = BinaryHeap::new();
+            let mut seq = 0u32;
+            for (tree, (op, keys)) in (0u32..).zip(ops) {
+                if op == 0 {
+                    let want = heap.pop().map(|(_, Reverse(s), t)| (TreeId(t), pair(s)));
+                    prop_assert_eq!(q.pop(), want);
+                } else {
+                    let (n, mut pairs) = (keys.len(), Vec::new());
+                    for k in keys {
+                        heap.push((k, Reverse(seq), tree));
+                        pairs.push((k, pair(seq)));
+                        seq += 1;
+                    }
+                    let queued = q.push_tree(SeedMask::EMPTY, TreeId(tree), pairs);
+                    prop_assert_eq!(queued, n as u64);
+                }
+                prop_assert_eq!(q.single.len, heap.len());
+            }
+            while let Some((_, Reverse(s), t)) = heap.pop() {
+                prop_assert_eq!(q.pop(), Some((TreeId(t), pair(s))));
+            }
+            prop_assert!(q.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn balanced_pick_counts_pairs_not_runs() {
+        let mut q = Queues::new(QueuePolicy::Balanced);
+        let (a, b) = (SeedMask::single(0), SeedMask::single(1));
+        // Mask a holds one run of three pairs, mask b two runs of one.
+        assert_eq!(q.push_tree(a, TreeId(0), (0..3).map(|i| (0, pair(i)))), 3);
+        assert_eq!(q.push_tree(b, TreeId(1), [(0, pair(3))]), 1);
+        assert_eq!(q.push_tree(b, TreeId(2), [(0, pair(4))]), 1);
+        assert_eq!(q.per[&a].by_key[&0].len(), 1);
+        assert_eq!(q.per[&b].by_key[&0].len(), 2);
+        // b has more runs but fewer pairs, so it is picked until it is
+        // empty.
+        assert_eq!(q.pop(), Some((TreeId(1), pair(3))));
+        assert_eq!(q.pop(), Some((TreeId(2), pair(4))));
+        for i in 0..3 {
+            assert_eq!(q.pop(), Some((TreeId(0), pair(i))));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn seed_signatures_exist_only_where_lesp_can_spare() {
+        let g = figure1();
+        let (bob, alice, elon) = (NodeId(1), NodeId(2), NodeId(8));
+        let cases = [
+            (vec![SeedSpec::one(bob), SeedSpec::one(alice)], false),
+            (
+                vec![SeedSpec::one(bob), SeedSpec::one(alice), SeedSpec::All],
+                false,
+            ),
+            (
+                vec![
+                    SeedSpec::one(bob),
+                    SeedSpec::one(alice),
+                    SeedSpec::one(elon),
+                ],
+                true,
+            ),
+        ];
+        for (specs, three_explicit) in cases {
+            let seeds = SeedSets::new(specs).unwrap();
+            for cfg in [
+                GamConfig::GAM,
+                GamConfig::ESP,
+                GamConfig::MOESP,
+                GamConfig::LESP,
+                GamConfig::MOLESP,
+            ] {
+                let keeps = cfg.lesp && three_explicit;
+                let mut e = GamEngine::new(
+                    &g,
+                    &seeds,
+                    cfg,
+                    Filters::none().with_max_edges(4),
+                    QueueOrder::SmallestFirst,
+                    QueuePolicy::Single,
+                );
+                assert_eq!(e.ss.len(), if keeps { g.node_count() } else { 0 });
+                e.begin(Instant::now());
+                while e.step() {}
+                assert!(e.stats.provenances > 0);
+                assert_eq!(
+                    e.ss.len(),
+                    if keeps { g.node_count() } else { 0 },
+                    "{cfg:?} three explicit: {three_explicit}"
+                );
+            }
+        }
     }
 
     #[test]

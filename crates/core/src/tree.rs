@@ -382,23 +382,32 @@ impl TreeStore {
 /// Copies the sorted run `pool[run]` to the pool's tail with `x`
 /// inserted in order; returns where the copy starts. Duplicates are
 /// rejected by a debug assertion (trees never repeat an edge or node).
+///
+/// Tree sets are a few ids long, so the copy is an element loop: a
+/// `memmove` call per part costs more than the ids it moves.
 fn insert_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, run: Range<usize>, x: T) -> u32 {
     let at = narrow(pool.len());
-    let found = pool[run.clone()].binary_search(&x);
-    debug_assert!(found.is_err(), "duplicate insertion into tree set");
-    let split = run.start
-        + match found {
-            Ok(p) | Err(p) => p,
-        };
     pool.reserve(run.len() + 1);
-    pool.extend_from_within(run.start..split);
+    let mut i = run.start;
+    while i < run.end && pool[i] < x {
+        pool.push(pool[i]);
+        i += 1;
+    }
+    debug_assert!(
+        i == run.end || pool[i] != x,
+        "duplicate insertion into tree set"
+    );
     pool.push(x);
-    pool.extend_from_within(split..run.end);
+    while i < run.end {
+        pool.push(pool[i]);
+        i += 1;
+    }
     at
 }
 
 /// Writes the union of the sorted runs `pool[a]` and `pool[b]` (each
-/// duplicate-free) at the pool's tail; returns where it starts.
+/// duplicate-free) at the pool's tail; returns where it starts. Like
+/// [`insert_at_tail`], it copies element by element.
 fn union_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, a: Range<usize>, b: Range<usize>) -> u32 {
     let at = narrow(pool.len());
     pool.reserve(a.len() + b.len());
@@ -421,8 +430,9 @@ fn union_at_tail<T: Ord + Copy>(pool: &mut Vec<T>, a: Range<usize>, b: Range<usi
             }
         }
     }
-    pool.extend_from_within(i..a.end);
-    pool.extend_from_within(j..b.end);
+    for k in (i..a.end).chain(j..b.end) {
+        pool.push(pool[k]);
+    }
     at
 }
 
@@ -508,6 +518,7 @@ mod tests {
         assert_eq!(inserted(&[e(1), e(3)], e(2)), &[e(1), e(2), e(3)]);
         assert_eq!(inserted(&[], e(5)), &[e(5)]);
         assert_eq!(inserted(&[e(1)], e(0)), &[e(0), e(1)]);
+        assert_eq!(inserted(&[e(1), e(3)], e(4)), &[e(1), e(3), e(4)]);
     }
 
     #[test]
