@@ -7,8 +7,8 @@
 //! driven by a statistics-based planner — per-pattern [`AccessPath`]s
 //! with cardinality estimates from the graph's cached
 //! [`cs_graph::Cardinalities`] snapshot, ordered into a cost-based
-//! left-deep plan ([`plan_bgp`], [`explain_plan`]) that runs as an
-//! index nested-loop extension of the rows built so far.
+//! left-deep plan ([`plan_bgp`]) that runs as an index nested-loop
+//! extension of the rows built so far.
 //!
 //! ```
 //! use cs_engine::{Bgp, Term, eval_bgp};
@@ -35,7 +35,6 @@
 
 mod bgp;
 mod binding;
-mod cache;
 mod plan;
 mod table;
 
@@ -43,6 +42,5 @@ pub use bgp::{
     eval_bgp, eval_bgp_with_plan, join_all, pattern_components, Bgp, Term, TriplePattern,
 };
 pub use binding::Binding;
-pub use cache::{bgp_shape, PlanCache};
-pub use plan::{choose_access, explain_plan, plan_bgp, AccessPath, BgpPlan, PatternPlan};
+pub use plan::{choose_access, plan_bgp, AccessPath, BgpPlan, PatternPlan};
 pub use table::Table;

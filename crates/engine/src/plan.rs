@@ -111,13 +111,6 @@ pub struct PatternPlan {
 pub struct BgpPlan {
     /// The evaluation steps, in execution order.
     pub steps: Vec<PatternPlan>,
-    /// The pattern-shape fingerprint this plan was cached under
-    /// ([`crate::bgp_shape`]); `0` for plans built outside a
-    /// [`crate::PlanCache`].
-    pub shape: u64,
-    /// True when the plan was served from a [`crate::PlanCache`]
-    /// rather than planned from scratch.
-    pub cached: bool,
 }
 
 impl BgpPlan {
@@ -454,17 +447,7 @@ pub fn plan_bgp(g: &Graph, bgp: &Bgp) -> BgpPlan {
             pushdown,
         });
     }
-    BgpPlan {
-        steps,
-        shape: 0,
-        cached: false,
-    }
-}
-
-/// Renders the plan of a BGP as a human-readable string — the
-/// `EXPLAIN` surface of the engine.
-pub fn explain_plan(g: &Graph, bgp: &Bgp) -> String {
-    plan_bgp(g, bgp).to_string()
+    BgpPlan { steps }
 }
 
 #[cfg(test)]
@@ -689,7 +672,7 @@ mod tests {
             Term::var("y"),
         );
         b.push(Term::var("y"), Term::var("f"), Term::var("z"));
-        let s = explain_plan(&g, &b);
+        let s = plan_bgp(&g, &b).to_string();
         assert!(s.contains("EdgeLabelIndex(\"citizenOf\")"), "{s}");
         assert!(s.contains("FullScan"), "{s}");
         assert!(s.contains("pushdown: y"), "{s}");

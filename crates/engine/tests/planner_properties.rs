@@ -1,7 +1,7 @@
 //! Property tests of the statistics-driven planner (vendored
 //! proptest): plan-ordered `eval_bgp` must produce exactly the
 //! embeddings (Def. 2.7) a brute-force enumerator finds on random
-//! generated graphs, and `explain_plan` cardinality estimates must
+//! generated graphs, and `plan_bgp` cardinality estimates must
 //! upper-bound the actual pattern table sizes.
 //!
 //! The enumerator is the reference: it imports no evaluator code. It
@@ -276,7 +276,7 @@ proptest! {
     }
 }
 
-/// `explain_plan` estimates on the Figure 1 graph upper-bound the
+/// `plan_bgp` estimates on the Figure 1 graph upper-bound the
 /// actual pattern table sizes for the paper's Q1-style patterns.
 #[test]
 fn estimates_upper_bound_on_figure1() {

@@ -90,9 +90,9 @@ pub struct ExecOptions {
     /// their next check and the query fails with
     /// [`EqlError::Cancelled`].
     pub cancel: Option<cs_core::CancelFlag>,
-    /// Where the CTP result cache lives (the plan cache one level up):
-    /// per-session ([`ResultCacheMode::On`], the default), disabled, or
-    /// a [`SharedResultCache`](crate::SharedResultCache) handle shared
+    /// Where the CTP result cache lives: per-session
+    /// ([`ResultCacheMode::On`], the default), disabled, or a
+    /// [`SharedResultCache`](crate::SharedResultCache) handle shared
     /// across sessions over the same graph.
     pub result_cache: ResultCacheMode,
     /// Capacity (entries) of the per-session result cache when
@@ -153,10 +153,12 @@ pub struct ExecStats {
     /// The access-path plan of each BGP component, in component order —
     /// the `EXPLAIN` surface of step (A).
     pub plans: Vec<BgpPlan>,
-    /// BGP plans this execution reused from the session's shape-keyed
-    /// plan cache.
+    /// Always 0: every BGP is planned fresh. Kept only because
+    /// perfbench reads it; it goes when perfbench stops reading it.
     pub plan_cache_hits: u64,
-    /// BGP plans this execution had to build from scratch.
+    /// The BGPs this execution planned (one per component). Kept only
+    /// because perfbench reads it; it goes when perfbench stops
+    /// reading it.
     pub plan_cache_misses: u64,
     /// CTP searches answered by an exact result-cache hit.
     pub result_cache_hits: u64,

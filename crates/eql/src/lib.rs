@@ -7,8 +7,8 @@
 //! `cs-core` (CTP search).
 //!
 //! Queries execute through a [`Session`], which owns the execution
-//! options and a shape-keyed BGP plan cache, so a stream of
-//! structurally similar queries amortises planning (Fig. 13):
+//! options and a CTP result cache, so a query stream repeating a
+//! search pays for it once:
 //!
 //! ```
 //! use cs_eql::Session;

@@ -1,8 +1,7 @@
-//! Cross-query CTP **result caching** with subsumption — the ROADMAP's
-//! "plan cache, one level up": cache the *results* of a connection
-//! search keyed by a canonical [`CtpSignature`], so a repetitive query
-//! stream (the production shape `csqd` serves) skips the graph search
-//! entirely.
+//! Cross-query CTP **result caching** with subsumption: cache the
+//! *results* of a connection search keyed by a canonical
+//! [`CtpSignature`], so a repetitive query stream (the production shape
+//! `csqd` serves) skips the graph search entirely.
 //!
 //! Two ways a probe is answered with zero graph work:
 //!
@@ -335,10 +334,9 @@ pub struct CacheCounters {
 /// An LRU cache of CTP search results, keyed by [`CtpSignature`], with
 /// a subsumption lookup (see the module docs for the exactness rules).
 ///
-/// Like the plan cache, the store is a small vector in LRU order — the
-/// subsumption lookup scans anyway, and capacities are tens of
-/// entries. `capacity == 0` disables the cache (every probe misses,
-/// nothing is stored).
+/// The store is a small vector in LRU order — the subsumption lookup
+/// scans anyway, and capacities are tens of entries. `capacity == 0`
+/// disables the cache (every probe misses, nothing is stored).
 pub struct ResultCache {
     entries: Vec<CacheEntry>,
     capacity: usize,

@@ -4,11 +4,10 @@
 //! The free functions of [`crate::exec`] parse, plan, and execute from
 //! scratch on every call, so nothing survives between queries. A
 //! [`Session`] is the stateful counterpart: it owns the graph
-//! reference, the [`ExecOptions`], and an LRU [`cs_engine::PlanCache`]
-//! keyed by BGP *shape* (labels/types with variable names
-//! canonicalised), so structurally identical BGPs across a query
-//! stream reuse plans — the paper's Fig. 13 per-label plan-cache idea
-//! generalised to whole patterns.
+//! reference, the [`ExecOptions`], and the CTP result cache those
+//! options select, so a query stream repeating a search pays for it
+//! once. Every BGP is planned fresh on each execution: planning a
+//! 4–5-pattern BGP costs a few percent of evaluating it.
 //!
 //! Every query runs through one pipeline: stage it (step A, then its
 //! CTP jobs), dispatch the jobs of every staged query in one round
@@ -43,8 +42,8 @@
 //! let first = session.execute(&prepared).unwrap();
 //! let again = session.execute(&prepared).unwrap();
 //! assert_eq!(first.rows(), again.rows());
-//! // The second execution reused the cached plan.
-//! assert!(again.stats.plan_cache_hits > 0);
+//! // The second execution's search was a result-cache hit.
+//! assert_eq!(again.stats.result_cache_hits, 1);
 //! ```
 
 use crate::ast::{QueryAst, QueryForm};
@@ -58,23 +57,19 @@ use crate::result_cache::{
     SharedResultCache,
 };
 use cs_core::{stream_ctp, Algorithm, CtpJob, CtpStream, ResultTree, SearchOutcome, SearchStats};
-use cs_engine::{eval_bgp_with_plan, join_all, Bgp, PlanCache, Table};
+use cs_engine::{eval_bgp_with_plan, join_all, plan_bgp, Bgp, Table};
 use cs_graph::{Applied, Graph, Mutation, NodeId};
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-/// Capacity of each session's BGP plan cache (plans keyed by pattern
-/// shape, the Fig. 13 per-label plan-cache idea).
-const PLAN_CACHE_CAPACITY: usize = 128;
-
 /// A stateful query-execution context over one graph.
 ///
-/// Sessions are cheap to create but meant to be held: the plan cache
-/// only pays off across queries. A session is single-threaded by
-/// design (`!Sync` — the plan cache sits behind a [`RefCell`]), and
-/// every CTP search of a query or batch runs on the calling thread.
-/// Use one session per thread.
+/// Sessions are cheap to create but meant to be held: a local result
+/// cache only pays off across queries. A session is single-threaded by
+/// design (`!Sync` — the local result cache sits behind a
+/// [`RefCell`]), and every CTP search of a query or batch runs on the
+/// calling thread. Use one session per thread.
 ///
 /// A session either borrows its graph ([`Session::new`]), owns it
 /// ([`Session::from_graph`], [`Session::open_snapshot`]), or shares it
@@ -82,11 +77,10 @@ const PLAN_CACHE_CAPACITY: usize = 128;
 /// `Session<'static>`, so a file-backed dataset can be served without
 /// keeping a graph binding alive elsewhere. The shared form is what a
 /// server uses: N connections hold one `Arc<Graph>` (one mmap-loaded
-/// snapshot), each with its own session and plan cache.
+/// snapshot), each with its own session.
 pub struct Session<'g> {
     graph: GraphHandle<'g>,
     opts: ExecOptions,
-    cache: RefCell<PlanCache>,
     results: ResultCacheHandle,
 }
 
@@ -249,7 +243,6 @@ impl<'g> Session<'g> {
     fn with_handle(graph: GraphHandle<'g>, opts: ExecOptions) -> Self {
         Session {
             graph,
-            cache: RefCell::new(PlanCache::new(PLAN_CACHE_CAPACITY)),
             results: ResultCacheHandle::from_opts(&opts),
             opts,
         }
@@ -276,24 +269,9 @@ impl<'g> Session<'g> {
     }
 
     /// Mutable access to the options (e.g. to change the deadline
-    /// between queries). The plan cache is kept.
+    /// between queries). The result cache is kept.
     pub fn options_mut(&mut self) -> &mut ExecOptions {
         &mut self.opts
-    }
-
-    /// Plans served from the session's shape-keyed cache so far.
-    pub fn plan_cache_hits(&self) -> u64 {
-        self.cache.borrow().hits()
-    }
-
-    /// Plans built from scratch so far.
-    pub fn plan_cache_misses(&self) -> u64 {
-        self.cache.borrow().misses()
-    }
-
-    /// Number of plans currently cached.
-    pub fn plan_cache_len(&self) -> usize {
-        self.cache.borrow().len()
     }
 
     /// The result cache's counters. For a session on a
@@ -363,12 +341,10 @@ impl<'g> Session<'g> {
     }
 
     /// Applies a batch of graph mutations through the session — the
-    /// live-graph entry point that keeps every cache honest:
+    /// live-graph entry point that keeps the result cache honest:
     ///
     /// * the batch lands atomically via [`cs_graph::Graph::apply`],
     ///   bumping the graph's generation;
-    /// * plans whose label footprint intersects the batch's labels are
-    ///   dropped from the plan cache (label-free shapes survive);
     /// * stale result-cache entries — already unreachable, since the
     ///   [`GraphToken`] they are keyed by carries the old generation —
     ///   are purged eagerly.
@@ -447,23 +423,6 @@ impl<'g> Session<'g> {
             return Ok(applied); // no-op batch: nothing to invalidate
         }
         let g = self.graph.get();
-        match g.mutations_since(before) {
-            Some(recs) => {
-                let mut labels: Vec<&str> = recs
-                    .iter()
-                    .flat_map(|r| r.labels.iter())
-                    .map(|&l| g.resolve(l))
-                    .collect();
-                labels.sort_unstable();
-                labels.dedup();
-                self.cache
-                    .borrow_mut()
-                    .invalidate_labels(labels.iter().copied());
-            }
-            // Past the log horizon (can't happen for one batch, but
-            // stay defensive): drop everything.
-            None => self.cache.borrow_mut().clear(),
-        }
         self.results.with(|c| c.purge_stale(GraphToken::of(g)));
         Ok(applied)
     }
@@ -495,8 +454,7 @@ impl<'g> Session<'g> {
     }
 
     /// Executes a prepared query — steps (A)–(C) of the paper's
-    /// evaluation strategy (§3), with step (A) plans served from the
-    /// session's shape-keyed cache.
+    /// evaluation strategy (§3), with every step (A) BGP planned fresh.
     ///
     /// This is the batch pipeline of [`Session::execute_batch`] run over
     /// one query, so a query answers the same alone and inside a batch.
@@ -614,10 +572,10 @@ impl<'g> Session<'g> {
             .collect()
     }
 
-    /// Stages one query for the pipeline: step (A) through the plan
-    /// cache, then its CTP jobs ([`build_ctp_jobs`]). The jobs are
-    /// armed with the query control only when they run. `stats.ctp_time`
-    /// starts with the job-building time.
+    /// Stages one query for the pipeline: step (A), then its CTP jobs
+    /// ([`build_ctp_jobs`]). The jobs are armed with the query control
+    /// only when they run. `stats.ctp_time` starts with the
+    /// job-building time.
     fn stage<Q: Borrow<PreparedQuery>>(
         &self,
         query: Q,
@@ -706,11 +664,11 @@ impl<'g> Session<'g> {
     /// GAM-family algorithm (BFT is batch-only), and no `SCORE`
     /// clause (ranking needs the materialised result set). Edge
     /// patterns are allowed: the query is staged as in
-    /// [`Session::execute`] — step (A) runs eagerly (through the plan
-    /// cache) to derive the CTP's seed sets, and the CTP's one search
-    /// job — seeds, policy and filters exactly as `execute` would
-    /// dispatch them — is handed to [`cs_core::stream_ctp`] instead. The stream yields the CTP's trees
-    /// in discovery order — per-seed bindings travel on each
+    /// [`Session::execute`] — step (A) runs eagerly to derive the CTP's
+    /// seed sets, and the CTP's one search job — seeds, policy and
+    /// filters exactly as `execute` would dispatch them — is handed to
+    /// [`cs_core::stream_ctp`] instead. The stream yields the CTP's
+    /// trees in discovery order — per-seed bindings travel on each
     /// [`ResultTree::seeds`].
     pub fn execute_streaming(&self, q: &PreparedQuery) -> Result<ResultStream<'_>, EqlError> {
         let ast = &q.ast;
@@ -767,24 +725,19 @@ impl<'g> Session<'g> {
         })
     }
 
-    /// Step (A): plan every BGP component through the session cache
-    /// and evaluate the plans, recording plans and cache-hit deltas in
-    /// `stats`.
+    /// Step (A): plan and evaluate every BGP component, recording the
+    /// plans in `stats`.
     fn eval_bgps(&self, bgps: &[Bgp], stats: &mut ExecStats) -> Vec<Table> {
-        let mut cache = self.cache.borrow_mut();
-        let (h0, m0) = (cache.hits(), cache.misses());
-        let tables = bgps
-            .iter()
+        let g = self.graph();
+        bgps.iter()
             .map(|bgp| {
-                let plan = cache.plan(self.graph(), bgp);
-                let table = eval_bgp_with_plan(self.graph(), bgp, &plan);
+                let plan = plan_bgp(g, bgp);
+                let table = eval_bgp_with_plan(g, bgp, &plan);
                 stats.plans.push(plan);
+                stats.plan_cache_misses += 1;
                 table
             })
-            .collect();
-        stats.plan_cache_hits += cache.hits() - h0;
-        stats.plan_cache_misses += cache.misses() - m0;
-        tables
+            .collect()
     }
 }
 

@@ -606,7 +606,7 @@ mod tests {
         };
         let mut session = Session::from_graph_with(figure1(), opts);
         let mut w = session.watch(CITIZENS).unwrap();
-        // Warm both caches with a repeat run.
+        // Warm the result cache with a repeat run.
         let _ = session.run(CITIZENS).unwrap();
         let (bob, france) = (
             node(session.graph(), "Bob"),

@@ -2,9 +2,9 @@
 //! of the graph-level edit-script tests in `cs_graph`'s mutate module.
 //!
 //! The contract under test: a session that reaches a graph state
-//! through [`Session::mutate`], with its plan cache and cross-query
-//! result cache warmed at every intermediate generation, must render
-//! every query byte-for-byte identically to a cache-free session over
+//! through [`Session::mutate`], with its cross-query result cache
+//! warmed at every intermediate generation, must render every query
+//! byte-for-byte identically to a cache-free session over
 //! the same state — and, at the end of the script, to a session over a
 //! graph rebuilt from scratch through [`GraphBuilder`]. Stale cached
 //! results must never be served, compaction must be observably
@@ -173,8 +173,8 @@ const GNP_QUERIES: [&str; 6] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// After every batch of a random edit script, a warm session (plan
-    /// + result caches on, answering the same queries generation after
+    /// After every batch of a random edit script, a warm session
+    /// (result cache on, answering the same queries generation after
     /// generation) renders identically to a cache-free reference over
     /// the same state — twice in a row, so the second, cache-hit run
     /// is checked too. At the end the state is rebuilt from scratch

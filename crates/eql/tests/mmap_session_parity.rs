@@ -89,10 +89,7 @@ fn sessions_agree_across_storage_backings() {
             let result = session
                 .run(q)
                 .unwrap_or_else(|e| panic!("{name}: {q}: {e}"));
-            assert_eq!(
-                result.stats.plan_cache_misses, 1,
-                "{name}: fresh session must plan once"
-            );
+            assert_eq!(result.stats.plans.len(), 1, "{name}: one BGP, one plan");
             let seen = observe(g, &result);
             match &reference {
                 None => reference = Some((name.to_string(), seen)),

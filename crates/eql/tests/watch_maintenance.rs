@@ -60,7 +60,7 @@ fn maintenance_beats_full_recompute() {
             ..ExecOptions::default()
         },
     );
-    recompute.run(STANDING).expect("warm the plan cache");
+    recompute.run(STANDING).expect("warm-up run");
     let maintain_mean = mean_time(20, || {
         churn(&mut maintain);
         let delta = watch.poll(&maintain).expect("poll");

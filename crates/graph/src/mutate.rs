@@ -12,9 +12,9 @@
 //!
 //! Every effective mutation batch bumps the monotonic
 //! [`Graph::generation`] counter — the single invalidation hook all
-//! derived state keys on (planner cardinalities, plan cache, result
-//! cache, watch cursors). A bounded log records which nodes and labels
-//! each generation touched so incremental consumers
+//! derived state keys on (planner cardinalities, result cache, watch
+//! cursors). A bounded log records which nodes and labels each
+//! generation touched so incremental consumers
 //! ([`Graph::mutations_since`]) can re-derive only what the delta
 //! reaches; past the log horizon they fall back to a full refresh.
 //!
@@ -179,8 +179,8 @@ impl DeltaState {
 impl Graph {
     /// The monotonic mutation counter: 0 for a freshly built or loaded
     /// graph, bumped once per effective [`Graph::apply`] batch.
-    /// Derived state (plan cache, result cache, watch cursors) keys on
-    /// this to detect staleness.
+    /// Derived state (planner cardinalities, result cache, watch
+    /// cursors) keys on this to detect staleness.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation

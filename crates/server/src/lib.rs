@@ -4,8 +4,8 @@
 //!
 //! Everything the paper's engine computes in-process, served over TCP:
 //! N clients share one loaded graph (an mmap snapshot or generated
-//! dataset), each connection gets its own [`Session`] (plan cache and
-//! all), and a global admission-controlled scheduler shares a fixed
+//! dataset), each connection gets its own [`Session`] (sessions are
+//! `!Sync`), and a global admission-controlled scheduler shares a fixed
 //! number of execution slots fairly across tenants. Each connection
 //! runs its own queries on its two threads. The pieces:
 //!

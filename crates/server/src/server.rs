@@ -25,14 +25,15 @@
 //! runs two of its jobs at once.
 //!
 //! Every connection shares one `Arc<Graph>` (e.g. an mmap-loaded
-//! snapshot) and owns its session, so plan caches are per-connection
-//! while the graph is loaded once. The cross-query *result* cache is
-//! upgraded to a single [`SharedResultCache`] at [`Server::bind`]
-//! (unless configured off), so one connection's completed CTP searches
-//! answer any connection's repeats; its counters ride the `stats`
-//! opcode. Responses are written under a per-connection writer lock —
-//! control replies from the reading thread and query replies from the
-//! running thread interleave as whole frames.
+//! snapshot), so the graph is loaded once, and owns its session,
+//! because a `Session` is `!Sync` (its local result cache sits behind
+//! a `RefCell`). The cross-query *result* cache is upgraded to a
+//! single [`SharedResultCache`] at [`Server::bind`] (unless configured
+//! off), so one connection's completed CTP searches answer any
+//! connection's repeats; its counters ride the `stats` opcode.
+//! Responses are written under a per-connection writer lock — control
+//! replies from the reading thread and query replies from the running
+//! thread interleave as whole frames.
 //!
 //! **Live graphs** are served by *epoch swap*: the current graph sits
 //! behind an `RwLock<Arc<Graph>>`, and a `mutate` request clones it,
@@ -40,8 +41,8 @@
 //! readers running against the old epoch finish undisturbed on their
 //! pinned `Arc`. Each connection notices the swap by `Arc::ptr_eq`
 //! before its next job and rebuilds the session over the new epoch
-//! (dropping its plan cache; the shared result cache needs no flush
-//! because entries are keyed by graph generation).
+//! (the shared result cache needs no flush because entries are keyed
+//! by graph generation).
 //! `subscribe` registers a standing query ([`cs_eql::Watch`]) on the
 //! connection; `poll` re-emits its result delta, riding the watch's
 //! generation / label-footprint / reach-probe skip layers. Writers are
@@ -242,9 +243,10 @@ struct Conn {
     reader: Mutex<ReadHalf>,
     writer: Mutex<TcpStream>,
     /// The connection's session and subscriptions. `Session` is `!Sync`
-    /// (its plan cache sits behind a `RefCell`), so the running thread
-    /// takes it under a mutex; `jobs` already keeps one connection's
-    /// jobs from running at once, so the lock is never contended.
+    /// (its local result cache sits behind a `RefCell`), so the running
+    /// thread takes it under a mutex; `jobs` already keeps one
+    /// connection's jobs from running at once, so the lock is never
+    /// contended.
     state: Mutex<ConnState>,
     jobs: Mutex<ConnJobs>,
 }

@@ -3,8 +3,8 @@
 //! Builds the Figure 1 graph, opens a [`Session`], and runs query Q1 —
 //! "what are the connections between some American entrepreneur x,
 //! some French entrepreneur y, and some French politician z?" — then
-//! re-runs the same prepared query ranked by specificity. The second
-//! execution reuses the plans the first one cached.
+//! runs the same connection search ranked by specificity. The second
+//! query's search is answered from the session's result cache.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -40,8 +40,8 @@ fn main() {
 
     // The same CTP, now ranked by specificity (hub-avoiding) and
     // limited to the top answer — requirement R2: any score function.
-    // Its three BGP components have the same shape as Q1's, so all
-    // three plans come from the session's cache.
+    // Ranking happens after the search, so the search itself is the
+    // one Q1 already ran and cached.
     let ranked = session
         .run(
             r#"
@@ -57,8 +57,7 @@ fn main() {
     println!("\nTop answer by specificity:");
     print!("{}", ranked.render(&g));
     println!(
-        "\nplan cache: {} hit(s), {} miss(es) this query — \
-         structurally identical BGPs reuse plans across the session",
-        ranked.stats.plan_cache_hits, ranked.stats.plan_cache_misses
+        "\nresult cache: {} hit(s), {} miss(es) this query",
+        ranked.stats.result_cache_hits, ranked.stats.result_cache_misses
     );
 }

@@ -123,12 +123,6 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         }
     }
     if batch && (show_stats || show_plan) {
-        eprintln!(
-            "session plan cache: {} hit(s), {} miss(es), {} cached plan(s)",
-            session.plan_cache_hits(),
-            session.plan_cache_misses(),
-            session.plan_cache_len()
-        );
         let rc = session.result_cache_counters();
         eprintln!(
             "session result cache: {} hit(s), {} miss(es), {} subsumed, \
@@ -147,22 +141,14 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     })
 }
 
-/// Prints a query's step-(A) plans and plan-cache counters to stderr
+/// Prints a query's step-(A) plans and seed narrowings to stderr
 /// (the `--explain` view, shared by the materialised and stream
 /// paths).
 fn report_plans(stats: &ExecStats) {
     for (i, plan) in stats.plans.iter().enumerate() {
-        let cached = if plan.cached { ", cached" } else { "" };
-        eprintln!(
-            "BGP {i} plan (est {} rows scanned{cached}):",
-            plan.total_estimate()
-        );
+        eprintln!("BGP {i} plan (est {} rows scanned):", plan.total_estimate());
         eprint!("{plan}");
     }
-    eprintln!(
-        "plan cache: {} hit(s), {} miss(es)",
-        stats.plan_cache_hits, stats.plan_cache_misses
-    );
     for n in &stats.seed_narrowings {
         eprintln!(
             "magic seeds: CTP {} seed {} narrowed {} -> {} node(s)",

@@ -80,7 +80,7 @@ fn batch_executes_all_queries() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("query 1 of 2"), "{stderr}");
     assert!(stderr.contains("query 2 of 2"), "{stderr}");
-    assert!(stderr.contains("plan cache"), "{stderr}");
+    assert!(stderr.contains("BGP 0 plan"), "{stderr}");
 }
 
 #[test]
