@@ -2,14 +2,11 @@
 //! `SCORE σ [TOP k]`).
 //!
 //! The search algorithms are deliberately orthogonal to scoring: any
-//! [`ScoreFn`] can rank any result set, and [`TopK`] keeps the k best
-//! results as they stream out of the search ("the simplest
-//! implementation calls σ on each new result").
+//! [`ScoreFn`] can rank any result set, and [`rank`] orders a set best
+//! first and keeps the k best.
 
 use crate::result::ResultTree;
 use cs_graph::Graph;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A score function σ: assigns each result tree a real number — the
 /// higher, the better.
@@ -112,88 +109,27 @@ pub fn by_name(name: &str) -> Option<Box<dyn ScoreFn>> {
     }
 }
 
-/// An entry of the top-k heap.
-struct Scored {
-    score: f64,
-    index: usize,
-}
-
-impl PartialEq for Scored {
-    fn eq(&self, other: &Self) -> bool {
-        self.score == other.score
+/// Scores `trees` by σ and ranks them best first (`SCORE σ [TOP k]`),
+/// keeping the `top` best when a bound is given.
+///
+/// Scores sort descending under [`f64::total_cmp`], a total order: a
+/// NaN-producing scorer ranks deterministically (positive NaN sorts
+/// above +∞, i.e. first). Equal scores tie-break on
+/// [`ResultTree::canonical_cmp`], so the ranking — and with it `TOP k`
+/// — is a function of the result *set* alone, whatever order the
+/// search produced it in.
+pub fn rank(
+    g: &Graph,
+    trees: Vec<ResultTree>,
+    sigma: &dyn ScoreFn,
+    top: Option<usize>,
+) -> Vec<(f64, ResultTree)> {
+    let mut scored: Vec<(f64, ResultTree)> =
+        trees.into_iter().map(|t| (sigma.score(g, &t), t)).collect();
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.canonical_cmp(&b.1)));
+    if let Some(k) = top {
+        scored.truncate(k);
     }
-}
-impl Eq for Scored {}
-impl PartialOrd for Scored {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scored {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on score (lowest score at the top, evicted first);
-        // NaN sorts last so it is evicted first.
-        other
-            .score
-            .partial_cmp(&self.score)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-/// Streaming top-k accumulator over scored results.
-pub struct TopK {
-    k: usize,
-    heap: BinaryHeap<Scored>,
-    kept: Vec<(f64, ResultTree)>,
-}
-
-impl TopK {
-    /// Keeps the `k` highest-scoring results.
-    pub fn new(k: usize) -> Self {
-        TopK {
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
-            kept: Vec::new(),
-        }
-    }
-
-    /// Offers a result; it is retained if it ranks in the current top k.
-    pub fn offer(&mut self, score: f64, tree: ResultTree) {
-        if self.k == 0 {
-            return;
-        }
-        let index = self.kept.len();
-        self.kept.push((score, tree));
-        self.heap.push(Scored { score, index });
-        if self.heap.len() > self.k {
-            self.heap.pop(); // evict the lowest score
-        }
-    }
-
-    /// Finalises: the kept results, best first.
-    pub fn into_sorted(self) -> Vec<(f64, ResultTree)> {
-        let mut keep_idx: Vec<usize> = self.heap.into_iter().map(|s| s.index).collect();
-        keep_idx.sort_unstable();
-        let mut out: Vec<(f64, ResultTree)> = self
-            .kept
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| keep_idx.binary_search(i).is_ok())
-            .map(|(_, st)| st)
-            .collect();
-        out.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
-        out
-    }
-}
-
-/// Scores and ranks a whole result list, best first (`SCORE σ` without
-/// `TOP k`).
-pub fn rank_all(g: &Graph, results: &[ResultTree], sigma: &dyn ScoreFn) -> Vec<(f64, ResultTree)> {
-    let mut scored: Vec<(f64, ResultTree)> = results
-        .iter()
-        .map(|t| (sigma.score(g, t), t.clone()))
-        .collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
     scored
 }
 
@@ -221,7 +157,7 @@ mod tests {
     #[test]
     fn edge_count_prefers_small() {
         let (g, rs) = chain_results();
-        let ranked = rank_all(&g, &rs, &EdgeCount);
+        let ranked = rank(&g, rs, &EdgeCount, None);
         // All chain results have 3 edges — scores all equal.
         assert!(ranked.windows(2).all(|w| w[0].0 >= w[1].0));
         assert_eq!(ranked[0].0, -3.0);
@@ -251,31 +187,67 @@ mod tests {
         assert_eq!(EdgeWeight.score(&g, &rs[0]), -(rs[0].size() as f64));
     }
 
+    /// Scores each tree by its index in the held list (later is better).
+    struct ByPosition(Vec<ResultTree>);
+
+    impl ScoreFn for ByPosition {
+        fn score(&self, _g: &Graph, t: &ResultTree) -> f64 {
+            self.0.iter().position(|o| o == t).unwrap_or(0) as f64
+        }
+    }
+
     #[test]
     fn top_k_keeps_best() {
         let (g, rs) = chain_results();
         assert_eq!(rs.len(), 8);
-        let mut tk = TopK::new(3);
-        for (i, r) in rs.iter().enumerate() {
-            tk.offer(i as f64, r.clone()); // score = discovery index
-        }
-        let top = tk.into_sorted();
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0].0, 7.0);
-        assert_eq!(top[2].0, 5.0);
-        let _ = g;
+        let top = rank(&g, rs.clone(), &ByPosition(rs), Some(3));
+        let scores: Vec<f64> = top.iter().map(|(s, _)| *s).collect();
+        assert_eq!(scores, [7.0, 6.0, 5.0]);
     }
 
     #[test]
     fn top_k_zero_and_small_input() {
-        let (_, rs) = chain_results();
-        let mut tk = TopK::new(0);
-        tk.offer(1.0, rs[0].clone());
-        assert!(tk.into_sorted().is_empty());
+        let (g, rs) = chain_results();
+        assert!(rank(&g, rs.clone(), &EdgeCount, Some(0)).is_empty());
+        assert_eq!(rank(&g, rs[..1].to_vec(), &EdgeCount, Some(10)).len(), 1);
+    }
 
-        let mut tk = TopK::new(10);
-        tk.offer(1.0, rs[0].clone());
-        assert_eq!(tk.into_sorted().len(), 1);
+    /// Scores NaN for the trees that use the chain's first edge, and 1
+    /// for every other tree.
+    struct NanOnFirstEdge;
+
+    impl ScoreFn for NanOnFirstEdge {
+        fn score(&self, _g: &Graph, t: &ResultTree) -> f64 {
+            if t.edges.iter().any(|e| e.index() == 0) {
+                f64::NAN
+            } else {
+                1.0
+            }
+        }
+    }
+
+    #[test]
+    fn rank_orders_nan_first_ties_canonically_and_truncates() {
+        let (g, rs) = chain_results();
+        let trees = |r: &[(f64, ResultTree)]| r.iter().map(|(_, t)| t.clone()).collect::<Vec<_>>();
+        let mut reversed = rs.clone();
+        reversed.reverse();
+        let ranked = rank(&g, rs, &NanOnFirstEdge, None);
+        // Positive NaN sorts above every number under `total_cmp`: the
+        // four trees through the first edge come first.
+        assert!(ranked[..4].iter().all(|(s, _)| s.is_nan()));
+        assert!(ranked[4..].iter().all(|(s, _)| *s == 1.0));
+        // Equal scores tie-break canonically, whatever the input order.
+        for tied in [&ranked[..4], &ranked[4..]] {
+            assert!(tied
+                .windows(2)
+                .all(|w| w[0].1.canonical_cmp(&w[1].1).is_lt()));
+        }
+        let again = rank(&g, reversed.clone(), &NanOnFirstEdge, None);
+        assert_eq!(trees(&again), trees(&ranked));
+        // `top` keeps a prefix of the full ranking.
+        let top3 = rank(&g, reversed, &NanOnFirstEdge, Some(3));
+        assert_eq!(trees(&top3), trees(&ranked[..3]));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::ast::{CtpAst, QueryAst, QueryForm, TermAst};
 use crate::parser::ParseError;
 use crate::result_cache::ResultCacheMode;
-use cs_core::score::by_name;
+use cs_core::score::{by_name, rank};
 use cs_core::{
     Algorithm, CtpJob, Filters, QueueOrder, QueuePolicy, ResultTree, SearchOutcome, SearchStats,
     SeedError, SeedSets, SeedSpec,
@@ -93,13 +93,9 @@ pub struct ExecOptions {
     /// Where the CTP result cache lives: per-session
     /// ([`ResultCacheMode::On`], the default), disabled, or a
     /// [`SharedResultCache`](crate::SharedResultCache) handle shared
-    /// across sessions over the same graph.
+    /// across sessions over the same graph (or sized other than
+    /// [`DEFAULT_RESULT_CACHE_CAPACITY`](crate::DEFAULT_RESULT_CACHE_CAPACITY)).
     pub result_cache: ResultCacheMode,
-    /// Capacity (entries) of the per-session result cache when
-    /// [`ExecOptions::result_cache`] is [`ResultCacheMode::On`]; `0`
-    /// disables caching. Ignored for `Off`/`Shared` (a shared cache
-    /// carries its own capacity).
-    pub result_cache_capacity: usize,
 }
 
 impl Default for ExecOptions {
@@ -110,7 +106,6 @@ impl Default for ExecOptions {
             deadline: None,
             cancel: None,
             result_cache: ResultCacheMode::On,
-            result_cache_capacity: crate::result_cache::DEFAULT_RESULT_CACHE_CAPACITY,
         }
     }
 }
@@ -164,11 +159,13 @@ pub struct ExecStats {
     pub result_cache_hits: u64,
     /// CTP searches the result cache could not answer.
     pub result_cache_misses: u64,
-    /// CTP searches answered by filtering a dominating cached entry
-    /// (subsumption).
+    /// Always 0: the result cache answers exact repeats only. Kept
+    /// only because perfbench reads it; it goes when perfbench stops
+    /// reading it.
     pub result_cache_subsumed: u64,
-    /// Cached trees rejected while answering this execution's
-    /// subsumption hits.
+    /// Always 0, as [`ExecStats::result_cache_subsumed`]. Kept only
+    /// because perfbench reads it; it goes when perfbench stops
+    /// reading it.
     pub result_cache_trees_filtered: u64,
     /// Magic-set seed narrowings applied before dispatch.
     pub seed_narrowings: Vec<SeedNarrowing>,
@@ -610,27 +607,16 @@ pub(crate) fn materialise_ctps(
         // never passes through this function.
         result_trees.sort_by(ResultTree::canonical_cmp);
 
-        // SCORE σ [TOP k] (§4.8): score each result; optionally keep
-        // only the k best. Sorted descending under `f64::total_cmp`,
-        // which is a total order: a NaN-producing scorer yields a
-        // deterministic TOP-k (positive NaN sorts above +∞, i.e.
-        // first), instead of an arbitrary one. Equal scores tie-break
-        // on the canonical edge set, so TOP-k is a function of the
-        // result *set* alone — no engine or queue order can change it.
+        // SCORE σ [TOP k] (§4.8): score each result and keep the k
+        // best, ranked by `cs_core::score::rank` — a total order, so
+        // TOP-k is a function of the result *set* alone.
         if let Some((sigma_name, top)) = &ctp.filters.score {
             #[expect(
                 clippy::expect_used,
                 reason = "the parser already rejected queries naming an unknown scorer, so lookup succeeds"
             )]
             let sigma = by_name(sigma_name).expect("validated by the parser");
-            let mut scored: Vec<(f64, ResultTree)> = result_trees
-                .into_iter()
-                .map(|t| (sigma.score(g, &t), t))
-                .collect();
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.canonical_cmp(&b.1)));
-            if let Some(k) = top {
-                scored.truncate(*k);
-            }
+            let scored = rank(g, result_trees, sigma.as_ref(), *top);
             scores.insert(
                 ctp.out_var.clone(),
                 scored.iter().map(|(s, _)| *s).collect(),

@@ -57,8 +57,7 @@ pub use ast::{CtpAst, CtpFiltersAst, EdgePatternAst, QueryAst, QueryForm, TermAs
 pub use exec::{explain_plan, EqlError, ExecOptions, ExecStats, QueryResult, SeedNarrowing};
 pub use parser::{parse, ParseError};
 pub use result_cache::{
-    CacheCounters, CtpSignature, GraphToken, ResultCache, ResultCacheMode, SharedResultCache,
-    DEFAULT_RESULT_CACHE_CAPACITY,
+    CacheCounters, ResultCacheMode, SharedResultCache, DEFAULT_RESULT_CACHE_CAPACITY,
 };
 pub use session::{PreparedQuery, ResultStream, Session};
 pub use watch::{Watch, WatchDelta, WatchSkip};

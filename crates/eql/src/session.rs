@@ -52,24 +52,19 @@ use crate::exec::{
     query_bgps, CtpMaterialisation, EqlError, ExecOptions, ExecStats, QueryControl, QueryResult,
 };
 use crate::parser::parse;
-use crate::result_cache::{
-    CacheCounters, CacheLookup, CtpSignature, GraphToken, ResultCache, ResultCacheMode,
-    SharedResultCache,
-};
+use crate::result_cache::{CacheCounters, CtpSignature, GraphToken, SharedResultCache};
 use cs_core::{stream_ctp, Algorithm, CtpJob, CtpStream, ResultTree, SearchOutcome, SearchStats};
 use cs_engine::{eval_bgp_with_plan, join_all, plan_bgp, Bgp, Table};
 use cs_graph::{Applied, Graph, Mutation, NodeId};
 use std::borrow::Borrow;
-use std::cell::RefCell;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A stateful query-execution context over one graph.
 ///
-/// Sessions are cheap to create but meant to be held: a local result
-/// cache only pays off across queries. A session is single-threaded by
-/// design (`!Sync` — the local result cache sits behind a
-/// [`RefCell`]), and every CTP search of a query or batch runs on the
-/// calling thread. Use one session per thread.
+/// Sessions are cheap to create but meant to be held: a result cache
+/// only pays off across queries. A session is `Send + Sync`, and every
+/// CTP search of a query or batch runs on the calling thread.
 ///
 /// A session either borrows its graph ([`Session::new`]), owns it
 /// ([`Session::from_graph`], [`Session::open_snapshot`]), or shares it
@@ -81,52 +76,24 @@ use std::time::{Duration, Instant};
 pub struct Session<'g> {
     graph: GraphHandle<'g>,
     opts: ExecOptions,
-    results: ResultCacheHandle,
+    /// The CTP result cache, resolved once from
+    /// [`ExecOptions::result_cache`] at construction; `None` when
+    /// caching is off.
+    results: Option<SharedResultCache>,
 }
 
-/// The three ways a session holds its graph.
+/// The two ways a session holds its graph. An owning session holds the
+/// only `Arc`, so [`Arc::get_mut`] lets it mutate.
 enum GraphHandle<'g> {
     Borrowed(&'g Graph),
-    Owned(Box<Graph>),
-    Shared(std::sync::Arc<Graph>),
+    Shared(Arc<Graph>),
 }
 
 impl GraphHandle<'_> {
     fn get(&self) -> &Graph {
         match self {
             GraphHandle::Borrowed(g) => g,
-            GraphHandle::Owned(g) => g,
             GraphHandle::Shared(g) => g,
-        }
-    }
-}
-
-/// Where this session's CTP result cache lives, resolved once from
-/// [`ExecOptions::result_cache`] at construction.
-enum ResultCacheHandle {
-    Off,
-    Local(RefCell<ResultCache>),
-    Shared(SharedResultCache),
-}
-
-impl ResultCacheHandle {
-    fn from_opts(opts: &ExecOptions) -> ResultCacheHandle {
-        match &opts.result_cache {
-            ResultCacheMode::Off => ResultCacheHandle::Off,
-            ResultCacheMode::On if opts.result_cache_capacity == 0 => ResultCacheHandle::Off,
-            ResultCacheMode::On => {
-                ResultCacheHandle::Local(RefCell::new(ResultCache::new(opts.result_cache_capacity)))
-            }
-            ResultCacheMode::Shared(h) => ResultCacheHandle::Shared(h.clone()),
-        }
-    }
-
-    /// Runs `f` with the cache, or returns `None` when caching is off.
-    fn with<R>(&self, f: impl FnOnce(&mut ResultCache) -> R) -> Option<R> {
-        match self {
-            ResultCacheHandle::Off => None,
-            ResultCacheHandle::Local(c) => Some(f(&mut c.borrow_mut())),
-            ResultCacheHandle::Shared(s) => Some(s.with(f)),
         }
     }
 }
@@ -136,8 +103,6 @@ impl ResultCacheHandle {
 pub(crate) enum CacheEvent {
     /// Exact signature hit.
     Hit,
-    /// Subsumption hit; carries the number of trees filtered out.
-    Subsumed(u64),
     /// No usable entry: the search ran.
     Miss,
     /// The job bypassed the cache (caching off or uncacheable job).
@@ -149,10 +114,6 @@ pub(crate) fn fold_cache_events(stats: &mut ExecStats, events: &[CacheEvent]) {
     for e in events {
         match e {
             CacheEvent::Hit => stats.result_cache_hits += 1,
-            CacheEvent::Subsumed(filtered) => {
-                stats.result_cache_subsumed += 1;
-                stats.result_cache_trees_filtered += filtered;
-            }
             CacheEvent::Miss => stats.result_cache_misses += 1,
             CacheEvent::Bypass => {}
         }
@@ -198,7 +159,7 @@ impl Session<'static> {
 
     /// An owning session with explicit options.
     pub fn from_graph_with(graph: Graph, opts: ExecOptions) -> Session<'static> {
-        Session::with_handle(GraphHandle::Owned(Box::new(graph)), opts)
+        Session::with_handle(GraphHandle::Shared(Arc::new(graph)), opts)
     }
 
     /// Opens a session over a `.csg` snapshot file
@@ -212,19 +173,19 @@ impl Session<'static> {
     }
 
     /// A session over a shared, reference-counted graph. Many sessions
-    /// (one per connection, one per thread — sessions are `!Sync`) can
-    /// hold the same `Arc<Graph>`, so a server keeps a single graph in
-    /// memory regardless of how many clients it serves.
-    pub fn from_shared(graph: std::sync::Arc<Graph>) -> Session<'static> {
+    /// (one per connection) can hold the same `Arc<Graph>`, so a server
+    /// keeps a single graph in memory regardless of how many clients it
+    /// serves.
+    pub fn from_shared(graph: Arc<Graph>) -> Session<'static> {
         Session::from_shared_with(graph, ExecOptions::default())
     }
 
     /// [`Session::from_shared`] with explicit options. This is the
     /// server constructor: passing
-    /// [`ResultCacheMode::Shared`] in the options makes
-    /// every connection's session probe and feed one cross-session
-    /// result cache over the shared graph.
-    pub fn from_shared_with(graph: std::sync::Arc<Graph>, opts: ExecOptions) -> Session<'static> {
+    /// [`ResultCacheMode::Shared`](crate::ResultCacheMode::Shared) in
+    /// the options makes every connection's session probe and feed one
+    /// cross-session result cache over the shared graph.
+    pub fn from_shared_with(graph: Arc<Graph>, opts: ExecOptions) -> Session<'static> {
         Session::with_handle(GraphHandle::Shared(graph), opts)
     }
 
@@ -243,7 +204,7 @@ impl<'g> Session<'g> {
     fn with_handle(graph: GraphHandle<'g>, opts: ExecOptions) -> Self {
         Session {
             graph,
-            results: ResultCacheHandle::from_opts(&opts),
+            results: opts.result_cache.handle(),
             opts,
         }
     }
@@ -275,11 +236,14 @@ impl<'g> Session<'g> {
     }
 
     /// The result cache's counters. For a session on a
-    /// [`ResultCacheMode::Shared`] cache these are the
-    /// *shared* totals across every attached session; all zero when
-    /// caching is off.
+    /// [`ResultCacheMode::Shared`](crate::ResultCacheMode::Shared)
+    /// cache these are the *shared* totals across every attached
+    /// session; all zero when caching is off.
     pub fn result_cache_counters(&self) -> CacheCounters {
-        self.results.with(|c| c.counters()).unwrap_or_default()
+        self.results
+            .as_ref()
+            .map(SharedResultCache::counters)
+            .unwrap_or_default()
     }
 
     /// CTP searches answered by an exact result-cache hit.
@@ -294,7 +258,7 @@ impl<'g> Session<'g> {
 
     /// Number of entries in the result cache.
     pub fn result_cache_len(&self) -> usize {
-        self.results.with(|c| c.len()).unwrap_or(0)
+        self.results.as_ref().map_or(0, SharedResultCache::len)
     }
 
     /// Runs a round of CTP jobs one after another on this thread,
@@ -310,32 +274,27 @@ impl<'g> Session<'g> {
         control: &QueryControl,
     ) -> (Vec<SearchOutcome>, Vec<CacheEvent>) {
         let g = self.graph();
-        let caching = !matches!(self.results, ResultCacheHandle::Off);
         jobs.iter_mut()
             .map(|job| {
-                let sig = caching.then(|| CtpSignature::of(g, job)).flatten();
-                let probe = sig
+                let cached = self
+                    .results
                     .as_ref()
-                    .and_then(|s| self.results.with(|c| c.lookup(g, s)));
-                match probe {
-                    Some(CacheLookup::Exact(outcome)) => (outcome, CacheEvent::Hit),
-                    Some(CacheLookup::Subsumed {
-                        outcome,
-                        filtered_out,
-                    }) => (outcome, CacheEvent::Subsumed(filtered_out)),
-                    Some(CacheLookup::Miss) | None => {
-                        control.arm(job);
-                        let outcome = job.run(g);
-                        let event = match sig {
-                            Some(s) => {
-                                self.results.with(|c| c.insert(s, &outcome));
-                                CacheEvent::Miss
-                            }
-                            None => CacheEvent::Bypass,
-                        };
-                        (outcome, event)
+                    .and_then(|cache| Some((cache, CtpSignature::of(g, job)?)));
+                if let Some((cache, sig)) = &cached {
+                    if let Some(outcome) = cache.with(|c| c.lookup(sig)) {
+                        return (outcome, CacheEvent::Hit);
                     }
                 }
+                control.arm(job);
+                let outcome = job.run(g);
+                let event = match cached {
+                    Some((cache, sig)) => {
+                        cache.with(|c| c.insert(sig, &outcome));
+                        CacheEvent::Miss
+                    }
+                    None => CacheEvent::Bypass,
+                };
+                (outcome, event)
             })
             .unzip()
     }
@@ -346,7 +305,7 @@ impl<'g> Session<'g> {
     /// * the batch lands atomically via [`cs_graph::Graph::apply`],
     ///   bumping the graph's generation;
     /// * stale result-cache entries — already unreachable, since the
-    ///   [`GraphToken`] they are keyed by carries the old generation —
+    ///   graph token they are keyed by carries the old generation —
     ///   are purged eagerly.
     ///
     /// Only sessions that *own* their graph can mutate: borrowed
@@ -402,8 +361,7 @@ impl<'g> Session<'g> {
         }
         let before = self.graph.get().generation();
         let g = match &mut self.graph {
-            GraphHandle::Owned(g) => g.as_mut(),
-            GraphHandle::Shared(arc) => std::sync::Arc::get_mut(arc).ok_or_else(|| {
+            GraphHandle::Shared(arc) => Arc::get_mut(arc).ok_or_else(|| {
                 EqlError::Mutate(
                     "cannot mutate a shared graph while other references are live; \
                      clone, mutate, and swap the Arc instead (the csqd epoch swap)"
@@ -423,7 +381,9 @@ impl<'g> Session<'g> {
             return Ok(applied); // no-op batch: nothing to invalidate
         }
         let g = self.graph.get();
-        self.results.with(|c| c.purge_stale(GraphToken::of(g)));
+        if let Some(cache) = &self.results {
+            cache.with(|c| c.purge_stale(GraphToken::of(g)));
+        }
         Ok(applied)
     }
 
@@ -815,7 +775,7 @@ impl ResultStream<'_> {
         &self.out_var
     }
 
-    /// Staging statistics: BGP time, plans, plan-cache counters, and the
+    /// Staging statistics: BGP time, plans, and the
     /// job-building time in `ctp_time` (CTP search counters accumulate
     /// in [`ResultStream::stats`]).
     pub fn exec_stats(&self) -> &ExecStats {

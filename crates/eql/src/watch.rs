@@ -440,7 +440,6 @@ fn label_footprint(ast: &QueryAst) -> (Vec<String>, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecOptions;
     use crate::parser::parse;
     use cs_graph::{figure1, matching_nodes, Mutation, Predicate};
 
@@ -600,11 +599,7 @@ mod tests {
 
     #[test]
     fn stale_plan_and_result_caches_never_serve_old_answers() {
-        let opts = ExecOptions {
-            result_cache_capacity: 16,
-            ..ExecOptions::default()
-        };
-        let mut session = Session::from_graph_with(figure1(), opts);
+        let mut session = Session::from_graph(figure1());
         let mut w = session.watch(CITIZENS).unwrap();
         // Warm the result cache with a repeat run.
         let _ = session.run(CITIZENS).unwrap();

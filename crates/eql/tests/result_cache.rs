@@ -1,12 +1,12 @@
 //! Cross-query result-cache integration tests: a cached session must
 //! be *observably identical* to an uncached one — same rows, same
 //! canonical tree order, same TOP-k tie-breaks — whether a query is
-//! served cold, from an exact-signature replay, or by filtering a
-//! dominating (subsumption) entry. Incomplete algorithm configurations
-//! (e.g. MoESP at m = 3) may only be served as exact-signature hits.
-//! Magic-set seed narrowing must not change SELECT semantics either.
+//! served cold or from an exact-signature replay. A probe that differs
+//! from every cached signature (say, a tighter MAX) misses and runs
+//! the search. Magic-set seed narrowing must not change SELECT
+//! semantics either.
 
-use cs_eql::{EqlError, ExecOptions, QueryResult, ResultCacheMode, Session};
+use cs_eql::{EqlError, ExecOptions, QueryResult, ResultCacheMode, Session, SharedResultCache};
 use cs_graph::generate::gnp;
 use cs_graph::{figure1, Graph, GraphBuilder};
 use proptest::prelude::*;
@@ -90,12 +90,11 @@ proptest! {
         }
     }
 
-    /// Subsumption ≡ direct search: a probe whose MAX bound (or LABEL
-    /// set) is dominated by a cached complete entry is answered by
-    /// filtering that entry — and must render exactly like an uncached
-    /// direct search, canonical order included.
+    /// A probe whose MAX bound (or LABEL set) is dominated by a cached
+    /// entry is a miss: it runs its own search and renders exactly like
+    /// an uncached direct search, canonical order included.
     #[test]
-    fn subsumed_probe_equals_direct_search(seed in any::<u64>(), a in 1usize..9, k in 1usize..3) {
+    fn dominated_probe_misses_and_equals_direct_search(seed in any::<u64>(), a in 1usize..9, k in 1usize..3) {
         let g = gnp(9, 0.25, seed);
         let wide = m2_query(a, 3, "bft");
         let narrow = m2_query(a, k, "bft");
@@ -117,8 +116,8 @@ proptest! {
             "bound-dominated probe"
         );
         if let Ok(p) = &probe {
-            prop_assert_eq!(p.stats.result_cache_subsumed, 1, "must be subsumption-served");
-            prop_assert_eq!(p.stats.result_cache_misses, 0);
+            prop_assert_eq!(p.stats.result_cache_misses, 1, "a dominated probe must search");
+            prop_assert_eq!(p.stats.result_cache_hits, 0);
         }
 
         let by_label = session.run(&labelled);
@@ -128,7 +127,8 @@ proptest! {
             "label-dominated probe"
         );
         if let Ok(p) = &by_label {
-            prop_assert_eq!(p.stats.result_cache_subsumed, 1);
+            prop_assert_eq!(p.stats.result_cache_misses, 1);
+            prop_assert_eq!(p.stats.result_cache_hits, 0);
         }
     }
 
@@ -153,11 +153,11 @@ proptest! {
     }
 
     /// An incomplete configuration (MoESP at m = 3 computes only the
-    /// 2-provenance-set results) is never subsumption-served: its
-    /// entries answer exact-signature repeats only, and a dominated
-    /// probe runs a real search — matching the uncached session.
+    /// 2-provenance-set results) answers exact-signature repeats, and
+    /// a dominated probe runs a real search — matching the uncached
+    /// session.
     #[test]
-    fn incomplete_config_is_never_subsumption_served(seed in any::<u64>(), a in 1usize..5, b in 5usize..9) {
+    fn incomplete_config_serves_exact_repeats_only(seed in any::<u64>(), a in 1usize..5, b in 5usize..9) {
         let g = gnp(9, 0.25, seed);
         let wide = m3_query(a, b, 4, "moesp");
         let narrow = m3_query(a, b, 3, "moesp");
@@ -170,7 +170,7 @@ proptest! {
             observed(&g, &probe)
         );
         if let Ok(p) = &probe {
-            prop_assert_eq!(p.stats.result_cache_subsumed, 0, "incomplete entry must not subsume");
+            prop_assert_eq!(p.stats.result_cache_hits, 0, "a dominated probe must search");
             prop_assert_eq!(p.stats.result_cache_misses, 1);
         }
 
@@ -309,28 +309,6 @@ fn narrowing_fires_and_is_recorded_on_figure1() {
 // Session-level cache behaviour.
 
 #[test]
-fn capacity_zero_bypasses_the_cache() {
-    let g = figure1();
-    let session = Session::with_options(
-        &g,
-        ExecOptions {
-            result_cache_capacity: 0,
-            ..ExecOptions::default()
-        },
-    );
-    let q = r#"SELECT w WHERE { CONNECT("Bob", "Carole" -> w) MAX 3 }"#;
-    let a = session.run(q).unwrap();
-    let b = session.run(q).unwrap();
-    assert_eq!(a.render(&g), b.render(&g));
-    for r in [&a, &b] {
-        assert_eq!(r.stats.result_cache_hits, 0);
-        assert_eq!(r.stats.result_cache_misses, 0);
-        assert_eq!(r.stats.result_cache_subsumed, 0);
-    }
-    assert_eq!(session.result_cache_len(), 0);
-}
-
-#[test]
 fn batch_deduplicates_identical_ctp_jobs() {
     let g = figure1();
     let q = r#"SELECT w WHERE { CONNECT("Bob", "Carole" -> w) MAX 3 }"#;
@@ -365,7 +343,7 @@ fn batch_deduplicates_beyond_the_cache_capacity() {
     let session = Session::with_options(
         &g,
         ExecOptions {
-            result_cache_capacity: 2,
+            result_cache: ResultCacheMode::Shared(SharedResultCache::new(2)),
             ..ExecOptions::default()
         },
     );
@@ -383,7 +361,7 @@ fn batch_deduplicates_beyond_the_cache_capacity() {
 
 #[test]
 fn shared_cache_serves_a_sibling_session() {
-    let shared = cs_eql::SharedResultCache::new(16);
+    let shared = SharedResultCache::new(16);
     let opts = ExecOptions {
         result_cache: ResultCacheMode::Shared(shared.clone()),
         ..ExecOptions::default()
@@ -399,4 +377,25 @@ fn shared_cache_serves_a_sibling_session() {
     assert_eq!(shared.counters().hits, 1);
     assert_eq!(shared.counters().misses, 1);
     assert_eq!(shared.len(), 1);
+}
+
+/// `On` is resolved per session: two sessions built from one cloned
+/// `ExecOptions` get a cache each (a `Shared(h)` clone shares `h`, see
+/// `shared_cache_serves_a_sibling_session`).
+#[test]
+fn on_sessions_from_cloned_options_keep_private_caches() {
+    let g = std::sync::Arc::new(figure1());
+    let q = r#"SELECT w WHERE { CONNECT("Bob", "Elon" -> w) MAX 3 }"#;
+    let on = ExecOptions::default();
+    let a = Session::from_shared_with(g.clone(), on.clone());
+    let b = Session::from_shared_with(g.clone(), on);
+    let first = a.run(q).unwrap();
+    let second = b.run(q).unwrap();
+    assert_eq!(first.render(&g), second.render(&g));
+    assert_eq!(
+        second.stats.result_cache_misses, 1,
+        "b must not see a's entry"
+    );
+    assert_eq!((a.result_cache_len(), b.result_cache_len()), (1, 1));
+    assert_eq!(a.result_cache_counters(), b.result_cache_counters());
 }

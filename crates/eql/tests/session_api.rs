@@ -300,6 +300,14 @@ fn owned_session_matches_borrowed_session() {
     );
 }
 
+/// A session holds its result cache behind a mutex, so one session
+/// can be shared across threads.
+#[test]
+fn session_is_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Session<'static>>();
+}
+
 #[test]
 fn plans_are_fresh_after_a_mutation() {
     let q = r#"SELECT x, y WHERE { (x, e, y) (y, f, z) }"#;

@@ -153,8 +153,8 @@ impl Client {
         self.expect_reply(id)
     }
 
-    /// Executes an `ASK` query through the server's streaming fast
-    /// path, returning its boolean.
+    /// Executes an `ASK` query, returning its boolean. The server runs
+    /// it as [`Client::query`] does and replies with the boolean.
     pub fn ask(&mut self, text: &str, header: &RequestHeader) -> Result<bool, ClientError> {
         let id = self.send(
             Opcode::Ask,

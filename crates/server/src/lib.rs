@@ -4,10 +4,10 @@
 //!
 //! Everything the paper's engine computes in-process, served over TCP:
 //! N clients share one loaded graph (an mmap snapshot or generated
-//! dataset), each connection gets its own [`Session`] (sessions are
-//! `!Sync`), and a global admission-controlled scheduler shares a fixed
-//! number of execution slots fairly across tenants. Each connection
-//! runs its own queries on its two threads. The pieces:
+//! dataset), each connection gets its own [`Session`], and a global
+//! admission-controlled scheduler shares a fixed number of execution
+//! slots fairly across tenants. Each connection runs its own queries on
+//! its two threads. The pieces:
 //!
 //! * [`proto`] — the `csq/1` length-prefixed binary protocol;
 //! * [`scheduler`] — bounded, tenant-fair admission and execution slots;

@@ -25,12 +25,11 @@
 //! runs two of its jobs at once.
 //!
 //! Every connection shares one `Arc<Graph>` (e.g. an mmap-loaded
-//! snapshot), so the graph is loaded once, and owns its session,
-//! because a `Session` is `!Sync` (its local result cache sits behind
-//! a `RefCell`). The cross-query *result* cache is upgraded to a
-//! single [`SharedResultCache`] at [`Server::bind`] (unless configured
-//! off), so one connection's completed CTP searches answer any
-//! connection's repeats; its counters ride the `stats` opcode.
+//! snapshot), so the graph is loaded once, and owns its session, which
+//! it rebuilds when the graph epoch changes. The cross-query *result*
+//! cache is one [`SharedResultCache`] made at [`Server::bind`] (unless
+//! configured off), so one connection's completed CTP searches answer
+//! any connection's repeats; its counters ride the `stats` opcode.
 //! Responses are written under a per-connection writer lock — control
 //! replies from the reading thread and query replies from the running
 //! thread interleave as whole frames.
@@ -69,7 +68,7 @@ use crate::scheduler::{AdmitError, Scheduler, SchedulerConfig};
 use cs_core::CancelFlag;
 use cs_eql::{
     CacheCounters, EqlError, ExecOptions, ResultCacheMode, Session, SharedResultCache, Watch,
-    WatchSkip,
+    WatchSkip, DEFAULT_RESULT_CACHE_CAPACITY,
 };
 use cs_graph::{Graph, MutationBatch};
 use std::collections::{HashMap, VecDeque};
@@ -242,11 +241,10 @@ impl ConnJobs {
 struct Conn {
     reader: Mutex<ReadHalf>,
     writer: Mutex<TcpStream>,
-    /// The connection's session and subscriptions. `Session` is `!Sync`
-    /// (its local result cache sits behind a `RefCell`), so the running
-    /// thread takes it under a mutex; `jobs` already keeps one
-    /// connection's jobs from running at once, so the lock is never
-    /// contended.
+    /// The connection's session and subscriptions. The running thread
+    /// takes them under a mutex, since a job may rebuild the session or
+    /// change the subscriptions; `jobs` already keeps one connection's
+    /// jobs from running at once, so the lock is never contended.
     state: Mutex<ConnState>,
     jobs: Mutex<ConnJobs>,
 }
@@ -332,15 +330,15 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) over
     /// the shared graph. A [`ResultCacheMode::On`] in `cfg.exec` is
-    /// upgraded to one [`ResultCacheMode::Shared`] cache (sized by
-    /// [`ExecOptions::result_cache_capacity`]) handed to every
+    /// upgraded to one [`ResultCacheMode::Shared`] cache (of
+    /// [`DEFAULT_RESULT_CACHE_CAPACITY`] entries) handed to every
     /// connection's session.
     pub fn bind(addr: &str, graph: Arc<Graph>, mut cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let result_cache = match &cfg.exec.result_cache {
             ResultCacheMode::Off => None,
             ResultCacheMode::On => {
-                let shared = SharedResultCache::new(cfg.exec.result_cache_capacity);
+                let shared = SharedResultCache::new(DEFAULT_RESULT_CACHE_CAPACITY);
                 cfg.exec.result_cache = ResultCacheMode::Shared(shared.clone());
                 Some(shared)
             }
@@ -821,7 +819,7 @@ impl Server {
             "graph: {} nodes, {} edges, generation {} ({} mutation batch(es))\n\
              scheduler: {} queued, {} inflight, {} tenant(s)\n\
              served: {} ok, {} failed, {} cancelled, {} deadline_exceeded, {} rejected\n\
-             result_cache: {} hits, {} misses, {} subsumed, {} trees_filtered, {} entries\n\
+             result_cache: {} hits, {} misses, {} entries\n\
              connections: {}\n",
             g.node_count(),
             g.edge_count(),
@@ -837,8 +835,6 @@ impl Server {
             ServerCounters::get(&c.rejected),
             rc.hits,
             rc.misses,
-            rc.subsumed,
-            rc.trees_filtered,
             rc_entries,
             ServerCounters::get(&c.connections),
         )

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --example investigation`
 
-use connection_search::core::score::{EdgeCount, ScoreFn, Specificity};
+use connection_search::core::score::{rank, EdgeCount, ScoreFn, Specificity};
 use connection_search::core::{evaluate_ctp, Algorithm, Filters, QueueOrder, SeedSets};
 use connection_search::graph::{Graph, GraphBuilder, NodeId};
 use connection_search::Session;
@@ -82,9 +82,9 @@ fn main() {
         ("edgecount (smallest first)", &EdgeCount as &dyn ScoreFn),
         ("specificity (hub-avoiding)", &Specificity as &dyn ScoreFn),
     ] {
-        let ranked = connection_search::core::score::rank_all(&g, out.results.trees(), sigma);
+        let ranked = rank(&g, out.results.trees().to_vec(), sigma, Some(2));
         println!("\n-- ranked by {name} --");
-        for (score, tree) in ranked.iter().take(2) {
+        for (score, tree) in &ranked {
             println!("  score {score:>6.3}:  {}", tree.describe(&g));
         }
     }

@@ -165,7 +165,6 @@ pub fn exec_flag(opts: &mut ExecOptions, arg: &Arg<'_>) -> Result<(), CliError> 
         "--timeout-ms" => opts.deadline = Some(Duration::from_millis(arg.number()?)),
         "--result-cache" if arg.choice()? == "off" => opts.result_cache = ResultCacheMode::Off,
         "--result-cache" => opts.result_cache = ResultCacheMode::On,
-        "--result-cache-capacity" => opts.result_cache_capacity = arg.number()?,
         _ => return Err(CliError::Usage),
     }
     Ok(())

@@ -1,12 +1,11 @@
 //! Local mode: `csq <graph-source> <query|@query-file> [flags]` runs
 //! queries in-process through one [`Session`], so every query (and
-//! every `--batch` member) shares its plan and result caches.
+//! every `--batch` member) shares its result cache.
 //!
 //! The README's `csq` flags list describes `--explain`, `--stats`,
 //! `--batch`, `--graph` and `--stream`. `--result-cache off`
-//! disables the cross-query result cache and `--result-cache-capacity
-//! N` sizes its LRU; `--stats` then reports its hit / miss / subsumed /
-//! trees-filtered counters per query, and `--explain` prints one
+//! disables the cross-query result cache; `--stats` reports its hit /
+//! miss counters per query, and `--explain` prints one
 //! `magic seeds:` line per seed set narrowed by shared-variable
 //! intersection. `--timeout-ms N` is the *hard* per-query deadline
 //! ([`ExecOptions::deadline`]): unlike the per-CTP soft `--timeout`,
@@ -29,7 +28,6 @@ const FLAGS: &[Flag] = &[
     Flag::Value("--timeout", NUMBER),
     Flag::Value("--timeout-ms", NUMBER),
     Flag::Value("--result-cache", "on|off"),
-    Flag::Value("--result-cache-capacity", NUMBER),
     Flag::Switch("--stats"),
     Flag::Switch("--explain"),
     Flag::Switch("--batch"),
@@ -125,12 +123,9 @@ pub fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     if batch && (show_stats || show_plan) {
         let rc = session.result_cache_counters();
         eprintln!(
-            "session result cache: {} hit(s), {} miss(es), {} subsumed, \
-             {} tree(s) filtered, {} cached result(s)",
+            "session result cache: {} hit(s), {} miss(es), {} cached result(s)",
             rc.hits,
             rc.misses,
-            rc.subsumed,
-            rc.trees_filtered,
             session.result_cache_len()
         );
     }
@@ -180,11 +175,8 @@ fn report(graph: &Graph, result: &QueryResult, show_plan: bool, show_stats: bool
             result.stats.join_time
         );
         eprintln!(
-            "result cache: {} hit(s), {} miss(es), {} subsumed, {} tree(s) filtered",
-            result.stats.result_cache_hits,
-            result.stats.result_cache_misses,
-            result.stats.result_cache_subsumed,
-            result.stats.result_cache_trees_filtered
+            "result cache: {} hit(s), {} miss(es)",
+            result.stats.result_cache_hits, result.stats.result_cache_misses
         );
         for (var, s, d) in &result.stats.ctp_stats {
             report_ctp_stats(var, s, *d);

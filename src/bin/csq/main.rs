@@ -39,7 +39,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: csq <graph-source|--demo> <query|@query-file> \
      [--algorithm NAME] [--timeout MS] [--timeout-ms N] \
-     [--result-cache on|off] [--result-cache-capacity N] [--stats] \
+     [--result-cache on|off] [--stats] \
      [--explain] [--batch] [--stream]\n       \
      csq --graph <file.csg> <query|@query-file> [...]\n       \
      csq snapshot save <gen-spec|graph-file> <out.csg>\n       \

@@ -17,8 +17,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: csqd <graph-source|--demo> [--addr HOST:PORT] [--workers N] \
      [--queue N] [--tenant-inflight N] \
-     [--default-deadline-ms N] [--result-cache off|on|shared] \
-     [--result-cache-capacity N]\n\
+     [--default-deadline-ms N] [--result-cache off|on]\n\
      graph sources: --demo | file.csg | gen:<family:key=value,...> | triples file\n\
      --workers N: concurrent executions across all connections (default 2)";
 
@@ -29,11 +28,9 @@ const FLAGS: &[Flag] = &[
     Flag::Value("--queue", NUMBER),
     Flag::Value("--tenant-inflight", NUMBER),
     Flag::Value("--default-deadline-ms", NUMBER),
-    // `on` and `shared` are both one server-wide cache: `Server::bind`
-    // upgrades `On` to `Shared` (with the final
-    // `--result-cache-capacity`, whichever flag order was used).
-    Flag::Value("--result-cache", "off|on|shared"),
-    Flag::Value("--result-cache-capacity", NUMBER),
+    // `on` is one server-wide cache: `Server::bind` upgrades `On` to
+    // `Shared`.
+    Flag::Value("--result-cache", "off|on"),
 ];
 
 fn main() -> ExitCode {

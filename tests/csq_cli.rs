@@ -175,7 +175,6 @@ fn usage_lists_every_flag() {
         "--duration-ms",
         "--connections",
         "--result-cache",
-        "--result-cache-capacity",
         "--script",
     ] {
         assert!(stderr.contains(flag), "usage misses {flag}: {stderr}");

@@ -31,7 +31,6 @@ fn numeric_flags_reject_garbage_and_missing_values() {
         "--queue",
         "--tenant-inflight",
         "--default-deadline-ms",
-        "--result-cache-capacity",
     ] {
         assert_one_line_error(
             &["--demo", flag, "many"],
@@ -48,7 +47,7 @@ fn numeric_flags_reject_garbage_and_missing_values() {
 fn result_cache_rejects_unknown_mode() {
     assert_one_line_error(
         &["--demo", "--result-cache", "bogus"],
-        "--result-cache expects off|on|shared, got \"bogus\"",
+        "--result-cache expects off|on, got \"bogus\"",
     );
 }
 
